@@ -43,21 +43,39 @@ let arena_create len : arena =
 
 let arena_len (a : arena) = BA1.dim a
 
-(* Manual byte loops: Bytes/String <-> Bigarray have no stdlib blit.
-   Callers bound-check first, so unsafe accessors are fine. *)
+(* Bytes/String <-> Bigarray have no stdlib blit, so these loops move one
+   native-endian 8-byte word per iteration (the compiler's unboxed 64-bit
+   load/store primitives; native order on both sides keeps every byte in
+   place) and finish the 0-7 byte tail bytewise. Callers bound-check first,
+   so the unchecked accessors are fine. *)
+external arena_get64 : arena -> int -> int64 = "%caml_bigstring_get64u"
+external arena_set64 : arena -> int -> int64 -> unit = "%caml_bigstring_set64u"
+external bytes_get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
+external bytes_set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+
 let blit_bytes_to_arena src srcoff (dst : arena) dstoff len =
-  for i = 0 to len - 1 do
+  let words = len land lnot 7 in
+  let i = ref 0 in
+  while !i < words do
+    arena_set64 dst (dstoff + !i) (bytes_get64 src (srcoff + !i));
+    i := !i + 8
+  done;
+  for i = words to len - 1 do
     BA1.unsafe_set dst (dstoff + i) (Bytes.unsafe_get src (srcoff + i))
   done
 
-let blit_string_to_arena src srcoff (dst : arena) dstoff len =
-  for i = 0 to len - 1 do
-    BA1.unsafe_set dst (dstoff + i) (String.unsafe_get src (srcoff + i))
-  done
+(* read-only use of the string's bytes *)
+let blit_string_to_arena src = blit_bytes_to_arena (Bytes.unsafe_of_string src)
 
 let arena_sub_bytes (src : arena) off len =
   let b = Bytes.create len in
-  for i = 0 to len - 1 do
+  let words = len land lnot 7 in
+  let i = ref 0 in
+  while !i < words do
+    bytes_set64 b !i (arena_get64 src (off + !i));
+    i := !i + 8
+  done;
+  for i = words to len - 1 do
     Bytes.unsafe_set b i (BA1.unsafe_get src (off + i))
   done;
   b

@@ -90,6 +90,12 @@ let () =
              claimed limit)
     | _ -> None)
 
+(* Size-check a header's *claim* before allocating anything: a hostile or
+   corrupted header must not be able to reserve unbounded memory. *)
+let check_claim ?(max_record_size = default_max_record_size) ~sofar len =
+  if len > max_record_size || sofar + len > max_record_size then
+    raise (Oversized { claimed = sofar + len; limit = max_record_size })
+
 (* Reassembly allocates once per record in the common single-fragment case:
    the payload is received straight into its final buffer. Multi-fragment
    records stage each fragment in a pooled buffer and blit into an
@@ -98,13 +104,7 @@ let () =
    staging buffer lives in the transport and is reused across records. *)
 let read_body ~max_record_size ~pool t ~last ~len =
   let hdr = t.Transport.hdr_scratch in
-  let check_claim sofar len =
-    (* Size-check the header's *claim* before allocating anything: a hostile
-       or corrupted header must not be able to reserve unbounded memory. *)
-    if len > max_record_size || sofar + len > max_record_size then
-      raise (Oversized { claimed = sofar + len; limit = max_record_size })
-  in
-  check_claim 0 len;
+  check_claim ~max_record_size ~sofar:0 len;
   if last then begin
     let b = Bytes.create len in
     Transport.recv_exact t b 0 len;
@@ -126,7 +126,7 @@ let read_body ~max_record_size ~pool t ~last ~len =
         if not last then begin
           Transport.recv_exact t hdr 0 4;
           let last, len = decode_header_bytes hdr in
-          check_claim !total len;
+          check_claim ~max_record_size ~sofar:!total len;
           loop last len
         end
       in

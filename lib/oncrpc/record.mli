@@ -43,6 +43,12 @@ exception Oversized of { claimed : int; limit : int }
     for the claimed bytes is allocated, so an adversarial length field
     cannot reserve unbounded memory. *)
 
+val check_claim : ?max_record_size:int -> sofar:int -> int -> unit
+(** [check_claim ~sofar len] raises {!Oversized} if a fragment header
+    claiming [len] bytes would take a record already holding [sofar] bytes
+    past [max_record_size] (default 1 GiB, as for {!read}). The rule every
+    reassembler applies to a header before allocating for it. *)
+
 val read : ?max_record_size:int -> ?pool:Pool.t -> Transport.t -> string
 (** [read t] reassembles the next record into a single exactly-sized
     buffer. Single-fragment records are received directly into their final

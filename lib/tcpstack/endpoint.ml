@@ -62,11 +62,12 @@ type t = {
   mutable tx_burst : int;  (* max payload per emitted segment; mss, or up
                               to 64 KiB when the netdev negotiated TSO *)
   send_buf : Txring.t;  (* app data not yet segmented *)
-  recv_buf : Buffer.t;  (* in-order data not yet read by the app *)
+  recv_buf : Buffer.t;  (* in-order data; bytes before recv_pos are read *)
+  mutable recv_pos : int;
   mutable ooo : (Seqnum.t * Xdr.Iovec.t * int) list;
       (* out-of-order segments, sorted by seq *)
   mutable ooo_count : int;
-  mutable inflight : pending list;  (* oldest first *)
+  inflight : pending Queue.t;  (* seq-ordered, oldest first *)
   mutable fin_queued : bool;
   mutable fin_sent : bool;
   mutable tx : Frame.t -> unit;
@@ -100,9 +101,10 @@ let create ~engine ~name ~mss ~iss ~local_port ~remote_port
     tx_burst = mss;
     send_buf = Txring.create ();
     recv_buf = Buffer.create 4096;
+    recv_pos = 0;
     ooo = [];
     ooo_count = 0;
-    inflight = [];
+    inflight = Queue.create ();
     fin_queued = false;
     fin_sent = false;
     tx = (fun _ -> ());
@@ -181,7 +183,8 @@ let rec arm_rto t =
   Engine.schedule_after t.engine rto (fun () -> on_rto t generation)
 
 and on_rto t generation =
-  if generation = t.rto_generation && t.inflight <> [] && t.state <> Closed
+  if generation = t.rto_generation && (not (Queue.is_empty t.inflight))
+     && t.state <> Closed
   then begin
     t.retransmit_count <- t.retransmit_count + 1;
     if t.retransmit_count > max_retransmits then t.state <- Closed
@@ -192,24 +195,23 @@ and on_rto t generation =
       t.ssthresh <- max (2 * t.mss) (unacked t / 2);
       t.cwnd <- t.mss;
       t.dup_acks <- 0;
-      (match t.inflight with
-      | p :: _ ->
-          t.retransmissions <- t.retransmissions + 1;
-          Obs.Recorder.incr t.obs "tcp.retransmit";
-          transmit_pending t p
-      | [] -> ());
+      t.retransmissions <- t.retransmissions + 1;
+      Obs.Recorder.incr t.obs "tcp.retransmit";
+      transmit_pending t (Queue.peek t.inflight);
       arm_rto t
     end
   end
 
+(* Sequence number just past a segment (SYN and FIN each take one). *)
+let seg_end (p : pending) =
+  Seqnum.add p.seq (p.plen + (if p.syn then 1 else 0) + if p.fin then 1 else 0)
+
 (* Track a new sequence-space-consuming segment and put it on the wire. *)
 let send_pending t (p : pending) =
-  t.inflight <- t.inflight @ [ p ];
-  t.snd_nxt <-
-    Seqnum.add p.seq
-      (p.plen + (if p.syn then 1 else 0) + if p.fin then 1 else 0);
+  Queue.add p t.inflight;
+  t.snd_nxt <- seg_end p;
   transmit_pending t p;
-  if List.length t.inflight = 1 then arm_rto t
+  if Queue.length t.inflight = 1 then arm_rto t
 
 (* Segment whatever the window allows out of the send ring. [take] hands
    back aliased slice views, so cutting a segment is O(slices touched) —
@@ -268,12 +270,24 @@ let close t =
     pump t
   end
 
-let recv t =
-  let data = Buffer.to_bytes t.recv_buf in
-  Buffer.clear t.recv_buf;
-  data
+let recv_length t = Buffer.length t.recv_buf - t.recv_pos
 
-let recv_length t = Buffer.length t.recv_buf
+let recv_into t buf off len =
+  if off < 0 || len < 0 || off > Bytes.length buf - len then
+    invalid_arg "Endpoint.recv_into";
+  let n = min len (recv_length t) in
+  Buffer.blit t.recv_buf t.recv_pos buf off n;
+  t.recv_pos <- t.recv_pos + n;
+  if t.recv_pos = Buffer.length t.recv_buf then begin
+    Buffer.clear t.recv_buf;
+    t.recv_pos <- 0
+  end;
+  n
+
+let recv t =
+  let data = Bytes.create (recv_length t) in
+  ignore (recv_into t data 0 (Bytes.length data));
+  data
 
 let enter_time_wait t =
   t.state <- Time_wait;
@@ -286,7 +300,9 @@ let max_cwnd = 4 lsl 20
 
 (* Process an acceptable ACK: advance snd_una, prune the retransmit queue,
    grow the congestion window (RFC 5681 slow start / congestion
-   avoidance), and run fast retransmit on the third duplicate ACK. *)
+   avoidance), and run fast retransmit on the third duplicate ACK. The
+   queue is seq-ordered, so a cumulative ACK covers a prefix of it: pruning
+   pops exactly the acknowledged segments, O(1) each. *)
 let process_ack t (f : Frame.t) =
   if Seqnum.gt f.Frame.ack t.snd_una && Seqnum.le f.Frame.ack t.snd_nxt
   then begin
@@ -299,23 +315,17 @@ let process_ack t (f : Frame.t) =
         (if t.cwnd < t.ssthresh then t.cwnd + t.mss (* slow start *)
          else t.cwnd + max 1 (t.mss * t.mss / t.cwnd));
     let fin_was_outstanding = t.fin_sent in
-    t.inflight <-
-      List.filter
-        (fun (p : pending) ->
-          let seg_end =
-            Seqnum.add p.seq
-              (p.plen + (if p.syn then 1 else 0) + if p.fin then 1 else 0)
-          in
-          Seqnum.gt seg_end t.snd_una)
-        t.inflight;
-    if t.inflight = [] then t.rto_generation <- t.rto_generation + 1
+    while
+      (not (Queue.is_empty t.inflight))
+      && Seqnum.le (seg_end (Queue.peek t.inflight)) t.snd_una
+    do
+      ignore (Queue.pop t.inflight)
+    done;
+    if Queue.is_empty t.inflight then t.rto_generation <- t.rto_generation + 1
     else arm_rto t;
-    (* Did this ACK cover our FIN? *)
-    let fin_acked =
-      fin_was_outstanding
-      && not (List.exists (fun (p : pending) -> p.fin) t.inflight)
-      && Seqnum.ge t.snd_una t.snd_nxt
-    in
+    (* Did this ACK cover our FIN? Everything sent, the FIN included, is
+       acknowledged exactly when snd_una has reached snd_nxt. *)
+    let fin_acked = fin_was_outstanding && Seqnum.ge t.snd_una t.snd_nxt in
     if fin_acked then begin
       match t.state with
       | Fin_wait_1 -> t.state <- Fin_wait_2
@@ -325,7 +335,8 @@ let process_ack t (f : Frame.t) =
     end
   end
   else if
-    f.Frame.ack = t.snd_una && t.inflight <> []
+    f.Frame.ack = t.snd_una
+    && (not (Queue.is_empty t.inflight))
     && f.Frame.payload_len = 0
     && (not f.Frame.flags.Segment.syn)
     && not f.Frame.flags.Segment.fin
@@ -336,15 +347,12 @@ let process_ack t (f : Frame.t) =
          without waiting for the RTO *)
       t.ssthresh <- max (2 * t.mss) (unacked t / 2);
       t.cwnd <- t.ssthresh + (3 * t.mss);
-      (match t.inflight with
-      | p :: _ ->
-          t.fast_retransmits <- t.fast_retransmits + 1;
-          t.retransmissions <- t.retransmissions + 1;
-          Obs.Recorder.incr t.obs "tcp.fast_retransmit";
-          Obs.Recorder.incr t.obs "tcp.retransmit";
-          transmit_pending t p;
-          arm_rto t
-      | [] -> ())
+      t.fast_retransmits <- t.fast_retransmits + 1;
+      t.retransmissions <- t.retransmissions + 1;
+      Obs.Recorder.incr t.obs "tcp.fast_retransmit";
+      Obs.Recorder.incr t.obs "tcp.retransmit";
+      transmit_pending t (Queue.peek t.inflight);
+      arm_rto t
     end
   end;
   t.snd_wnd <- f.Frame.window

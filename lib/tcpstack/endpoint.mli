@@ -107,8 +107,16 @@ val close : t -> unit
 val recv : t -> bytes
 (** Drain in-order received application data (empty if none). *)
 
+val recv_into : t -> bytes -> int -> int -> int
+(** [recv_into t buf off len] moves up to [len] in-order bytes into [buf]
+    at [off] and returns how many it moved (0 when nothing is readable).
+    The bytes are copied once, straight from the endpoint's receive buffer,
+    so a reader that knows how much it wants (a record-marking parser, a
+    transport's [recv]) needs no staging buffer of its own. Raises
+    [Invalid_argument] if [off]/[len] do not fit [buf]. *)
+
 val recv_length : t -> int
-(** Bytes currently readable by {!recv}. *)
+(** Bytes currently readable by {!recv} / {!recv_into}. *)
 
 val state : t -> state
 val stats : t -> stats

@@ -20,7 +20,17 @@ module EP = Tcpstack.Endpoint
    ([Xdr.Iovec.concat]) before handing the record to the endpoint. It is
    not an oversight: the endpoint's retransmit queue aliases queued slices
    until they are acknowledged, while the RPC encoder reuses its buffers as
-   soon as the call returns — the copy is the sk_buff boundary. *)
+   soon as the call returns — the copy is the sk_buff boundary. Server
+   replies need no such copy: a reply is a fresh immutable string, framed
+   as header slices plus views of it (a doorbell batch is the exception,
+   see [reply_out]).
+
+   On receive, neither side keeps a buffer of its own. The client
+   transport's [recv] and the server's record parser both read straight
+   out of their endpoint ([Endpoint.recv_into]); the parser lands each
+   fragment in a buffer of its header-claimed size, bounded by
+   {!Oncrpc.Record.check_claim}, and joins fragments only when a record
+   has more than one. *)
 
 type stats = {
   messages : int;  (** request records dispatched at the server *)
@@ -52,17 +62,18 @@ type t = {
      one rx burst leave as one submit *)
   reply_batch : Buffer.t;
   mutable transport : Oncrpc.Transport.t;
-  (* client-side reply byte stream *)
-  inbox : Buffer.t;
-  mutable inbox_pos : int;
-  (* server-side incremental record-marking parser (RFC 5531 §11): O(1)
-     state per byte, so reassembly over the whole run is O(bytes) *)
+  (* server-side incremental record-marking parser (RFC 5531 §11), reading
+     straight out of the server endpoint: each fragment lands in a buffer
+     of exactly its header-claimed size, so reassembly over the whole run
+     is O(bytes) with one copy per byte (two for multi-fragment records) *)
   hdr : Bytes.t;
   mutable hdr_pos : int;
-  mutable frag_need : int;
-  mutable frag_last : bool;
   mutable in_frag : bool;
-  record : Buffer.t;
+  mutable frag : Bytes.t;
+  mutable frag_pos : int;
+  mutable frag_last : bool;
+  mutable frags : Bytes.t list;  (* completed fragments, newest first *)
+  mutable frags_len : int;
   mutable stats : stats;
   mutable obs : Obs.Recorder.t;
   (* virtual time spent inside server dispatch, accumulated so the recv
@@ -90,18 +101,28 @@ let charge_syscalls t (p : Simnet.Hostprofile.t) len =
          + p.Simnet.Hostprofile.context_switch_ns)));
   Obs.Recorder.span_end t.obs sp
 
+(* Replies are framed without copying: the wire image is the fragment
+   headers plus views of the reply string, which is freshly encoded and
+   never mutated, so the endpoint may alias it until it is acknowledged.
+   Under the doorbell the (small) replies of one rx burst are gathered into
+   one contiguous submit instead, which is cheaper than carrying two slices
+   per reply through the send ring. *)
 let reply_out t reply =
   if reply <> "" then begin
-    let wire = Oncrpc.Record.to_wire reply in
+    let wire = Oncrpc.Record.wirev (Xdr.Iovec.of_string reply) in
+    let len = Xdr.Iovec.length wire in
     t.stats <-
-      { t.stats with
-        bytes_from_server = t.stats.bytes_from_server + String.length wire };
+      { t.stats with bytes_from_server = t.stats.bytes_from_server + len };
     if t.negotiated_rpc.Simnet.Offload.rpc_doorbell then
       (* coalesce: every reply of this rx burst rides one submit *)
-      Buffer.add_string t.reply_batch wire
+      Xdr.Iovec.iter
+        (fun s ->
+          Buffer.add_substring t.reply_batch s.Xdr.Iovec.base s.Xdr.Iovec.off
+            s.Xdr.Iovec.len)
+        wire
     else begin
-      charge_syscalls t t.server_prof (String.length wire);
-      EP.send_string t.server_ep wire
+      charge_syscalls t t.server_prof len;
+      EP.sendv t.server_ep wire
     end
   end
 
@@ -113,36 +134,46 @@ let flush_replies t =
     EP.send_string t.server_ep wire
   end
 
-(* Feed freshly delivered server-side bytes through the record parser;
+(* Pull whatever the server endpoint holds through the record parser;
    complete records go to the dispatch function and replies back onto the
-   server endpoint. *)
-let feed_server t chunk =
-  let len = Bytes.length chunk in
-  let pos = ref 0 in
-  while !pos < len do
+   server endpoint. A fragment header's claim is bounded before its buffer
+   is allocated. *)
+let feed_server t =
+  let ep = t.server_ep in
+  while EP.recv_length ep > 0 do
     if not t.in_frag then begin
-      let take = min (4 - t.hdr_pos) (len - !pos) in
-      Bytes.blit chunk !pos t.hdr t.hdr_pos take;
-      t.hdr_pos <- t.hdr_pos + take;
-      pos := !pos + take;
+      t.hdr_pos <- t.hdr_pos + EP.recv_into ep t.hdr t.hdr_pos (4 - t.hdr_pos);
       if t.hdr_pos = 4 then begin
         let last, n = Oncrpc.Record.decode_header_bytes t.hdr in
+        Oncrpc.Record.check_claim ~sofar:t.frags_len n;
         t.hdr_pos <- 0;
         t.in_frag <- true;
-        t.frag_need <- n;
+        t.frag <- Bytes.create n;
+        t.frag_pos <- 0;
         t.frag_last <- last
       end
     end;
     if t.in_frag then begin
-      let take = min t.frag_need (len - !pos) in
-      Buffer.add_subbytes t.record chunk !pos take;
-      t.frag_need <- t.frag_need - take;
-      pos := !pos + take;
-      if t.frag_need = 0 then begin
+      let need = Bytes.length t.frag - t.frag_pos in
+      t.frag_pos <- t.frag_pos + EP.recv_into ep t.frag t.frag_pos need;
+      if t.frag_pos = Bytes.length t.frag then begin
+        let frag = t.frag in
         t.in_frag <- false;
-        if t.frag_last then begin
-          let request = Buffer.contents t.record in
-          Buffer.clear t.record;
+        t.frag <- Bytes.empty;
+        if not t.frag_last then begin
+          t.frags <- frag :: t.frags;
+          t.frags_len <- t.frags_len + Bytes.length frag
+        end
+        else begin
+          let request =
+            match t.frags with
+            | [] -> Bytes.unsafe_to_string frag
+            | frags ->
+                String.concat ""
+                  (List.rev_map Bytes.unsafe_to_string (frag :: frags))
+          in
+          t.frags <- [];
+          t.frags_len <- 0;
           t.stats <- { t.stats with messages = t.stats.messages + 1 };
           let t0 = Engine.now t.engine in
           let reply = t.dispatch request in
@@ -180,17 +211,13 @@ let feed_server_rpc t rdev chunk =
     Time.add t.dispatched_ns (Time.sub (Engine.now t.engine) t0);
   flush_replies t
 
+(* Server-side rx after each engine step. The client side needs no
+   draining: its transport reads straight out of the client endpoint. *)
 let drain t =
-  if EP.recv_length t.server_ep > 0 then begin
-    let chunk = EP.recv t.server_ep in
+  if EP.recv_length t.server_ep > 0 then
     match t.rpcdev with
-    | Some rdev -> feed_server_rpc t rdev chunk
-    | None -> feed_server t chunk
-  end;
-  if EP.recv_length t.client_ep > 0 then begin
-    let b = EP.recv t.client_ep in
-    Buffer.add_bytes t.inbox b
-  end
+    | Some rdev -> feed_server_rpc t rdev (EP.recv t.server_ep)
+    | None -> feed_server t
 
 let default_rto = Time.us 200
 
@@ -245,9 +272,8 @@ let create ~engine ~client ?(server = Config.server_profile)
           ~recv:(fun _ _ _ -> 0)
           ~close:(fun () -> ())
           ();
-      inbox = Buffer.create 4096; inbox_pos = 0; hdr = Bytes.create 4;
-      hdr_pos = 0; frag_need = 0; frag_last = false; in_frag = false;
-      record = Buffer.create 4096;
+      hdr = Bytes.create 4; hdr_pos = 0; in_frag = false; frag = Bytes.empty;
+      frag_pos = 0; frag_last = false; frags = []; frags_len = 0;
       stats =
         { messages = 0; bytes_to_server = 0; bytes_from_server = 0;
           network_time = Time.zero; timeouts = 0 };
@@ -277,7 +303,7 @@ let create ~engine ~client ?(server = Config.server_profile)
      reusable buffers *)
   let sendv iov = push (Xdr.Iovec.concat iov) in
   let recv buf off len =
-    let available () = Buffer.length t.inbox - t.inbox_pos in
+    let available () = EP.recv_length client_ep in
     if available () = 0 then begin
       let t0 = Engine.now engine in
       let d0 = t.dispatched_ns in
@@ -311,14 +337,7 @@ let create ~engine ~client ?(server = Config.server_profile)
         raise Oncrpc.Transport.Timeout
       end
     end;
-    let n = min len (available ()) in
-    Buffer.blit t.inbox t.inbox_pos buf off n;
-    t.inbox_pos <- t.inbox_pos + n;
-    if t.inbox_pos = Buffer.length t.inbox then begin
-      Buffer.clear t.inbox;
-      t.inbox_pos <- 0
-    end;
-    n
+    EP.recv_into client_ep buf off len
   in
   t.transport <-
     Oncrpc.Transport.make ~sendv ~send ~recv ~close:(fun () -> ()) ();

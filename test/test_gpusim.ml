@@ -187,6 +187,52 @@ let prop_alloc_free_invariant =
       used_mid >= 0 && M.used_bytes m = 0
       && M.free_bytes m = M.total_bytes m)
 
+(* --- word-wise arena blits vs the bytewise reference --- *)
+
+(* A one-byte-per-iteration copy loop: the reference the word-wise arena
+   blits are checked against, applied to a [Bytes] model of the
+   allocation. *)
+let bytewise_blit src srcoff dst dstoff len =
+  for i = 0 to len - 1 do
+    Bytes.unsafe_set dst (dstoff + i) (Bytes.unsafe_get src (srcoff + i))
+  done
+
+(* Every start offset 0-15 (all alignments mod 8) and length 0-100 (every
+   tail length) over random background and data: [write] and [read], which
+   move 8-byte words, must agree with the bytewise model, both over the
+   written range and over the whole allocation (nothing written outside
+   it); the scalar [get_u8] reads it back independently of the word loops,
+   and a snapshot/restore round trip covers the string-side blits. *)
+let prop_wordwise_blits =
+  QCheck.Test.make ~count:10 ~name:"word-wise write/read == bytewise reference"
+    QCheck.(
+      pair (string_of_size (Gen.return 128)) (string_of_size (Gen.return 100)))
+    (fun (background, data) ->
+      let m = M.create ~capacity:4096 in
+      let p = M.alloc m 128 in
+      let data = Bytes.of_string data in
+      let ok = ref true in
+      for off = 0 to 15 do
+        for len = 0 to 100 do
+          String.iteri (fun i c -> M.set_u8 m (p + i) (Char.code c)) background;
+          let model = Bytes.of_string background in
+          let src = Bytes.sub data 0 len in
+          M.write m (p + off) src;
+          bytewise_blit src 0 model off len;
+          let written = Bytes.sub model off len in
+          if not (Bytes.equal (M.read m (p + off) len) written) then
+            ok := false;
+          if not (Bytes.equal (M.read m p 128) model) then ok := false;
+          Bytes.iteri
+            (fun i c -> if M.get_u8 m (p + i) <> Char.code c then ok := false)
+            model
+        done;
+        let restored = M.restore (M.snapshot m) in
+        if not (Bytes.equal (M.read restored p 128) (M.read m p 128)) then
+          ok := false
+      done;
+      !ok)
+
 (* --- kernels --- *)
 
 let with_mem f =
@@ -412,4 +458,5 @@ let suite =
     Alcotest.test_case "events" `Quick test_gpu_events;
     Alcotest.test_case "device reset" `Quick test_gpu_reset;
   ]
-  @ [ QCheck_alcotest.to_alcotest prop_alloc_free_invariant ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_alloc_free_invariant; prop_wordwise_blits ]

@@ -372,6 +372,68 @@ let test_netcost_segment_agreement () =
         (got >= want && got <= want + slack))
     [ 65536; 300_000 ]
 
+(* Reads of any size, through either entry point, interleaved with segment
+   arrival: 0-length reads, reads straddling segment boundaries, and whole
+   drains. Each read must shrink [recv_length] by exactly what it returned,
+   and the reads together must reproduce the stream. *)
+let prop_recv_into_reads =
+  QCheck.Test.make ~count:100
+    ~name:"recv_into/recv at any chunking reproduce the stream"
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 1 12) (int_range 1 3000))
+        (list_of_size (Gen.int_range 1 20) (int_range 0 600)))
+    (fun (sends, reads) ->
+      let engine, client, server, _ = make_pair ~mss:256 () in
+      EP.listen server;
+      EP.connect client;
+      Engine.run engine;
+      let total = List.fold_left ( + ) 0 sends in
+      let payload =
+        String.init total (fun i -> Char.chr (((i * 7) + (i / 251)) land 0xff))
+      in
+      let out = Buffer.create total in
+      let ok = ref true in
+      let reads = Array.of_list (1 :: reads) in
+      let k = ref 0 in
+      let read_once () =
+        let r = reads.(!k mod Array.length reads) in
+        incr k;
+        let before = EP.recv_length server in
+        let n =
+          if r mod 5 = 4 then begin
+            let b = EP.recv server in
+            Buffer.add_bytes out b;
+            Bytes.length b
+          end
+          else begin
+            (* read into the middle of a larger buffer *)
+            let buf = Bytes.make (r + 6) '\000' in
+            let n = EP.recv_into server buf 3 r in
+            Buffer.add_subbytes out buf 3 n;
+            n
+          end
+        in
+        if n > before || EP.recv_length server <> before - n then ok := false
+      in
+      let pos = ref 0 in
+      List.iter
+        (fun len ->
+          EP.send client (Bytes.of_string (String.sub payload !pos len));
+          pos := !pos + len;
+          for _ = 1 to 3 do
+            if Engine.step engine then read_once ()
+          done)
+        sends;
+      while Engine.step engine do
+        read_once ()
+      done;
+      for _ = 1 to Array.length reads do
+        read_once ()
+      done;
+      Buffer.add_bytes out (EP.recv server);
+      !ok && Buffer.contents out = payload)
+
 let prop_transfer_integrity =
   QCheck.Test.make ~count:25 ~name:"tcp delivers arbitrary payloads intact"
     QCheck.(pair (string_of_size (Gen.int_range 1 20_000)) (int_range 50 1448))
@@ -562,6 +624,8 @@ module ND = Tcpstack.Netdev
 module O = Simnet.Offload
 module H = Simnet.Hostprofile
 
+let hermit = Unikernel.Config.hermit.Unikernel.Config.profile
+
 let test_offload_negotiation () =
   let device = O.all in
   let guest =
@@ -583,7 +647,8 @@ let test_offload_negotiation () =
   let n2 = O.negotiate ~device:O.none ~guest:O.all in
   check Alcotest.bool "none device disables all" true (n2 = O.none)
 
-let netdev_pair ?fault ?(device = O.all) ~client_off ~server_off () =
+let netdev_pair ?fault ?(device = O.all) ?(client_prof = H.bare_metal_linux)
+    ~client_off ~server_off () =
   let engine = Engine.create () in
   let link = Simnet.Link.ethernet_100g in
   let mss = Simnet.Link.mss link in
@@ -595,7 +660,7 @@ let netdev_pair ?fault ?(device = O.all) ~client_off ~server_off () =
     EP.create ~engine ~name:"b" ~mss ~iss:0 ~local_port:2 ~remote_port:1
       ~rcv_window:(16 lsl 20) ~rto:(Time.us 200) ()
   in
-  let pa = H.with_offloads H.bare_metal_linux client_off in
+  let pa = H.with_offloads client_prof client_off in
   let pb = H.with_offloads H.bare_metal_linux server_off in
   let nd = ND.connect ~engine ~link ?fault ~device ~a:(a, pa) ~b:(b, pb) () in
   EP.listen b;
@@ -708,6 +773,34 @@ let test_netdev_fault_recovery_offloaded () =
 
 (* --- the Figure 7 executable ablation --- *)
 
+(* A bulk send's allocation must be linear in its size: per payload byte,
+   8 MiB may cost at most 1.5x what 1 MiB does. A retransmit queue that is
+   walked or rebuilt per segment or per ACK fails this, because the
+   congestion window (and so the queue) grows with the transfer. *)
+let test_bulk_send_allocation_linear () =
+  let words_per_byte n =
+    let engine, a, b, _ =
+      netdev_pair ~client_prof:hermit ~client_off:hermit.H.offloads
+        ~server_off:Unikernel.Config.server_profile.H.offloads ()
+    in
+    let payload = Bytes.make n 'x' and sink = Bytes.create n in
+    let got = ref 0 in
+    let w0 = Gc.minor_words () in
+    EP.send a payload;
+    while !got < n && Engine.step engine do
+      got := !got + EP.recv_into b sink !got (n - !got)
+    done;
+    let words = Gc.minor_words () -. w0 in
+    check Alcotest.int "delivered" n !got;
+    words /. float_of_int n
+  in
+  let small = words_per_byte (1 lsl 20) in
+  let large = words_per_byte (8 lsl 20) in
+  check Alcotest.bool
+    (Printf.sprintf "8 MiB at %.3f words/byte vs 1 MiB at %.3f" large small)
+    true
+    (large <= 1.5 *. small)
+
 let test_offload_ablation_ordering () =
   let results = Unikernel.Netbench.ablation ~bytes:(8 lsl 20) () in
   let bw name =
@@ -754,6 +847,118 @@ let test_run_tcp_cricket_e2e () =
   let f = Unikernel.Tcpchannel.negotiated_client ch in
   check Alcotest.bool "hermit features" true
     (f.O.tx_checksum && f.O.rx_checksum && (not f.O.tso) && not f.O.gro)
+
+(* --- Tcpchannel record framing over the stack --- *)
+
+(* 100 KiB calls in 1 KiB fragments, so fragment headers straddle segment
+   boundaries; the echo repeats its argument [echo_copies] times, so every
+   reply crosses the 1 MiB default fragment size as well. Both directions
+   must carry each record byte-identically: what the server dispatched is
+   what the client framed, and what the client read is what the server
+   replied. *)
+let echo_copies = 11
+
+let prop_tcpchannel_multi_fragment_records =
+  let prog = 0x2f00_0e02 and vers = 1 in
+  QCheck.Test.make ~count:5
+    ~name:"tcpchannel carries multi-fragment records byte-identically"
+    QCheck.(pair (int_range 1 3) small_nat)
+    (fun (calls, seed) ->
+      let repeat arg =
+        Bytes.concat Bytes.empty (List.init echo_copies (fun _ -> arg))
+      in
+      let srv = Oncrpc.Server.create () in
+      Oncrpc.Server.register srv ~prog ~vers
+        [
+          ( 1,
+            fun dec enc ->
+              Xdr.Encode.opaque enc (repeat (Xdr.Decode.opaque dec)) );
+        ];
+      let requests = ref [] and replies = ref [] in
+      let dispatch request =
+        let reply = Oncrpc.Server.dispatch srv request in
+        requests := request :: !requests;
+        replies := reply :: !replies;
+        reply
+      in
+      let engine = Engine.create () in
+      let ch =
+        Unikernel.Tcpchannel.create ~engine ~client:hermit ~dispatch ()
+      in
+      let inner = Unikernel.Tcpchannel.transport ch in
+      let sent = Buffer.create 4096 and got = Buffer.create 4096 in
+      let transport =
+        Oncrpc.Transport.make
+          ~sendv:(fun iov ->
+            Xdr.Iovec.iter
+              (fun sl ->
+                Buffer.add_substring sent sl.Xdr.Iovec.base sl.Xdr.Iovec.off
+                  sl.Xdr.Iovec.len)
+              iov;
+            Oncrpc.Transport.writev inner iov)
+          ~send:(fun b off len ->
+            Buffer.add_subbytes sent b off len;
+            inner.Oncrpc.Transport.send b off len)
+          ~recv:(fun b off len ->
+            let n = inner.Oncrpc.Transport.recv b off len in
+            Buffer.add_subbytes got b off n;
+            n)
+          ~close:inner.Oncrpc.Transport.close ()
+      in
+      let client =
+        Oncrpc.Client.create ~fragment_size:1024 ~transport ~prog ~vers ()
+      in
+      let echoed = ref true in
+      for i = 1 to calls do
+        let arg = Apps.Workload.xorshift_bytes ~seed:(seed + i) (100 * 1024) in
+        let back =
+          Oncrpc.Client.call client ~proc:1
+            (fun enc -> Xdr.Encode.opaque enc arg)
+            (fun dec -> Xdr.Decode.opaque dec)
+        in
+        if not (Bytes.equal back (repeat arg)) then echoed := false
+      done;
+      let wire ?fragment_size records =
+        String.concat ""
+          (List.rev_map (Oncrpc.Record.to_wire ?fragment_size) records)
+      in
+      !echoed
+      && (Unikernel.Tcpchannel.stats ch).Unikernel.Tcpchannel.messages = calls
+      && List.for_all (fun r -> String.length r > 1 lsl 20) !replies
+      && Buffer.contents sent = wire ~fragment_size:1024 !requests
+      && Buffer.contents got = wire !replies)
+
+(* A fragment header claiming more than the 1 GiB record limit is refused
+   with the typed error before the parser allocates for it, whether the
+   claim comes in one header or accumulates across fragments. *)
+let test_tcpchannel_oversized_header () =
+  let header ~last n = Oncrpc.Record.encode_header ~last n in
+  List.iter
+    (fun (name, raw, claimed) ->
+      let engine = Engine.create () in
+      let dispatched = ref 0 in
+      let ch =
+        Unikernel.Tcpchannel.create ~engine ~client:hermit
+          ~dispatch:(fun r ->
+            incr dispatched;
+            r)
+          ()
+      in
+      let t = Unikernel.Tcpchannel.transport ch in
+      Oncrpc.Transport.send_string t raw;
+      match Oncrpc.Transport.recv_exact t (Bytes.create 4) 0 4 with
+      | exception Oncrpc.Record.Oversized { claimed = c; limit } ->
+          check Alcotest.int (name ^ ": claim") claimed c;
+          check Alcotest.int (name ^ ": limit") (1 lsl 30) limit;
+          check Alcotest.int (name ^ ": nothing dispatched") 0 !dispatched
+      | () -> Alcotest.failf "%s: oversized claim was accepted" name)
+    [
+      ("single header", header ~last:true Oncrpc.Record.max_fragment_size,
+       Oncrpc.Record.max_fragment_size);
+      ( "accumulated",
+        header ~last:false 8 ^ "12345678" ^ header ~last:true ((1 lsl 30) - 4),
+        (1 lsl 30) + 4 );
+    ]
 
 let suite =
   [
@@ -803,13 +1008,19 @@ let suite =
       test_offload_ablation_ordering;
     Alcotest.test_case "run_tcp cricket end-to-end" `Quick
       test_run_tcp_cricket_e2e;
+    Alcotest.test_case "bulk send allocation is linear" `Quick
+      test_bulk_send_allocation_linear;
+    Alcotest.test_case "tcpchannel refuses oversized headers" `Quick
+      test_tcpchannel_oversized_header;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
         prop_checksum_detects_single_flip;
         prop_transfer_integrity;
+        prop_recv_into_reads;
         prop_checksum_fold_equivalence;
         prop_checksum_iovec_equivalence;
         prop_permuted_segments_reassemble;
         prop_offload_paths_deliver_identical_bytes;
+        prop_tcpchannel_multi_fragment_records;
       ]
