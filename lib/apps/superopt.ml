@@ -51,6 +51,8 @@ let kernel =
           (t, f, Int64.to_int b, Int32.to_int n, Int32.to_int k)
       | _ -> raise (Bad_args "superoptKernel: arg types")
     in
+    if batch > 0 then Gpusim.Memory.span mem table 256;
+    Gpusim.Memory.span mem flags batch;
     let program = Array.make len 0 in
     for c = 0 to batch - 1 do
       let idx = ref (base + c) in

@@ -19,29 +19,11 @@ type sgemm_args = {
   ldc : int;
 }
 
-(* Column-major addressing: element (i, j) of a matrix with leading
-   dimension ld sits at 4 * (j * ld + i). *)
-let f32 mem base ld i j = Gpusim.Memory.get_f32 mem (base + (4 * ((j * ld) + i)))
-
-let set_f32 mem base ld i j v =
-  Gpusim.Memory.set_f32 mem (base + (4 * ((j * ld) + i))) v
-
 let sgemm_kernel args =
   let execute mem (_ : Gpusim.Kernels.launch) =
-    let a = Int64.to_int args.a
-    and b = Int64.to_int args.b
-    and c = Int64.to_int args.c in
-    for j = 0 to args.n - 1 do
-      for i = 0 to args.m - 1 do
-        let acc = ref 0.0 in
-        for l = 0 to args.k - 1 do
-          acc := !acc +. (f32 mem a args.lda i l *. f32 mem b args.ldb l j)
-        done;
-        let prior = if args.beta = 0.0 then 0.0 else f32 mem c args.ldc i j in
-        set_f32 mem c args.ldc i j
-          ((args.alpha *. !acc) +. (args.beta *. prior))
-      done
-    done
+    Gpusim.Memory.sgemm mem ~m:args.m ~n:args.n ~k:args.k ~alpha:args.alpha
+      ~a:(Int64.to_int args.a) ~lda:args.lda ~b:(Int64.to_int args.b)
+      ~ldb:args.ldb ~beta:args.beta ~c:(Int64.to_int args.c) ~ldc:args.ldc
   in
   let cost (d : Gpusim.Device.t) (_ : Gpusim.Kernels.launch) =
     let flops =
@@ -100,11 +82,18 @@ let check_l1 ctx ~handle ~n k =
   if not (Context.valid_cublas ctx (Int64.to_int handle)) then
     Error Error.Invalid_handle
   else if n < 0 then Error Error.Invalid_value
-  else Ok (k ())
+  else k ()
+
+(* Admit the [n] elements of a strided vector: element i sits at
+   [p + 4 * i * inc], below [p] when [inc] is negative. *)
+let vector_span mem p ~n ~inc =
+  let len = Gpusim.Memory.extent mem ~runs:n ~ld:(abs inc) 1 in
+  Gpusim.Memory.span mem (if inc < 0 then p - (len - 4) else p) len
 
 (* Run a BLAS routine synchronously on the device (the L1 routines that
    return scalars block the host, as the real library's default pointer
-   mode does). *)
+   mode does). An operand outside device memory fails the call with
+   [Invalid_value], as [sgemm] does. *)
 let run_sync ctx ~cost_ns execute =
   let gpu = Context.gpu ctx in
   let kernel =
@@ -126,10 +115,9 @@ let run_sync ctx ~cost_ns execute =
     }
   in
   let clock = Context.clock ctx in
-  let completion =
-    Gpusim.Gpu.launch gpu ~now:(clock.Context.now ()) kernel launch
-  in
-  clock.Context.advance_to completion
+  match Gpusim.Gpu.launch gpu ~now:(clock.Context.now ()) kernel launch with
+  | completion -> Ok (clock.Context.advance_to completion)
+  | exception Gpusim.Memory.Error _ -> Error Error.Invalid_value
 
 let stream_cost (d : Gpusim.Device.t) bytes =
   (Float.of_int bytes /. (d.Gpusim.Device.memory_bandwidth *. 0.85) *. 1e9)
@@ -158,27 +146,36 @@ let sgemv ctx (g : sgemv_args) =
   then Error.Invalid_value
   else begin
     let d = Gpusim.Gpu.device (Context.gpu ctx) in
-    run_sync ctx ~cost_ns:(stream_cost d (4 * g.gv_m * g.gv_n)) (fun mem ->
-        (* y <- alpha * A x + beta * y; column-major m x n *)
-        let a = Int64.to_int g.gv_a
-        and x = Int64.to_int g.gv_x
-        and y = Int64.to_int g.gv_y in
-        for i = 0 to g.gv_m - 1 do
-          let acc = ref 0.0 in
-          for j = 0 to g.gv_n - 1 do
-            acc :=
-              !acc
-              +. f32 mem a g.gv_lda i j
-                 *. Gpusim.Memory.get_f32 mem (x + (4 * j * g.gv_incx))
-          done;
-          let yi = y + (4 * i * g.gv_incy) in
-          let prior =
-            if g.gv_beta = 0.0 then 0.0 else Gpusim.Memory.get_f32 mem yi
-          in
-          Gpusim.Memory.set_f32 mem yi
-            ((g.gv_alpha *. !acc) +. (g.gv_beta *. prior))
-        done);
-    Error.Success
+    match
+      run_sync ctx ~cost_ns:(stream_cost d (4 * g.gv_m * g.gv_n)) (fun mem ->
+          (* y <- alpha * A x + beta * y; column-major m x n *)
+          let a = Int64.to_int g.gv_a
+          and x = Int64.to_int g.gv_x
+          and y = Int64.to_int g.gv_y in
+          if g.gv_m > 0 then begin
+            Gpusim.Memory.span mem a
+              (Gpusim.Memory.extent mem ~runs:g.gv_n ~ld:g.gv_lda g.gv_m);
+            vector_span mem x ~n:g.gv_n ~inc:g.gv_incx;
+            vector_span mem y ~n:g.gv_m ~inc:g.gv_incy
+          end;
+          for i = 0 to g.gv_m - 1 do
+            let acc = ref 0.0 in
+            for j = 0 to g.gv_n - 1 do
+              acc :=
+                !acc
+                +. Gpusim.Memory.get_f32 mem (a + (4 * ((j * g.gv_lda) + i)))
+                   *. Gpusim.Memory.get_f32 mem (x + (4 * j * g.gv_incx))
+            done;
+            let yi = y + (4 * i * g.gv_incy) in
+            let prior =
+              if g.gv_beta = 0.0 then 0.0 else Gpusim.Memory.get_f32 mem yi
+            in
+            Gpusim.Memory.set_f32 mem yi
+              ((g.gv_alpha *. !acc) +. (g.gv_beta *. prior))
+          done)
+    with
+    | Ok () -> Error.Success
+    | Error e -> e
   end
 
 let sdot ctx ~handle ~n ~x ~incx ~y ~incy =
@@ -189,6 +186,8 @@ let sdot ctx ~handle ~n ~x ~incx ~y ~incy =
         let d = Gpusim.Gpu.device (Context.gpu ctx) in
         run_sync ctx ~cost_ns:(stream_cost d (8 * n)) (fun mem ->
             let xp = Int64.to_int x and yp = Int64.to_int y in
+            vector_span mem xp ~n ~inc:incx;
+            vector_span mem yp ~n ~inc:incy;
             let acc = ref 0.0 in
             for i = 0 to n - 1 do
               acc :=
@@ -196,8 +195,8 @@ let sdot ctx ~handle ~n ~x ~incx ~y ~incy =
                 +. Gpusim.Memory.get_f32 mem (xp + (4 * i * incx))
                    *. Gpusim.Memory.get_f32 mem (yp + (4 * i * incy))
             done;
-            result := !acc);
-        !result)
+            result := !acc)
+        |> Result.map (fun () -> !result))
 
 let sscal ctx ~handle ~n ~alpha ~x ~incx =
   if incx = 0 then Error.Invalid_value
@@ -207,6 +206,7 @@ let sscal ctx ~handle ~n ~alpha ~x ~incx =
           let d = Gpusim.Gpu.device (Context.gpu ctx) in
           run_sync ctx ~cost_ns:(stream_cost d (8 * n)) (fun mem ->
               let xp = Int64.to_int x in
+              vector_span mem xp ~n ~inc:incx;
               for i = 0 to n - 1 do
                 let addr = xp + (4 * i * incx) in
                 Gpusim.Memory.set_f32 mem addr
@@ -224,10 +224,11 @@ let snrm2 ctx ~handle ~n ~x ~incx =
         let d = Gpusim.Gpu.device (Context.gpu ctx) in
         run_sync ctx ~cost_ns:(stream_cost d (4 * n)) (fun mem ->
             let xp = Int64.to_int x in
+            vector_span mem xp ~n ~inc:incx;
             let acc = ref 0.0 in
             for i = 0 to n - 1 do
               let v = Gpusim.Memory.get_f32 mem (xp + (4 * i * incx)) in
               acc := !acc +. (v *. v)
             done;
-            result := Float.sqrt !acc);
-        !result)
+            result := Float.sqrt !acc)
+        |> Result.map (fun () -> !result))

@@ -20,9 +20,14 @@ let sgetrf_buffer_size ctx ~handle ~m ~n ~a ~lda =
       if m <= 0 || n <= 0 || lda < m then Error Error.Invalid_value
       else Ok (m * n))
 
+(* Each routine admits all of its operands before the first store, so a
+   bad pointer fails the call without changing device memory. *)
+let matrix_span mem base ~rows ~cols ~ld =
+  Gpusim.Memory.span mem base (Gpusim.Memory.extent mem ~runs:cols ~ld rows)
+
 (* Extract a column-major matrix into a flat float array for speed; the
    factorization is O(n³) scalar operations and must not go through the
-   bounds-checked byte accessors element-wise. *)
+   checked element accessors. *)
 let extract mem base ~rows ~cols ~ld =
   let a = Array.make (rows * cols) 0.0 in
   for j = 0 to cols - 1 do
@@ -76,10 +81,9 @@ let run_on_gpu ctx ~cost_ns execute =
   in
   let clock = Context.clock ctx in
   (* the solver routines are synchronous: the host waits for completion *)
-  let completion =
-    Gpusim.Gpu.launch gpu ~now:(clock.Context.now ()) kernel launch
-  in
-  clock.Context.advance_to completion
+  match Gpusim.Gpu.launch gpu ~now:(clock.Context.now ()) kernel launch with
+  | completion -> Ok (clock.Context.advance_to completion)
+  | exception Gpusim.Memory.Error _ -> Error Error.Invalid_value
 
 let sgetrf ctx ~handle ~m ~n ~a ~lda ~workspace ~ipiv =
   Api.(charge ctx (dispatch_ns * 2));
@@ -89,9 +93,11 @@ let sgetrf ctx ~handle ~m ~n ~a ~lda ~workspace ~ipiv =
       else begin
         let info = ref 0 in
         let d = Gpusim.Gpu.device (Context.gpu ctx) in
+        let k = min m n in
         run_on_gpu ctx ~cost_ns:(getrf_cost d ~m ~n) (fun mem ->
+            matrix_span mem (Int64.to_int a) ~rows:m ~cols:n ~ld:lda;
+            Gpusim.Memory.span mem (Int64.to_int ipiv) (4 * k);
             let mat = extract mem (Int64.to_int a) ~rows:m ~cols:n ~ld:lda in
-            let k = min m n in
             let piv = Array.make k 0 in
             (try
                for step = 0 to k - 1 do
@@ -134,8 +140,8 @@ let sgetrf ctx ~handle ~m ~n ~a ~lda ~workspace ~ipiv =
               Gpusim.Memory.set_i32 mem
                 (Int64.to_int ipiv + (4 * s))
                 (Int32.of_int piv.(s))
-            done);
-        Ok !info
+            done)
+        |> Result.map (fun () -> !info)
       end)
 
 let sgetrs ctx ~handle ~n ~nrhs ~a ~lda ~ipiv ~b ~ldb =
@@ -146,6 +152,9 @@ let sgetrs ctx ~handle ~n ~nrhs ~a ~lda ~ipiv ~b ~ldb =
       else begin
         let d = Gpusim.Gpu.device (Context.gpu ctx) in
         run_on_gpu ctx ~cost_ns:(getrs_cost d ~n ~nrhs) (fun mem ->
+            matrix_span mem (Int64.to_int a) ~rows:n ~cols:n ~ld:lda;
+            matrix_span mem (Int64.to_int b) ~rows:n ~cols:nrhs ~ld:ldb;
+            Gpusim.Memory.span mem (Int64.to_int ipiv) (4 * n);
             let lu = extract mem (Int64.to_int a) ~rows:n ~cols:n ~ld:lda in
             let rhs = extract mem (Int64.to_int b) ~rows:n ~cols:nrhs ~ld:ldb in
             let piv =
@@ -184,6 +193,6 @@ let sgetrs ctx ~handle ~n ~nrhs ~a ~lda ~ipiv ~b ~ldb =
                 rhs.((col * n) + i) <- x.(i)
               done
             done;
-            write_back mem (Int64.to_int b) ~rows:n ~cols:nrhs ~ld:ldb rhs);
-        Ok 0
+            write_back mem (Int64.to_int b) ~rows:n ~cols:nrhs ~ld:ldb rhs)
+        |> Result.map (fun () -> 0)
       end)

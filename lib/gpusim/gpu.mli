@@ -98,8 +98,10 @@ val memset :
 val launch :
   t -> now:Time.t -> ?stream:int -> Kernels.t -> Kernels.launch -> Time.t
 (** Enqueue and (eagerly) execute. Returns the stream's new completion
-    time. Raises [Not_found] for an unknown stream and
-    {!Kernels.Bad_args} for malformed arguments. *)
+    time. Raises [Not_found] for an unknown stream,
+    {!Kernels.Bad_args} for malformed arguments and {!Memory.Error} for a
+    pointer argument whose range lies outside device memory; a launch that
+    raises enqueues nothing. *)
 
 val synchronize : t -> now:Time.t -> Time.t
 (** cudaDeviceSynchronize: completion time across all streams. *)

@@ -87,21 +87,9 @@ let matrix_mul =
     let b = ptr_arg matrix_mul_name l.args 2 in
     let wa = i32_arg matrix_mul_name l.args 3 in
     let wb = i32_arg matrix_mul_name l.args 4 in
-    let ha = l.grid.y * l.block.y in
-    (* row-major SGEMM: C[i,j] = Σk A[i,k] * B[k,j] *)
-    for i = 0 to ha - 1 do
-      for j = 0 to wb - 1 do
-        let acc = ref 0.0 in
-        for k = 0 to wa - 1 do
-          acc :=
-            !acc
-            +. Memory.get_f32 mem (a + (4 * ((i * wa) + k)))
-               *. Memory.get_f32 mem (b + (4 * ((k * wb) + j)))
-        done;
-        (* f32 accumulation happens in f32 on the device *)
-        Memory.set_f32 mem (c + (4 * ((i * wb) + j))) !acc
-      done
-    done
+    (* row-major SGEMM: C[i,j] = Σk A[i,k] * B[k,j], summed in f64 and
+       rounded to f32 once at the store *)
+    Memory.matrix_mul mem ~c ~a ~b ~ha:(l.grid.y * l.block.y) ~wa ~wb
   in
   let cost d l =
     let wa = i32_arg matrix_mul_name l.args 3 in
@@ -122,14 +110,7 @@ let histogram256 =
     let bins = ptr_arg histogram256_name l.args 0 in
     let data = ptr_arg histogram256_name l.args 1 in
     let count = i32_arg histogram256_name l.args 2 in
-    for b = 0 to 255 do
-      Memory.set_i32 mem (bins + (4 * b)) 0l
-    done;
-    for i = 0 to count - 1 do
-      let v = Memory.get_u8 mem (data + i) in
-      let slot = bins + (4 * v) in
-      Memory.set_i32 mem slot (Int32.add (Memory.get_i32 mem slot) 1l)
-    done
+    Memory.histogram256 mem ~bins ~data ~count
   in
   let cost d l =
     let count = Float.of_int (i32_arg histogram256_name l.args 2) in
@@ -147,13 +128,7 @@ let merge_histogram256 =
     let out = ptr_arg merge_histogram256_name l.args 0 in
     let partials = ptr_arg merge_histogram256_name l.args 1 in
     let n = i32_arg merge_histogram256_name l.args 2 in
-    for b = 0 to 255 do
-      let acc = ref 0l in
-      for p = 0 to n - 1 do
-        acc := Int32.add !acc (Memory.get_i32 mem (partials + (4 * ((p * 256) + b))))
-      done;
-      Memory.set_i32 mem (out + (4 * b)) !acc
-    done
+    Memory.merge_histogram256 mem ~out ~partials ~n
   in
   let cost d l =
     let n = Float.of_int (i32_arg merge_histogram256_name l.args 2) in
@@ -172,6 +147,9 @@ let vector_add =
     let b = ptr_arg vector_add_name l.args 1 in
     let c = ptr_arg vector_add_name l.args 2 in
     let n = i32_arg vector_add_name l.args 3 in
+    Memory.span mem a (4 * n);
+    Memory.span mem b (4 * n);
+    Memory.span mem c (4 * n);
     for i = 0 to n - 1 do
       Memory.set_f32 mem
         (c + (4 * i))
@@ -194,6 +172,8 @@ let saxpy =
     let x = ptr_arg saxpy_name l.args 1 in
     let y = ptr_arg saxpy_name l.args 2 in
     let n = i32_arg saxpy_name l.args 3 in
+    Memory.span mem x (4 * n);
+    Memory.span mem y (4 * n);
     for i = 0 to n - 1 do
       Memory.set_f32 mem
         (y + (4 * i))
@@ -216,6 +196,8 @@ let reduce_sum =
     let input = ptr_arg reduce_sum_name l.args 0 in
     let out = ptr_arg reduce_sum_name l.args 1 in
     let n = i32_arg reduce_sum_name l.args 2 in
+    Memory.span mem input (4 * n);
+    Memory.span mem out 4;
     let acc = ref 0.0 in
     for i = 0 to n - 1 do
       acc := !acc +. Memory.get_f32 mem (input + (4 * i))
@@ -238,6 +220,9 @@ let transpose =
     let input = ptr_arg transpose_name l.args 1 in
     let rows = i32_arg transpose_name l.args 2 in
     let cols = i32_arg transpose_name l.args 3 in
+    let len = Memory.extent mem ~runs:rows ~ld:cols cols in
+    Memory.span mem input len;
+    Memory.span mem out len;
     for i = 0 to rows - 1 do
       for j = 0 to cols - 1 do
         Memory.set_f32 mem
@@ -262,6 +247,7 @@ let fill =
     let x = ptr_arg fill_name l.args 0 in
     let v = f32_arg fill_name l.args 1 in
     let n = i32_arg fill_name l.args 2 in
+    Memory.span mem x (4 * n);
     for i = 0 to n - 1 do
       Memory.set_f32 mem (x + (4 * i)) v
     done
@@ -286,6 +272,9 @@ let nbody =
     let vel = ptr_arg nbody_name l.args 1 in
     let dt = f32_arg nbody_name l.args 2 in
     let n = i32_arg nbody_name l.args 3 in
+    Memory.span mem pos (16 * n);
+    (* the last velocity's pad word is never touched *)
+    Memory.span mem vel ((16 * n) - 4);
     let px = Array.init n (fun i -> Memory.get_f32 mem (pos + (16 * i))) in
     let py = Array.init n (fun i -> Memory.get_f32 mem (pos + (16 * i) + 4)) in
     let pz = Array.init n (fun i -> Memory.get_f32 mem (pos + (16 * i) + 8)) in

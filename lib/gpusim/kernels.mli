@@ -39,7 +39,9 @@ type t = {
 }
 
 exception Bad_args of string
-(** Raised by [execute] when args don't match [params]. *)
+(** Raised by [execute] when args don't match [params]. The built-in
+    kernels raise {!Memory.Error} for an operand range outside device
+    memory, before any store. *)
 
 val register : t -> unit
 (** Add to the global registry (replaces an existing kernel of the same

@@ -3,6 +3,7 @@ type error =
   | Invalid_pointer of int
   | Double_free of int
   | Out_of_bounds of { ptr : int; offset : int; len : int; alloc_size : int }
+  | Out_of_range of { addr : int; len : int }
 
 exception Error of error
 
@@ -15,6 +16,9 @@ let error_to_string = function
       Printf.sprintf
         "out-of-bounds access: allocation 0x%x (size %d), offset %d, len %d"
         ptr alloc_size offset len
+  | Out_of_range { addr; len } ->
+      Printf.sprintf "kernel access outside device memory: address %d, len %d"
+        addr len
 
 let () =
   Printexc.register_printer (function
@@ -125,9 +129,10 @@ let dirty_page_count t =
   Bytes.iter (fun c -> if c <> '\000' then incr n) t.dirty;
   !n
 
-(* Mark the pages covering [addr, addr+len) dirty. Writes landing beyond
-   the tracked range (scalar stores past capacity) are clamped; those
-   bytes are outside any allocation and never checkpointed anyway. *)
+(* Mark the pages covering [addr, addr+len) dirty. The backing store grows
+   by doubling and can end past device memory, so a mark of the whole
+   backing (reset) is clamped to the tracked range; the bytes past it are
+   outside any allocation and never checkpointed anyway. *)
 let mark t addr len =
   if t.tracking && len > 0 then begin
     let npages = Bytes.length t.dirty in
@@ -259,66 +264,160 @@ let memset t ptr byte len =
     mark t ptr len
   end
 
-(* Scalar accessors: backing-bound checked only (kernel semantics). *)
+(* --- kernel access --- *)
+
+(* Kernel pointers come straight from client launch arguments, and the
+   element accessors below do not bound-check, so every range a kernel
+   touches is admitted first: once per operand, before the first store.
+   Lengths are compared against the end of device memory rather than
+   added to the address, so no sum can overflow. *)
+let span t addr len =
+  if len > 0 then begin
+    if addr < 0 || addr > base_address + t.capacity - len then
+      fail (Out_of_range { addr; len });
+    ensure_backing t (addr + len)
+  end
+
+let span_w t addr len =
+  span t addr len;
+  mark t addr len
+
+(* Products of client-supplied dimensions are checked by division against
+   the element count of device memory; a range that does not fit gets
+   [max_int], which [span] rejects. *)
+let extent t ~runs ~ld n =
+  let limit = (base_address + t.capacity) / 4 in
+  if runs <= 0 || n <= 0 then 0
+  else if n > limit || ld < 0 || (ld > 0 && runs - 1 > (limit - n) / ld) then
+    max_int
+  else 4 * (((runs - 1) * ld) + n)
+
+(* Unchecked 32-bit loads and stores, little-endian as device memory is.
+   They are [@inline] and the hot kernel loops live in this file: the dev
+   build compiles modules with -opaque, so a call from another module
+   cannot be inlined and would box its int32 and float. *)
+external arena_get32 : arena -> int -> int32 = "%caml_bigstring_get32u"
+external arena_set32 : arena -> int -> int32 -> unit = "%caml_bigstring_set32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external big_endian : unit -> bool = "%big_endian"
+
+let[@inline] load_i32 b addr =
+  let v = arena_get32 b addr in
+  if big_endian () then bswap32 v else v
+
+let[@inline] store_i32 b addr v =
+  arena_set32 b addr (if big_endian () then bswap32 v else v)
+
+let[@inline] load_f32 b addr = Int32.float_of_bits (load_i32 b addr)
+let[@inline] store_f32 b addr v = store_i32 b addr (Int32.bits_of_float v)
+
+(* Scalar accessors: each is a span of one element. *)
 
 let get_u8 t addr =
-  ensure_backing t (addr + 1);
-  Char.code (BA1.get t.backing addr)
+  span t addr 1;
+  Char.code (BA1.unsafe_get t.backing addr)
 
 let set_u8 t addr v =
-  ensure_backing t (addr + 1);
-  BA1.set t.backing addr (Char.chr (v land 0xff));
-  mark t addr 1
+  span_w t addr 1;
+  BA1.unsafe_set t.backing addr (Char.unsafe_chr (v land 0xff))
 
-(* Multi-byte accessors assemble little-endian by hand: Bigarray has no
-   Bytes.get_int32_le equivalent for a char array. *)
 let get_i32 t addr =
-  ensure_backing t (addr + 4);
-  let b = t.backing in
-  let byte i = Int32.of_int (Char.code (BA1.unsafe_get b (addr + i))) in
-  Int32.logor (byte 0)
-    (Int32.logor
-       (Int32.shift_left (byte 1) 8)
-       (Int32.logor (Int32.shift_left (byte 2) 16)
-          (Int32.shift_left (byte 3) 24)))
+  span t addr 4;
+  load_i32 t.backing addr
 
 let set_i32 t addr v =
-  ensure_backing t (addr + 4);
-  let b = t.backing in
-  let put i x =
-    BA1.unsafe_set b (addr + i) (Char.unsafe_chr (Int32.to_int x land 0xff))
-  in
-  put 0 v;
-  put 1 (Int32.shift_right_logical v 8);
-  put 2 (Int32.shift_right_logical v 16);
-  put 3 (Int32.shift_right_logical v 24);
-  mark t addr 4
+  span_w t addr 4;
+  store_i32 t.backing addr v
 
-let get_f32 t addr = Int32.float_of_bits (get_i32 t addr)
-let set_f32 t addr v = set_i32 t addr (Int32.bits_of_float v)
+let get_f32 t addr =
+  span t addr 4;
+  load_f32 t.backing addr
 
-let get_i64 t addr =
-  ensure_backing t (addr + 8);
-  let b = t.backing in
-  let byte i = Int64.of_int (Char.code (BA1.unsafe_get b (addr + i))) in
-  let acc = ref 0L in
-  for i = 7 downto 0 do
-    acc := Int64.logor (Int64.shift_left !acc 8) (byte i)
+let set_f32 t addr v =
+  span_w t addr 4;
+  store_f32 t.backing addr v
+
+(* The kernel loops below read [t.backing] only after their last span:
+   a span can grow, and so replace, the backing store. Element order and
+   arithmetic are those of a per-element loop — products summed in f64,
+   rounded to f32 once at the store — and operands are read in place, so
+   an output aliasing an input sees the stores already made. *)
+
+let matrix_mul t ~c ~a ~b ~ha ~wa ~wb =
+  if ha > 0 && wb > 0 then begin
+    if wa > 0 then begin
+      span t a (extent t ~runs:ha ~ld:wa wa);
+      span t b (extent t ~runs:wa ~ld:wb wb)
+    end;
+    span_w t c (extent t ~runs:ha ~ld:wb wb);
+    let m = t.backing in
+    for i = 0 to ha - 1 do
+      for j = 0 to wb - 1 do
+        let acc = ref 0.0 in
+        for k = 0 to wa - 1 do
+          acc :=
+            !acc
+            +. load_f32 m (a + (4 * ((i * wa) + k)))
+               *. load_f32 m (b + (4 * ((k * wb) + j)))
+        done;
+        store_f32 m (c + (4 * ((i * wb) + j))) !acc
+      done
+    done
+  end
+
+let sgemm t ~m ~n ~k ~alpha ~a ~lda ~b ~ldb ~beta ~c ~ldc =
+  if m > 0 && n > 0 then begin
+    if k > 0 then begin
+      span t a (extent t ~runs:k ~ld:lda m);
+      span t b (extent t ~runs:n ~ld:ldb k)
+    end;
+    span t c (extent t ~runs:n ~ld:ldc m);
+    (* only the m stored rows of each column are dirty, not the gap up
+       to the next column *)
+    if t.tracking then
+      for j = 0 to n - 1 do
+        mark t (c + (4 * j * ldc)) (4 * m)
+      done;
+    let mem = t.backing in
+    for j = 0 to n - 1 do
+      for i = 0 to m - 1 do
+        let acc = ref 0.0 in
+        for l = 0 to k - 1 do
+          acc :=
+            !acc
+            +. load_f32 mem (a + (4 * ((l * lda) + i)))
+               *. load_f32 mem (b + (4 * ((j * ldb) + l)))
+        done;
+        let ci = c + (4 * ((j * ldc) + i)) in
+        let prior = if beta = 0.0 then 0.0 else load_f32 mem ci in
+        store_f32 mem ci ((alpha *. !acc) +. (beta *. prior))
+      done
+    done
+  end
+
+let histogram256 t ~bins ~data ~count =
+  span t data count;
+  span_w t bins 1024;
+  let m = t.backing in
+  for b = 0 to 255 do
+    store_i32 m (bins + (4 * b)) 0l
   done;
-  !acc
+  for i = 0 to count - 1 do
+    let slot = bins + (4 * Char.code (BA1.unsafe_get m (data + i))) in
+    store_i32 m slot (Int32.add (load_i32 m slot) 1l)
+  done
 
-let set_i64 t addr v =
-  ensure_backing t (addr + 8);
-  let b = t.backing in
-  for i = 0 to 7 do
-    BA1.unsafe_set b (addr + i)
-      (Char.unsafe_chr
-         (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff))
-  done;
-  mark t addr 8
-
-let get_f64 t addr = Int64.float_of_bits (get_i64 t addr)
-let set_f64 t addr v = set_i64 t addr (Int64.bits_of_float v)
+let merge_histogram256 t ~out ~partials ~n =
+  span t partials (extent t ~runs:n ~ld:256 256);
+  span_w t out 1024;
+  let m = t.backing in
+  for b = 0 to 255 do
+    let acc = ref 0l in
+    for p = 0 to n - 1 do
+      acc := Int32.add !acc (load_i32 m (partials + (4 * ((p * 256) + b))))
+    done;
+    store_i32 m (out + (4 * b)) !acc
+  done
 
 let reset t =
   t.allocations <- Imap.empty;

@@ -7,9 +7,9 @@
     behaviour Cricket's client-side allocation wrapping relies on.
 
     Bulk [read]/[write]/[copy]/[memset] are bounds-checked against the
-    owning allocation. Scalar accessors ([get_f32] …) used from inside
-    kernels are only checked against the backing store, mirroring how real
-    GPU kernels can address anywhere in device memory. *)
+    owning allocation. Kernel access ({!span}, the scalar accessors and
+    the kernel loops) is only checked against device memory as a whole,
+    mirroring how real GPU kernels can address anywhere in it. *)
 
 type t
 
@@ -18,6 +18,8 @@ type error =
   | Invalid_pointer of int
   | Double_free of int
   | Out_of_bounds of { ptr : int; offset : int; len : int; alloc_size : int }
+  | Out_of_range of { addr : int; len : int }
+      (** A kernel access outside device memory. *)
 
 exception Error of error
 
@@ -51,7 +53,29 @@ val copy : t -> src:int -> dst:int -> len:int -> unit
 val memset : t -> int -> int -> int -> unit
 (** [memset t ptr byte len]. *)
 
-(** {1 Scalar access (kernel use; backing-store checked)} *)
+(** {1 Kernel access (checked against device memory)}
+
+    Device memory is the address range [\[0, 0x1000 + capacity)] (the
+    allocator hands out pointers from 0x1000 up); kernel pointers come
+    from launch arguments and may point anywhere in it,
+    inside an allocation or not. A kernel admits each operand's range
+    with {!span} before its first store, so a launch with a bad pointer
+    raises {!Error} without changing memory. Multi-byte values are
+    little-endian. *)
+
+val span : t -> int -> int -> unit
+(** [span t addr len] admits an access to [\[addr, addr + len)]: raises
+    [Error (Out_of_range _)] unless [addr >= 0] and the range ends inside
+    device memory, and grows the backing store over it. Does nothing when
+    [len <= 0]. It marks no page dirty; the stores do. *)
+
+val extent : t -> runs:int -> ld:int -> int -> int
+(** [extent t ~runs ~ld n] is the byte length of [runs] runs of [n] 32-bit
+    elements whose starts lie [ld] elements apart: a column-major matrix
+    of [runs] columns, [n] rows and leading dimension [ld], or a strided
+    vector ([n = 1], [ld] the stride). It is [0] when [runs] or [n] is not
+    positive, and longer than device memory (so {!span} rejects it) when
+    it does not fit. *)
 
 val get_u8 : t -> int -> int
 val set_u8 : t -> int -> int -> unit
@@ -59,8 +83,34 @@ val get_i32 : t -> int -> int32
 val set_i32 : t -> int -> int32 -> unit
 val get_f32 : t -> int -> float
 val set_f32 : t -> int -> float -> unit
-val get_f64 : t -> int -> float
-val set_f64 : t -> int -> float -> unit
+(** Each scalar accessor is a {!span} of one element; a store marks its
+    page dirty. *)
+
+(** {2 Kernel loops}
+
+    The built-in kernels whose inner loops dominate execution. Each admits
+    its operands, marks the pages it stores to, and runs over the arena
+    with unboxed 32-bit loads and stores; an empty loop touches nothing.
+    Operands are read in place, so an output aliasing an input sees the
+    stores already made. Float products are summed in f64 and rounded to
+    f32 once, at the store. *)
+
+val matrix_mul : t -> c:int -> a:int -> b:int -> ha:int -> wa:int -> wb:int -> unit
+(** Row-major [C(ha×wb) = A(ha×wa) · B(wa×wb)]. *)
+
+val sgemm :
+  t -> m:int -> n:int -> k:int -> alpha:float -> a:int -> lda:int -> b:int ->
+  ldb:int -> beta:float -> c:int -> ldc:int -> unit
+(** Column-major [C(m×n) = alpha · A(m×k) · B(k×n) + beta · C]; [C] is
+    not read when [beta = 0]. Marks each column's [m] rows, not the gap to
+    the next column. *)
+
+val histogram256 : t -> bins:int -> data:int -> count:int -> unit
+(** Zero 256 u32 [bins], then count each of [count] bytes at [data]. *)
+
+val merge_histogram256 : t -> out:int -> partials:int -> n:int -> unit
+(** [out\[b\]] = the sum of [n] consecutive 256-bin histograms at
+    [partials], wrapping modulo 2{^32}. *)
 
 val reset : t -> unit
 (** Free everything (cudaDeviceReset). *)

@@ -713,6 +713,54 @@ let prop_priority_starvation_bounded =
            (fun p -> Time.compare p.Cricket.Sched.finish bound <= 0)
            placements)
 
+(* Kernel pointers are whatever the client sends. A launch whose operand
+   range leaves device memory — before it, or far past it — fails with
+   Launch_failure rather than writing outside the arena, raising an
+   untyped exception or trying to grow the arena to reach it; no arena
+   byte changes and the server keeps serving. *)
+let test_launch_pointers_outside_memory () =
+  let _, server, client = make_pair () in
+  let image =
+    Cubin.Image.of_registry
+      [ Gpusim.Kernels.vector_add_name; Gpusim.Kernels.histogram256_name ]
+  in
+  let modul = C.module_load client (Cubin.Image.build image) in
+  let vadd = C.get_function client ~modul ~name:Gpusim.Kernels.vector_add_name in
+  let hist =
+    C.get_function client ~modul ~name:Gpusim.Kernels.histogram256_name
+  in
+  let n = 1024 in
+  let d_a = C.malloc client (4 * n) and d_bins = C.malloc client 1024 in
+  let ones = Bytes.create (4 * n) in
+  for i = 0 to n - 1 do
+    Bytes.set_int32_le ones (4 * i) (Int32.bits_of_float 1.5)
+  done;
+  C.memcpy_h2d client ~dst:d_a ones;
+  let mem () =
+    Gpusim.Gpu.memory (Cudasim.Context.gpu (Cricket.Server.context server))
+  in
+  let before = Gpusim.Memory.snapshot (mem ()) in
+  let ptr p = Gpusim.Kernels.Ptr p and a = Gpusim.Kernels.Ptr (Int64.to_int d_a) in
+  let one = { C.x = 1; y = 1; z = 1 } in
+  List.iter
+    (fun (f, args) ->
+      expect_cuda_error Cudasim.Error.Launch_failure (fun () ->
+          C.launch client f ~grid:one ~block:one args))
+    [
+      (vadd, [| a; a; ptr (-4096); Gpusim.Kernels.I32 (Int32.of_int n) |]);
+      (vadd, [| a; a; ptr (1 lsl 40); Gpusim.Kernels.I32 (Int32.of_int n) |]);
+      (hist, [| ptr (Int64.to_int d_bins); ptr (-1); Gpusim.Kernels.I32 16l |]);
+    ];
+  check Alcotest.bool "no arena byte changed" true
+    (String.equal before (Gpusim.Memory.snapshot (mem ())));
+  check Alcotest.int "next call served" 4 (C.get_device_count client);
+  C.launch client vadd ~grid:one ~block:one
+    [| a; a; a; Gpusim.Kernels.I32 (Int32.of_int n) |];
+  C.device_synchronize client;
+  let back = C.memcpy_d2h client ~src:d_a ~len:(4 * n) in
+  check (Alcotest.float 0.0) "valid launch still computes" 3.0
+    (Int32.float_of_bits (Bytes.get_int32_le back (4 * (n - 1))))
+
 let suite =
   [
     Alcotest.test_case "device forwarding" `Quick test_device_forwarding;
@@ -749,3 +797,7 @@ let suite =
         prop_sched_conservation; prop_rr_equal_history_name_order;
         prop_priority_starvation_bounded;
       ]
+  @ [
+      Alcotest.test_case "launch pointers outside device memory" `Quick
+        test_launch_pointers_outside_memory;
+    ]

@@ -510,6 +510,80 @@ let test_checkpoint_restore () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "garbage checkpoint accepted"
 
+(* A functional sgemm allocates a handful of words for the call and the
+   launch, none per element: 128x128 costs what 64x64 does. *)
+let test_cublas_sgemm_allocation () =
+  let _, ctx = make_ctx () in
+  let h = Cudasim.Cublas.create ctx in
+  let words n =
+    let bytes = Int64.of_int (4 * n * n) in
+    let a = ok (Cudasim.Api.malloc ctx bytes) and b = ok (Cudasim.Api.malloc ctx bytes) in
+    let c = ok (Cudasim.Api.malloc ctx bytes) in
+    let args =
+      { Cudasim.Cublas.handle = h; m = n; n; k = n; alpha = 1.0; a; lda = n; b;
+        ldb = n; beta = 0.5; c; ldc = n }
+    in
+    success (Cudasim.Cublas.sgemm ctx args);
+    let w0 = Gc.minor_words () in
+    success (Cudasim.Cublas.sgemm ctx args);
+    let w = Gc.minor_words () -. w0 in
+    List.iter (fun p -> success (Cudasim.Api.free ctx p)) [ a; b; c ];
+    w
+  in
+  let small = words 64 in
+  let large = words 128 in
+  check Alcotest.bool
+    (Printf.sprintf "sgemm 64x64 %.0f words, 128x128 %.0f words" small large)
+    true
+    (small <= 200. && large = small)
+
+(* Library routines running on the device admit their operands first: an
+   operand outside device memory is Invalid_value, and the call changes
+   nothing, even when another operand was valid and already computed. *)
+let test_library_operands_outside_memory () =
+  let _, ctx = make_ctx () in
+  let blas = Cudasim.Cublas.create ctx and solver = Cudasim.Cusolver.create ctx in
+  let n = 4 in
+  let x = ok (Cudasim.Api.malloc ctx 64L) and a = ok (Cudasim.Api.malloc ctx 64L) in
+  upload_f32 ctx x (Array.init 16 Float.of_int);
+  upload_f32 ctx a (Array.init 16 (fun i -> if i mod 5 = 0 then 2.0 else 0.5));
+  let contents () = (download_f32 ctx x 16, download_f32 ctx a 16) in
+  let before = contents () in
+  let invalid what = function
+    | Error Cudasim.Error.Invalid_value -> ()
+    | _ -> Alcotest.failf "%s: accepted" what
+  in
+  let status = function Cudasim.Error.Success -> Ok () | e -> Error e in
+  List.iter
+    (fun (what, bad) ->
+      invalid ("sdot " ^ what)
+        (Cudasim.Cublas.sdot ctx ~handle:blas ~n ~x ~incx:1 ~y:bad ~incy:1
+        |> Result.map ignore);
+      invalid ("sscal " ^ what)
+        (status (Cudasim.Cublas.sscal ctx ~handle:blas ~n ~alpha:2.0 ~x:bad ~incx:1));
+      invalid ("sgemm " ^ what)
+        (status
+           (Cudasim.Cublas.sgemm ctx
+              { Cudasim.Cublas.handle = blas; m = n; n; k = n; alpha = 1.0; a;
+                lda = n; b = x; ldb = n; beta = 0.0; c = bad; ldc = n }));
+      (* A is factored before the pivots are stored: a bad ipiv must not
+         leave A half-written *)
+      invalid ("sgetrf " ^ what)
+        (Cudasim.Cusolver.sgetrf ctx ~handle:solver ~m:n ~n ~a ~lda:n
+           ~workspace:x ~ipiv:bad
+        |> Result.map ignore))
+    [ ("before memory", -4096L); ("past memory", Int64.shift_left 1L 40) ];
+  (* these routines address element i at x + 4·i·incx, so a negative
+     stride walks down from x: admitted from x's fourth element, rejected
+     from address 0 *)
+  check (Alcotest.float 1e-4) "negative stride" 14.0
+    (ok (Cudasim.Cublas.snrm2 ctx ~handle:blas ~n:4 ~x:(Int64.add x 12L) ~incx:(-1))
+     ** 2.0);
+  invalid "snrm2 below memory"
+    (Cudasim.Cublas.snrm2 ctx ~handle:blas ~n:4 ~x:0L ~incx:(-1)
+    |> Result.map ignore);
+  check Alcotest.bool "nothing changed" true (before = contents ())
+
 let suite =
   [
     Alcotest.test_case "device management" `Quick test_device_management;
@@ -531,4 +605,8 @@ let suite =
     Alcotest.test_case "cuSOLVER invalid args" `Quick test_cusolver_invalid_args;
     Alcotest.test_case "functional switch" `Quick test_functional_switch;
     Alcotest.test_case "checkpoint/restore" `Quick test_checkpoint_restore;
+    Alcotest.test_case "cuBLAS sgemm allocation is size-independent" `Quick
+      test_cublas_sgemm_allocation;
+    Alcotest.test_case "library operands outside memory" `Quick
+      test_library_operands_outside_memory;
   ]

@@ -151,10 +151,14 @@ let test_scalar_accessors () =
   let p = M.alloc m 64 in
   M.set_f32 m p 3.25;
   check (Alcotest.float 0.0) "f32" 3.25 (M.get_f32 m p);
-  M.set_f64 m (p + 8) (-1.5e300);
-  check (Alcotest.float 0.0) "f64" (-1.5e300) (M.get_f64 m (p + 8));
+  M.set_u8 m (p + 8) 0x1ab;
+  check Alcotest.int "u8 keeps the low byte" 0xab (M.get_u8 m (p + 8));
   M.set_i32 m (p + 16) (-42l);
-  check Alcotest.int32 "i32" (-42l) (M.get_i32 m (p + 16))
+  check Alcotest.int32 "i32" (-42l) (M.get_i32 m (p + 16));
+  (* little-endian in memory, whatever the host's byte order *)
+  M.set_i32 m (p + 20) 0x01020304l;
+  check Alcotest.string "i32 bytes" "\004\003\002\001"
+    (Bytes.to_string (M.read m (p + 20) 4))
 
 let test_snapshot_restore () =
   let m = M.create ~capacity:(1 lsl 16) in
@@ -427,6 +431,251 @@ let test_gpu_reset () =
   check Alcotest.bool "default stream stays" true
     (Gpusim.Gpu.stream_valid gpu Gpusim.Gpu.default_stream)
 
+(* --- arena kernel loops vs the per-element reference --- *)
+
+(* The per-element kernel bodies that the arena loops in [Memory] replaced:
+   one checked scalar access per element, each store marking its own page.
+   The loops must match them bit for bit, dirty page for dirty page. *)
+module Ref = struct
+  let matrix_mul mem ~c ~a ~b ~ha ~wa ~wb =
+    for i = 0 to ha - 1 do
+      for j = 0 to wb - 1 do
+        let acc = ref 0.0 in
+        for k = 0 to wa - 1 do
+          acc :=
+            !acc
+            +. M.get_f32 mem (a + (4 * ((i * wa) + k)))
+               *. M.get_f32 mem (b + (4 * ((k * wb) + j)))
+        done;
+        M.set_f32 mem (c + (4 * ((i * wb) + j))) !acc
+      done
+    done
+
+  let f32 mem base ld i j = M.get_f32 mem (base + (4 * ((j * ld) + i)))
+
+  let set_f32 mem base ld i j v =
+    M.set_f32 mem (base + (4 * ((j * ld) + i))) v
+
+  let sgemm mem ~m ~n ~k ~alpha ~a ~lda ~b ~ldb ~beta ~c ~ldc =
+    for j = 0 to n - 1 do
+      for i = 0 to m - 1 do
+        let acc = ref 0.0 in
+        for l = 0 to k - 1 do
+          acc := !acc +. (f32 mem a lda i l *. f32 mem b ldb l j)
+        done;
+        let prior = if beta = 0.0 then 0.0 else f32 mem c ldc i j in
+        set_f32 mem c ldc i j ((alpha *. !acc) +. (beta *. prior))
+      done
+    done
+
+  let histogram256 mem ~bins ~data ~count =
+    for b = 0 to 255 do
+      M.set_i32 mem (bins + (4 * b)) 0l
+    done;
+    for i = 0 to count - 1 do
+      let v = M.get_u8 mem (data + i) in
+      let slot = bins + (4 * v) in
+      M.set_i32 mem slot (Int32.add (M.get_i32 mem slot) 1l)
+    done
+
+  let merge_histogram256 mem ~out ~partials ~n =
+    for b = 0 to 255 do
+      let acc = ref 0l in
+      for p = 0 to n - 1 do
+        acc := Int32.add !acc (M.get_i32 mem (partials + (4 * ((p * 256) + b))))
+      done;
+      M.set_i32 mem (out + (4 * b)) !acc
+    done
+end
+
+(* Floats of three magnitudes, 2^-27, 1 and 2^27 times ±1..3: products
+   span 2^108, so partial sums cancel and absorb terms, and a summation in
+   another order rounds to another result often enough to be caught. *)
+let wide_f32 rng =
+  let v =
+    Float.of_int (1 + Random.State.int rng 3)
+    *. Float.ldexp 1.0 (27 * (Random.State.int rng 3 - 1))
+  in
+  Int32.bits_of_float (if Random.State.bool rng then v else -.v)
+
+(* Run [loop] and [reference] on two arenas holding the same allocations,
+   filled with 32-bit words drawn by [word] from [seed], with dirty
+   tracking switched on after set-up. They agree when every allocation's
+   bytes, the dirty page count and the delta checkpoint are equal. [sizes]
+   are in bytes; a zero size still gets a (one-element) allocation. *)
+let same_as_reference ?(word = wide_f32) ~seed sizes ~loop ~reference =
+  let arena () =
+    let m = M.create ~capacity:(1 lsl 20) in
+    let rng = Random.State.make [| seed |] in
+    let ptrs = List.map (fun size -> M.alloc m (max 4 size)) sizes in
+    List.iter
+      (fun p ->
+        let n = M.allocation_size m p in
+        let b = Bytes.create n in
+        for i = 0 to (n / 4) - 1 do
+          Bytes.set_int32_le b (4 * i) (word rng)
+        done;
+        M.write m p b)
+      ptrs;
+    M.set_tracking m true;
+    (m, ptrs)
+  in
+  let m1, ptrs = arena () and m2, _ = arena () in
+  loop m1 ptrs;
+  reference m2 ptrs;
+  List.for_all
+    (fun p ->
+      let n = M.allocation_size m1 p in
+      Bytes.equal (M.read m1 p n) (M.read m2 p n))
+    ptrs
+  && M.dirty_page_count m1 = M.dirty_page_count m2
+  && String.equal (M.delta m1) (M.delta m2)
+
+let prop_matrix_mul_reference =
+  QCheck.Test.make ~count:200 ~name:"matrixMul loop == per-element reference"
+    QCheck.(
+      quad (int_bound 17) (int_bound 17) (int_bound 17) (pair bool int))
+    (fun (ha, wa, wb, (c_is_a, seed)) ->
+      (* an aliased C shares A's allocation, sized for the larger of both *)
+      let a_size = 4 * ha * max wa (if c_is_a then wb else 0) in
+      let run f m = function
+        | [ a; b; c ] -> f m ~c:(if c_is_a then a else c) ~a ~b ~ha ~wa ~wb
+        | _ -> assert false
+      in
+      same_as_reference ~seed
+        [ a_size; 4 * wa * wb; 4 * ha * wb ]
+        ~loop:(run M.matrix_mul) ~reference:(run Ref.matrix_mul))
+
+let prop_sgemm_reference =
+  QCheck.Test.make ~count:200 ~name:"sgemm loop == per-element reference"
+    QCheck.(
+      quad
+        (triple (int_bound 9) (int_bound 9) (int_bound 9))
+        (triple (int_bound 2) (int_bound 2)
+           (oneof [ int_bound 3; int_range 1020 2100 ]))
+        (pair bool bool) int)
+    (fun ((m, n, k), (pad_a, pad_b, gap_c), (beta_zero, c_is_a), seed) ->
+      let lda = max 1 m + pad_a and ldb = max 1 k + pad_b in
+      (* a gap over 1024 floats puts C's columns on different pages, and
+         over 2048 leaves whole pages between them unwritten *)
+      let ldc = max 1 m + gap_c in
+      let extent runs ld rows =
+        if runs = 0 || rows = 0 then 0 else 4 * (((runs - 1) * ld) + rows)
+      in
+      let c_size = extent n ldc m in
+      let a_size = max (extent k lda m) (if c_is_a then c_size else 0) in
+      let alpha = 1.5 and beta = if beta_zero then 0.0 else -0.75 in
+      let run f mem = function
+        | [ a; b; c ] ->
+            f mem ~m ~n ~k ~alpha ~a ~lda ~b ~ldb ~beta
+              ~c:(if c_is_a then a else c) ~ldc
+        | _ -> assert false
+      in
+      same_as_reference ~seed
+        [ a_size; extent n ldb k; c_size ]
+        ~loop:(run M.sgemm) ~reference:(run Ref.sgemm))
+
+let prop_histogram_reference =
+  QCheck.Test.make ~count:100 ~name:"histogram256 loop == per-element reference"
+    QCheck.(triple (int_bound 5000) (int_bound 7) int)
+    (fun (count, offset, seed) ->
+      let run f m = function
+        | [ bins; data ] -> f m ~bins ~data:(data + offset) ~count
+        | _ -> assert false
+      in
+      same_as_reference ~word:Random.State.bits32 ~seed [ 1024; count + offset ]
+        ~loop:(run M.histogram256) ~reference:(run Ref.histogram256))
+
+let prop_merge_reference =
+  QCheck.Test.make ~count:100
+    ~name:"mergeHistogram256 loop == per-element reference"
+    QCheck.(triple (int_bound 4) bool int)
+    (fun (n, out_is_partials, seed) ->
+      let run f m = function
+        | [ out; partials ] ->
+            f m ~out:(if out_is_partials then partials else out) ~partials ~n
+        | _ -> assert false
+      in
+      same_as_reference ~word:Random.State.bits32 ~seed [ 1024; 1024 * max 1 n ]
+        ~loop:(run M.merge_histogram256)
+        ~reference:(run Ref.merge_histogram256))
+
+(* --- kernel launches: pointer checks and allocation --- *)
+
+(* Kernel pointers arrive unchecked from launch arguments. A range that
+   leaves device memory — before its start, past its end, or straddling
+   the end — fails with a typed error before any store. *)
+let test_kernel_rejects_ranges_outside_memory () =
+  let m = M.create ~capacity:8192 in
+  let a = M.alloc m 4096 and c = M.alloc m 4096 in
+  M.write m a (Bytes.make 4096 '\001');
+  M.write m c (Bytes.make 4096 '\002');
+  let before = M.snapshot m in
+  let vadd = Option.get (K.find K.vector_add_name) in
+  List.iter
+    (fun (what, c) ->
+      match
+        vadd.K.execute m
+          (launch_of [| K.Ptr a; K.Ptr a; K.Ptr c; K.I32 1024l |])
+      with
+      | () -> Alcotest.failf "%s: launch accepted" what
+      | exception M.Error (M.Out_of_range _) -> ())
+    [ ("before memory", -4096); ("far past memory", 1 lsl 40);
+      ("straddling the end", c + 8) ];
+  check Alcotest.bool "no byte changed" true (String.equal before (M.snapshot m));
+  (match M.get_u8 m (-1) with
+  | _ -> Alcotest.fail "get_u8 (-1) accepted"
+  | exception M.Error (M.Out_of_range _) -> ());
+  (* the last byte of device memory is still addressable *)
+  check Alcotest.int "last byte" 2 (M.get_u8 m (c + 4095))
+
+(* A functional launch of each hot built-in kernel allocates a handful of
+   words for the launch itself (cost model, stream entry) and none per
+   element, so the count does not grow with the operands. *)
+let test_kernel_launch_allocation () =
+  let gpu = Gpusim.Gpu.create ~memory_capacity:(1 lsl 22) Gpusim.Device.a100 in
+  let m = Gpusim.Gpu.memory gpu in
+  let words name ~grid ~block args =
+    let k = Option.get (K.find name) in
+    let l = launch_of ~grid ~block args in
+    ignore (Gpusim.Gpu.launch gpu ~now:Time.zero k l);
+    let w0 = Gc.minor_words () in
+    ignore (Gpusim.Gpu.launch gpu ~now:Time.zero k l);
+    Gc.minor_words () -. w0
+  in
+  let matmul n =
+    let a = M.alloc m (4 * n * n) and b = M.alloc m (4 * n * n) in
+    let c = M.alloc m (4 * n * n) in
+    let w =
+      words K.matrix_mul_name
+        ~grid:{ K.x = n / 32; y = n / 32; z = 1 }
+        ~block:{ K.x = 32; y = 32; z = 1 }
+        [| K.Ptr c; K.Ptr a; K.Ptr b; K.I32 (Int32.of_int n);
+           K.I32 (Int32.of_int n) |]
+    in
+    List.iter (M.free m) [ a; b; c ];
+    w
+  in
+  let histogram count =
+    let data = M.alloc m count and bins = M.alloc m 1024 in
+    let w =
+      words K.histogram256_name
+        ~grid:{ K.x = 240; y = 1; z = 1 }
+        ~block:{ K.x = 192; y = 1; z = 1 }
+        [| K.Ptr bins; K.Ptr data; K.I32 (Int32.of_int count) |]
+    in
+    List.iter (M.free m) [ data; bins ];
+    w
+  in
+  List.iter
+    (fun (what, small, large) ->
+      check Alcotest.bool
+        (Printf.sprintf "%s: %.0f then %.0f words" what small large)
+        true
+        (small <= 200. && large = small))
+    [ ("matrixMul 64x64 / 128x128", matmul 64, matmul 128);
+      ("histogram256 64 KiB / 1 MiB", histogram 65536, histogram (1 lsl 20)) ]
+
 let suite =
   [
     Alcotest.test_case "device catalog" `Quick test_device_catalog;
@@ -460,3 +709,14 @@ let suite =
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_alloc_free_invariant; prop_wordwise_blits ]
+  @ [
+      Alcotest.test_case "kernel ranges outside device memory" `Quick
+        test_kernel_rejects_ranges_outside_memory;
+      Alcotest.test_case "kernel launch allocation is size-independent" `Quick
+        test_kernel_launch_allocation;
+    ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        prop_matrix_mul_reference; prop_sgemm_reference;
+        prop_histogram_reference; prop_merge_reference;
+      ]
