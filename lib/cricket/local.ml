@@ -1,23 +1,26 @@
-(* Split a raw byte stream of record-marked fragments into records. The
-   RPC client always writes whole records before reading, so the buffered
-   request passed to the loopback peer contains complete records. *)
+(* Split a raw byte stream of record-marked fragments into its complete
+   records, and the offset where a record whose tail is still to come
+   starts (the length of the stream when there is none). *)
 let records_of_stream stream =
-  let rec loop pos acc current =
-    if pos >= String.length stream then List.rev acc
-    else begin
-      let last, len = Oncrpc.Record.decode_header (String.sub stream pos 4) in
-      let fragment = String.sub stream (pos + 4) len in
-      let current = fragment :: current in
-      if last then
-        loop (pos + 4 + len) (String.concat "" (List.rev current) :: acc) []
-      else loop (pos + 4 + len) acc current
-    end
+  let src = Oncrpc.Record.Of_string stream in
+  let rec loop pos acc =
+    match Oncrpc.Record.record_end src pos with
+    | -1 -> (List.rev acc, pos)
+    | stop -> loop stop (Oncrpc.Record.payload src pos ~stop :: acc)
   in
-  loop 0 [] []
+  loop 0 []
 
 let transport_of_dispatch dispatch =
+  (* The start of a record the client has not finished writing: it waits
+     for the rest, as it would in a socket buffer. *)
+  let held = ref "" in
   Oncrpc.Transport.loopback ~peer:(fun request ->
-      records_of_stream request
+      let stream = if !held = "" then request else !held ^ request in
+      held := "";
+      let records, stop = records_of_stream stream in
+      if stop < String.length stream then
+        held := String.sub stream stop (String.length stream - stop);
+      records
       |> List.filter_map (fun record ->
              match dispatch record with
              | "" -> None (* one-way call: no reply record *)

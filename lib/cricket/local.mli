@@ -11,7 +11,11 @@ val transport : Server.t -> Oncrpc.Transport.t
 (** A fresh client-side transport whose peer is [server]. *)
 
 val transport_of_dispatch : (string -> string) -> Oncrpc.Transport.t
-(** Same, over any record-level dispatch function. *)
+(** Same, over any record-level dispatch function. Only complete records
+    are dispatched: one whose tail has not been written yet waits for the
+    rest (a read meanwhile finds no reply), and a fragment header claiming
+    more than a record may hold makes the read raise
+    {!Oncrpc.Record.Oversized}. *)
 
 val transport_for : Server.t -> tenant:string -> Oncrpc.Transport.t
 (** Like {!transport}, but every record goes through

@@ -46,8 +46,8 @@ type t = {
   spawn_capacity_clamp : int option;
   spawn_clock : Cudasim.Context.clock;
   mutable calls : int;
-  per_proc : (int, int) Hashtbl.t;
-  per_device : (int, int) Hashtbl.t;
+  mutable per_proc : int array;  (* procedure number -> calls *)
+  mutable per_device : int array;  (* device index -> calls *)
   per_tenant : (string, int) Hashtbl.t;
   mutable current_tenant : string option;
   mutable tenant_hooks : tenant_hooks option;
@@ -475,6 +475,23 @@ let implementation t : P.Server.implementation =
         void_result Cudasim.Error.Success);
   }
 
+(* The RPCL spec numbers its procedures below this. *)
+let proc_slots = 80
+
+(* Count one call in slot [i], growing the table for a number past its
+   end (procedures registered beyond the RPCL spec's). *)
+let bump counts i =
+  let counts =
+    if i < Array.length counts then counts
+    else begin
+      let bigger = Array.make (i + 1) 0 in
+      Array.blit counts 0 bigger 0 (Array.length counts);
+      bigger
+    end
+  in
+  counts.(i) <- counts.(i) + 1;
+  counts
+
 let create ?devices ?memory_capacity ?capacity_clamp ?(checkpoint_dir = ".")
     ~clock () =
   let ctx =
@@ -485,8 +502,8 @@ let create ?devices ?memory_capacity ?capacity_clamp ?(checkpoint_dir = ".")
     { rpc; ctx; checkpoint_dir; spawn_devices = devices;
       spawn_memory_capacity = memory_capacity;
       spawn_capacity_clamp = capacity_clamp; spawn_clock = clock;
-      calls = 0; per_proc = Hashtbl.create 64;
-      per_device = Hashtbl.create 8;
+      calls = 0; per_proc = Array.make proc_slots 0;
+      per_device = Array.make (Cudasim.Context.device_count ctx) 0;
       per_tenant = Hashtbl.create 64; current_tenant = None;
       tenant_hooks = None; inbound = None; adopt_lease = None;
       migrations_in = 0;
@@ -501,13 +518,10 @@ let create ?devices ?memory_capacity ?capacity_clamp ?(checkpoint_dir = ".")
       t.calls <- t.calls + 1;
       t.last_proc <- proc;
       t.last_arg_bytes <- arg_bytes;
-      Hashtbl.replace t.per_proc proc
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.per_proc proc));
+      t.per_proc <- bump t.per_proc proc;
       (* Attribute the call to the device selected when it arrived — the
          fleet report's per-device RPC traffic. *)
-      let d = Cudasim.Context.current t.ctx in
-      Hashtbl.replace t.per_device d
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.per_device d)));
+      t.per_device <- bump t.per_device (Cudasim.Context.current t.ctx));
   t
 
 (* procedure number -> name, from the RPCL spec itself *)
@@ -564,15 +578,11 @@ let respawn t =
 let dup_hits t = Oncrpc.Server.dup_hits t.rpc
 
 let proc_stats t =
-  Hashtbl.fold
-    (fun proc count acc ->
-      let name =
-        match Hashtbl.find_opt (forced_proc_names ()) proc with
-        | Some n -> n
-        | None -> Printf.sprintf "proc_%d" proc
-      in
-      (name, count) :: acc)
-    t.per_proc []
+  let acc = ref [] in
+  Array.iteri
+    (fun proc count -> if count > 0 then acc := (proc_name proc, count) :: !acc)
+    t.per_proc;
+  !acc
   |> List.sort (fun (na, a) (nb, b) ->
          match compare b a with 0 -> compare na nb | c -> c)
 
@@ -621,9 +631,24 @@ let migrations_in t = t.migrations_in
 let inbound_migration t =
   match t.inbound with None -> None | Some i -> Some i.in_tenant
 
+let count_tenant t tenant =
+  match Hashtbl.find t.per_tenant tenant with
+  | n -> Hashtbl.replace t.per_tenant tenant (n + 1)
+  | exception Not_found -> Hashtbl.add t.per_tenant tenant 1
+
+(* Run [dispatch] with [tenant] as the in-flight call's tenant. *)
+let as_tenant t ~tenant dispatch request =
+  t.current_tenant <- Some tenant;
+  match dispatch request with
+  | reply ->
+      t.current_tenant <- None;
+      reply
+  | exception e ->
+      t.current_tenant <- None;
+      raise e
+
 let dispatch_for t ~tenant request =
-  Hashtbl.replace t.per_tenant tenant
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.per_tenant tenant));
+  count_tenant t tenant;
   let admit =
     match t.tenant_hooks with Some h -> h.admit ~tenant | None -> None
   in
@@ -632,11 +657,7 @@ let dispatch_for t ~tenant request =
       match denied_reply request reason with
       | Some reply -> reply
       | None -> dispatch_ident ~ident:tenant t request)
-  | None ->
-      t.current_tenant <- Some tenant;
-      Fun.protect
-        ~finally:(fun () -> t.current_tenant <- None)
-        (fun () -> dispatch_ident ~ident:tenant t request)
+  | None -> as_tenant t ~tenant (dispatch_ident ~ident:tenant t) request
 
 (* The device-steered fast path for tenant calls: same accounting and
    admission as {!dispatch_for}, but the header was already parsed by the
@@ -644,8 +665,7 @@ let dispatch_for t ~tenant request =
    software re-parse), and admitted calls skip {!Oncrpc.Message.decode}
    via {!Oncrpc.Server.dispatch_preparsed}. *)
 let dispatch_preparsed_for t ~tenant ~xid ~prog ~vers ~proc ~body_off request =
-  Hashtbl.replace t.per_tenant tenant
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.per_tenant tenant));
+  count_tenant t tenant;
   let admit =
     match t.tenant_hooks with Some h -> h.admit ~tenant | None -> None
   in
@@ -657,13 +677,12 @@ let dispatch_preparsed_for t ~tenant ~xid ~prog ~vers ~proc ~body_off request =
            (Oncrpc.Message.Auth_error (reject_to_auth_stat reason)));
       Xdr.Encode.to_string enc
   | None ->
-      t.current_tenant <- Some tenant;
-      Fun.protect
-        ~finally:(fun () -> t.current_tenant <- None)
-        (fun () ->
+      as_tenant t ~tenant
+        (fun request ->
           Option.value ~default:""
             (Oncrpc.Server.dispatch_preparsed ~ident:tenant t.rpc ~xid ~prog
                ~vers ~proc ~body_off request))
+        request
 
 let tenant_calls t =
   Hashtbl.fold (fun tenant n acc -> (tenant, n) :: acc) t.per_tenant []
@@ -671,6 +690,6 @@ let tenant_calls t =
 
 let device_calls t =
   List.init (Cudasim.Context.device_count t.ctx) (fun d ->
-      (d, Option.value ~default:0 (Hashtbl.find_opt t.per_device d)))
+      (d, if d < Array.length t.per_device then t.per_device.(d) else 0))
 
 let calls_served t = t.calls

@@ -22,7 +22,20 @@ let pending t = Queue.length t.queue
 let pending_commands t = List.of_seq (Queue.to_seq t.queue)
 let max_t a b = if Time.compare a b > 0 then a else b
 
+let rec retire t ~now =
+  if
+    (not (Queue.is_empty t.queue))
+    && Time.compare (Queue.peek t.queue).finish now <= 0
+  then begin
+    ignore (Queue.take t.queue);
+    retire t ~now
+  end
+
+(* Commands that have finished by [now] leave the queue as new ones join
+   it, so a stream that is never synchronised stays as deep as the work
+   still in flight. *)
 let enqueue t ~now ~seq ~op ~cost =
+  retire t ~now;
   let start = max_t t.completion now in
   let finish = Time.add start cost in
   Queue.add { seq; op; start; finish } t.queue;
@@ -40,12 +53,3 @@ let wait_event t ~seq ~event ~time =
       Queue.add { seq; op = Wait_event event; start; finish = start } t.queue;
       t.completion <- start
 
-let retire t ~now =
-  let rec drop () =
-    match Queue.peek_opt t.queue with
-    | Some c when Time.compare c.finish now <= 0 ->
-        ignore (Queue.pop t.queue);
-        drop ()
-    | _ -> ()
-  in
-  drop ()

@@ -6,8 +6,10 @@
     device-wide completion is the max over streams, not the sum. The queue
     retains a record per in-flight command (sequence number, operation,
     start/finish times) until a synchronisation point {!retire}s the
-    commands whose finish time has passed, which is what lets callers
-    introspect how deep the pipeline currently is.
+    commands whose finish time has passed, or the next {!enqueue} finds
+    them finished, which is what lets callers introspect how deep the
+    pipeline currently is. A stream that is never synchronised therefore
+    holds only the commands still running, not its whole history.
 
     Data side effects are NOT performed here: the owning {!Gpu} applies
     them eagerly at enqueue time (see gpu.mli); streams only account for
@@ -39,8 +41,9 @@ val pending_commands : t -> command list
 (** Oldest first. *)
 
 val enqueue : t -> now:Time.t -> seq:int -> op:op -> cost:Time.t -> Time.t
-(** Append a command starting at [max now completion] and lasting [cost];
-    returns (and records as the new completion) its finish time. *)
+(** {!retire} at [now], then append a command starting at
+    [max now completion] and lasting [cost]; returns (and records as the
+    new completion) its finish time. *)
 
 val wait_event : t -> seq:int -> event:int -> time:Time.t option -> unit
 (** cudaStreamWaitEvent: all commands enqueued after this one start no

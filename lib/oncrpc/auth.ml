@@ -58,3 +58,7 @@ let decode dec =
   let flavor = flavor_of_code (Xdr.Decode.int dec) in
   let body = Xdr.Decode.opaque ~max:max_body_length dec in
   { flavor; body }
+
+let skip dec =
+  ignore (Xdr.Decode.int dec);
+  Xdr.Decode.skip_opaque ~max:max_body_length dec

@@ -37,3 +37,7 @@ val sys_params : t -> sys_params
 
 val encode : Xdr.Encode.t -> t -> unit
 val decode : Xdr.Decode.t -> t
+
+val skip : Xdr.Decode.t -> unit
+(** Step over an [opaque_auth], failing exactly where {!decode} would,
+    without materialising it. *)

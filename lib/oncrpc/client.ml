@@ -46,9 +46,17 @@ type stats = {
   reconnects : int;
 }
 
-let empty_stats =
-  { calls = 0; bytes_sent = 0; bytes_received = 0; wire_bytes_sent = 0;
-    wire_bytes_received = 0; retries = 0; timeouts = 0; reconnects = 0 }
+(* The counters behind {!stats}, bumped in place on every call. *)
+type counters = {
+  mutable n_calls : int;
+  mutable n_bytes_sent : int;
+  mutable n_bytes_received : int;
+  mutable n_wire_bytes_sent : int;
+  mutable n_wire_bytes_received : int;
+  mutable n_retries : int;
+  mutable n_timeouts : int;
+  mutable n_reconnects : int;
+}
 
 type t = {
   mutable transport : Transport.t;
@@ -62,7 +70,7 @@ type t = {
          a fetch-and-add keeps xids unique without a lock. Stored as an
          int and truncated to int32 on use, so the space wraps exactly
          like the wire representation. *)
-  mutable stats : stats;
+  counters : counters;
   mutable retry : retry_policy option;
   mutable now : unit -> int64;  (* virtual-time clock, ns *)
   mutable sleep : int64 -> unit;  (* backoff; advances the virtual clock *)
@@ -83,7 +91,10 @@ let create ?(cred = Auth.none) ?(fragment_size = Record.default_fragment_size)
     cred;
     fragment_size;
     next_xid = Atomic.make (Int32.to_int first_xid);
-    stats = empty_stats;
+    counters =
+      { n_calls = 0; n_bytes_sent = 0; n_bytes_received = 0;
+        n_wire_bytes_sent = 0; n_wire_bytes_received = 0; n_retries = 0;
+        n_timeouts = 0; n_reconnects = 0 };
     retry;
     now = (fun () -> 0L);
     sleep = (fun _ -> ());
@@ -101,7 +112,13 @@ let set_obs ?proc_name t obs =
 
 let set_retry t policy = t.retry <- policy
 let set_xid_origin t xid = Atomic.set t.next_xid (Int32.to_int xid)
-let alloc_xid t = Int32.of_int (Atomic.fetch_and_add t.next_xid 1)
+
+(* The next xid as its unsigned 32-bit value, the form the per-call path
+   carries it in. *)
+let next_xid t = Atomic.fetch_and_add t.next_xid 1 land 0xffffffff
+
+let alloc_xid t = Int32.of_int (next_xid t)
+
 let set_clock t ~now ~sleep =
   t.now <- now;
   t.sleep <- sleep
@@ -138,7 +155,7 @@ let handle_attempt_failure t ~started ~deadline_ns ~attempt exn =
   | Some p ->
       (match exn with
       | Transport.Timeout ->
-          t.stats <- { t.stats with timeouts = t.stats.timeouts + 1 };
+          t.counters.n_timeouts <- t.counters.n_timeouts + 1;
           Obs.Recorder.incr t.obs "rpc.timeout"
       | _ -> ());
       if attempt + 1 >= p.max_attempts then raise (t.give_up exn);
@@ -152,7 +169,7 @@ let handle_attempt_failure t ~started ~deadline_ns ~attempt exn =
                      { elapsed_ns = Int64.sub (t.now ()) started })))
       | _ -> ());
       t.sleep (backoff_ns t p attempt);
-      t.stats <- { t.stats with retries = t.stats.retries + 1 };
+      t.counters.n_retries <- t.counters.n_retries + 1;
       Obs.Recorder.incr t.obs "rpc.retry";
       match exn with
       | Transport.Closed -> (
@@ -164,13 +181,16 @@ let handle_attempt_failure t ~started ~deadline_ns ~attempt exn =
               match rc () with
               | transport ->
                   t.transport <- transport;
-                  t.stats <-
-                    { t.stats with reconnects = t.stats.reconnects + 1 };
+                  t.counters.n_reconnects <- t.counters.n_reconnects + 1;
                   Obs.Recorder.incr t.obs "rpc.reconnect";
                   t.on_reconnect ()
               | exception Transport.Closed ->
                   (* still down; the next attempt backs off again *) ()))
       | _ -> ()
+
+(* Room for the header and the arguments of every small call (a kernel
+   launch, the largest, is ~110 bytes); bulk arguments travel as views. *)
+let request_initial_size = 128
 
 (* The request is kept in vectored form end to end: bulk arguments appear
    as views of the caller's buffers, and [Record.writev] interleaves
@@ -178,33 +198,45 @@ let handle_attempt_failure t ~started ~deadline_ns ~attempt exn =
    iovec — safe because the aliased buffers belong to the in-progress call
    and cannot be mutated until it returns. *)
 let encode_call t ~xid ~proc encode_args =
-  let enc = Xdr.Encode.create () in
-  Message.encode enc
-    (Message.call ~cred:t.cred ~xid ~prog:t.prog ~vers:t.vers ~proc ());
-  let header_len = Xdr.Encode.length enc in
+  let enc = Xdr.Encode.create ~initial_size:request_initial_size () in
+  Message.encode_call_header enc ~xid ~prog:t.prog ~vers:t.vers ~proc
+    ~cred:t.cred;
   encode_args enc;
-  let request = Xdr.Encode.to_iovec enc in
-  (request, Xdr.Iovec.length request - header_len)
+  Xdr.Encode.to_iovec enc
 
-let call ?deadline_ns t ~proc encode_args decode_results =
-  let xid = alloc_xid t in
-  let shim_sp =
-    if Obs.Recorder.enabled t.obs then
-      Obs.Recorder.span_begin t.obs ~layer:"shim" (t.obs_proc_name proc)
-    else Obs.Recorder.null_span
-  in
-  try
-  let request, args_len = encode_call t ~xid ~proc encode_args in
-  (* Skip replies to abandoned xids; block for ours. *)
-  let rec await () =
-    let reply = Record.read t.transport in
+(* The header's length is fixed by the client's credential, so the
+   argument bytes are the rest of the request. *)
+let count_sent t request =
+  let c = t.counters in
+  let len = Xdr.Iovec.length request in
+  c.n_calls <- c.n_calls + 1;
+  c.n_bytes_sent <-
+    c.n_bytes_sent + len - Message.call_header_length ~cred:t.cred;
+  c.n_wire_bytes_sent <-
+    c.n_wire_bytes_sent + wire_length ~fragment_size:t.fragment_size len
+
+let rpc_span t ~xid =
+  if Obs.Recorder.enabled t.obs then
+    Obs.Recorder.span_begin t.obs ~layer:"rpc"
+      (Printf.sprintf "call xid=%ld" (Int32.of_int xid))
+  else Obs.Recorder.null_span
+
+(* The reply to [xid], its decoder at the results. The common success
+   reply is recognised from its header words alone; anything else goes
+   through the full decoder, which skips replies to abandoned xids and
+   types the failures. *)
+let rec await t ~xid =
+  let reply = Record.read t.transport in
+  if Message.is_success_reply reply ~xid then
+    (reply, Xdr.Decode.of_string ~pos:Message.success_header_length reply)
+  else begin
     let dec = Xdr.Decode.of_string reply in
     let msg =
       try Message.decode dec
       with Xdr.Types.Error e ->
         raise (Rpc_error (Bad_reply (Xdr.Types.error_to_string e)))
     in
-    if msg.Message.xid <> xid then await ()
+    if Int32.to_int msg.Message.xid land 0xffffffff <> xid then await t ~xid
     else begin
       (match msg.Message.body with
       | Message.Call _ -> raise (Rpc_error (Bad_reply "received a CALL"))
@@ -214,65 +246,64 @@ let call ?deadline_ns t ~proc encode_args decode_results =
           raise (Rpc_error (Call_failed stat)));
       (reply, dec)
     end
-  in
-  let started = t.now () in
-  (* Retransmissions reuse [xid]: together with the server's duplicate-
-     request cache this gives at-most-once execution — a retry of a call
-     whose reply was lost gets the cached reply, not a second execution. *)
-  let rec attempt n =
-    let rpc_sp =
-      if Obs.Recorder.enabled t.obs then
-        Obs.Recorder.span_begin t.obs ~layer:"rpc"
-          (Printf.sprintf "call xid=%ld" xid)
-      else Obs.Recorder.null_span
+  end
+
+(* Retransmissions reuse [xid]: together with the server's duplicate-
+   request cache this gives at-most-once execution — a retry of a call
+   whose reply was lost gets the cached reply, not a second execution. *)
+let rec attempt t ~xid ~request ~started ~deadline_ns n =
+  let rpc_sp = rpc_span t ~xid in
+  match
+    Record.writev ~fragment_size:t.fragment_size t.transport request;
+    await t ~xid
+  with
+  | result ->
+      Obs.Recorder.span_end t.obs rpc_sp;
+      result
+  | exception ((Transport.Timeout | Transport.Closed) as e) ->
+      Obs.Recorder.span_end t.obs rpc_sp;
+      handle_attempt_failure t ~started ~deadline_ns ~attempt:n e;
+      attempt t ~xid ~request ~started ~deadline_ns (n + 1)
+  | exception e ->
+      Obs.Recorder.span_end t.obs rpc_sp;
+      raise e
+
+let shim_span t proc =
+  if Obs.Recorder.enabled t.obs then
+    Obs.Recorder.span_begin t.obs ~layer:"shim" (t.obs_proc_name proc)
+  else Obs.Recorder.null_span
+
+let call ?deadline_ns t ~proc encode_args decode_results =
+  let xid = next_xid t in
+  let shim_sp = shim_span t proc in
+  match
+    let request = encode_call t ~xid ~proc encode_args in
+    let started = t.now () in
+    let reply, dec = attempt t ~xid ~request ~started ~deadline_ns 0 in
+    let results_start = Xdr.Decode.pos dec in
+    let result =
+      try
+        let r = decode_results dec in
+        Xdr.Decode.finish dec;
+        r
+      with Xdr.Types.Error e ->
+        raise (Rpc_error (Bad_reply (Xdr.Types.error_to_string e)))
     in
-    match
-      Record.writev ~fragment_size:t.fragment_size t.transport request;
-      await ()
-    with
-    | result ->
-        Obs.Recorder.span_end t.obs rpc_sp;
-        result
-    | exception ((Transport.Timeout | Transport.Closed) as e) ->
-        Obs.Recorder.span_end t.obs rpc_sp;
-        handle_attempt_failure t ~started ~deadline_ns ~attempt:n e;
-        attempt (n + 1)
-    | exception e ->
-        Obs.Recorder.span_end t.obs rpc_sp;
-        raise e
-  in
-  let reply, dec = attempt 0 in
-  let results_start = Xdr.Decode.pos dec in
-  let result =
-    try
-      let r = decode_results dec in
-      Xdr.Decode.finish dec;
-      r
-    with Xdr.Types.Error e ->
-      raise (Rpc_error (Bad_reply (Xdr.Types.error_to_string e)))
-  in
-  let results_len = String.length reply - results_start in
-  let s = t.stats in
-  t.stats <-
-    {
-      s with
-      calls = s.calls + 1;
-      bytes_sent = s.bytes_sent + args_len;
-      bytes_received = s.bytes_received + results_len;
-      wire_bytes_sent =
-        s.wire_bytes_sent
-        + wire_length ~fragment_size:t.fragment_size
-            (Xdr.Iovec.length request);
-      wire_bytes_received =
-        s.wire_bytes_received
-        + wire_length ~fragment_size:Record.default_fragment_size
-            (String.length reply);
-    };
-  Obs.Recorder.span_end t.obs shim_sp;
-  result
-  with e ->
-    Obs.Recorder.span_end t.obs shim_sp;
-    raise e
+    let c = t.counters in
+    count_sent t request;
+    c.n_bytes_received <- c.n_bytes_received + String.length reply - results_start;
+    c.n_wire_bytes_received <-
+      c.n_wire_bytes_received
+      + wire_length ~fragment_size:Record.default_fragment_size
+          (String.length reply);
+    result
+  with
+  | result ->
+      Obs.Recorder.span_end t.obs shim_sp;
+      result
+  | exception e ->
+      Obs.Recorder.span_end t.obs shim_sp;
+      raise e
 
 let call_void ?deadline_ns t ~proc encode_args =
   call ?deadline_ns t ~proc encode_args Xdr.Decode.void
@@ -281,44 +312,52 @@ let call_void ?deadline_ns t ~proc encode_args =
    reply. The record sits in the transport's send path until a subsequent
    synchronous call flushes the connection, so N one-way calls followed by
    one blocking call cost a single round trip. *)
-let call_oneway t ~proc encode_args =
-  let xid = alloc_xid t in
-  let shim_sp =
-    if Obs.Recorder.enabled t.obs then
-      Obs.Recorder.span_begin t.obs ~layer:"shim" (t.obs_proc_name proc)
-    else Obs.Recorder.null_span
-  in
-  try
-  let request, args_len = encode_call t ~xid ~proc encode_args in
-  let started = t.now () in
-  (* Only a failed *send* is retried (there is no reply to lose); a send
-     that fails mid-connection-loss is resent after reconnection, and the
-     reconnect hook's recovery protocol replays anything that was sent
-     but not yet executed. *)
-  let rec attempt n =
-    match Record.writev ~fragment_size:t.fragment_size t.transport request with
-    | () -> ()
-    | exception (Transport.Closed as e) ->
-        handle_attempt_failure t ~started ~deadline_ns:None ~attempt:n e;
-        attempt (n + 1)
-  in
-  attempt 0;
-  let s = t.stats in
-  t.stats <-
-    {
-      s with
-      calls = s.calls + 1;
-      bytes_sent = s.bytes_sent + args_len;
-      wire_bytes_sent =
-        s.wire_bytes_sent
-        + wire_length ~fragment_size:t.fragment_size
-            (Xdr.Iovec.length request);
-    };
-  Obs.Recorder.span_end t.obs shim_sp
-  with e ->
-    Obs.Recorder.span_end t.obs shim_sp;
-    raise e
+let rec send_oneway t ~request ~started n =
+  match Record.writev ~fragment_size:t.fragment_size t.transport request with
+  | () -> ()
+  | exception (Transport.Closed as e) ->
+      handle_attempt_failure t ~started ~deadline_ns:None ~attempt:n e;
+      send_oneway t ~request ~started (n + 1)
 
-let stats t = t.stats
-let reset_stats t = t.stats <- empty_stats
+let call_oneway t ~proc encode_args =
+  let xid = next_xid t in
+  let shim_sp = shim_span t proc in
+  match
+    let request = encode_call t ~xid ~proc encode_args in
+    (* Only a failed *send* is retried (there is no reply to lose); a send
+       that fails mid-connection-loss is resent after reconnection, and the
+       reconnect hook's recovery protocol replays anything that was sent
+       but not yet executed. *)
+    send_oneway t ~request ~started:(t.now ()) 0;
+    count_sent t request
+  with
+  | () -> Obs.Recorder.span_end t.obs shim_sp
+  | exception e ->
+      Obs.Recorder.span_end t.obs shim_sp;
+      raise e
+
+let stats t =
+  let c = t.counters in
+  {
+    calls = c.n_calls;
+    bytes_sent = c.n_bytes_sent;
+    bytes_received = c.n_bytes_received;
+    wire_bytes_sent = c.n_wire_bytes_sent;
+    wire_bytes_received = c.n_wire_bytes_received;
+    retries = c.n_retries;
+    timeouts = c.n_timeouts;
+    reconnects = c.n_reconnects;
+  }
+
+let reset_stats t =
+  let c = t.counters in
+  c.n_calls <- 0;
+  c.n_bytes_sent <- 0;
+  c.n_bytes_received <- 0;
+  c.n_wire_bytes_sent <- 0;
+  c.n_wire_bytes_received <- 0;
+  c.n_retries <- 0;
+  c.n_timeouts <- 0;
+  c.n_reconnects <- 0
+
 let close t = t.transport.Transport.close ()

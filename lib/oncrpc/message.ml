@@ -59,33 +59,60 @@ let msg_reply = 1
 let msg_accepted = 0
 let msg_denied = 1
 
+(* The headers of the per-call hot paths, written field by field without
+   building a message or boxing the xid ([xid] is its unsigned 32-bit
+   value as an [int]); {!encode} writes its CALL and accepted replies
+   through them too. *)
+let encode_call_header ?(verf = Auth.none) enc ~xid ~prog ~vers ~proc ~cred =
+  Xdr.Encode.uint enc xid;
+  Xdr.Encode.int enc msg_call;
+  Xdr.Encode.uint enc rpc_version;
+  Xdr.Encode.uint enc prog;
+  Xdr.Encode.uint enc vers;
+  Xdr.Encode.uint enc proc;
+  Auth.encode enc cred;
+  Auth.encode enc verf
+
+(* xid, CALL, rpcvers, prog, vers, proc; the credential; an empty
+   verifier *)
+let call_header_length ~cred =
+  let body = Bytes.length cred.Auth.body in
+  24 + 8 + body + Xdr.Types.padding_of body + 8
+
+let encode_accepted_header enc ~xid ~verf =
+  Xdr.Encode.uint enc xid;
+  Xdr.Encode.int enc msg_reply;
+  Xdr.Encode.int enc msg_accepted;
+  Auth.encode enc verf
+
+let encode_accept_stat enc = function
+  | Success -> Xdr.Encode.int enc 0
+  | Prog_unavail -> Xdr.Encode.int enc 1
+  | Prog_mismatch { low; high } ->
+      Xdr.Encode.int enc 2;
+      Xdr.Encode.uint enc low;
+      Xdr.Encode.uint enc high
+  | Proc_unavail -> Xdr.Encode.int enc 3
+  | Garbage_args -> Xdr.Encode.int enc 4
+  | System_err -> Xdr.Encode.int enc 5
+
+let encode_success_header ?(verf = Auth.none) enc ~xid =
+  encode_accepted_header enc ~xid ~verf;
+  encode_accept_stat enc Success
+
+let success_header_length = 24
+
 let encode enc t =
-  Xdr.Encode.uint32 enc t.xid;
+  let xid = Int32.to_int t.xid land 0xffffffff in
   match t.body with
   | Call c ->
-      Xdr.Encode.int enc msg_call;
-      Xdr.Encode.uint enc rpc_version;
-      Xdr.Encode.uint enc c.prog;
-      Xdr.Encode.uint enc c.vers;
-      Xdr.Encode.uint enc c.proc;
-      Auth.encode enc c.cred;
-      Auth.encode enc c.verf
-  | Reply (Accepted a) -> begin
-      Xdr.Encode.int enc msg_reply;
-      Xdr.Encode.int enc msg_accepted;
-      Auth.encode enc a.verf;
-      match a.stat with
-      | Success -> Xdr.Encode.int enc 0
-      | Prog_unavail -> Xdr.Encode.int enc 1
-      | Prog_mismatch { low; high } ->
-          Xdr.Encode.int enc 2;
-          Xdr.Encode.uint enc low;
-          Xdr.Encode.uint enc high
-      | Proc_unavail -> Xdr.Encode.int enc 3
-      | Garbage_args -> Xdr.Encode.int enc 4
-      | System_err -> Xdr.Encode.int enc 5
-    end
+      encode_call_header ~verf:c.verf enc ~xid ~prog:c.prog ~vers:c.vers
+        ~proc:c.proc ~cred:c.cred
+  | Reply (Accepted { verf; stat }) ->
+      encode_accepted_header enc ~xid ~verf;
+      encode_accept_stat enc stat
   | Reply (Denied d) -> begin
+      Xdr.Encode.uint enc xid;
       Xdr.Encode.int enc msg_reply;
       Xdr.Encode.int enc msg_denied;
       match d with
@@ -111,20 +138,30 @@ let decode_accept_stat dec =
   | 5 -> System_err
   | n -> Xdr.Types.fail (Xdr.Types.Invalid_union (Int32.of_int n))
 
+let decode_auth ~auth dec =
+  if auth then Auth.decode dec
+  else begin
+    Auth.skip dec;
+    Auth.none
+  end
+
+(* A CALL's header after its msg_type. *)
+let decode_call_body ~auth dec =
+  let rpcvers = Xdr.Decode.uint dec in
+  if rpcvers <> rpc_version then
+    Xdr.Types.fail (Xdr.Types.Invalid_enum (Int32.of_int rpcvers));
+  let prog = Xdr.Decode.uint dec in
+  let vers = Xdr.Decode.uint dec in
+  let proc = Xdr.Decode.uint dec in
+  let cred = decode_auth ~auth dec in
+  let verf = decode_auth ~auth dec in
+  { prog; vers; proc; cred; verf }
+
 let decode dec =
   let xid = Xdr.Decode.uint32 dec in
   let mtype = Xdr.Decode.int dec in
-  if mtype = msg_call then begin
-    let rpcvers = Xdr.Decode.uint dec in
-    if rpcvers <> rpc_version then
-      Xdr.Types.fail (Xdr.Types.Invalid_enum (Int32.of_int rpcvers));
-    let prog = Xdr.Decode.uint dec in
-    let vers = Xdr.Decode.uint dec in
-    let proc = Xdr.Decode.uint dec in
-    let cred = Auth.decode dec in
-    let verf = Auth.decode dec in
-    { xid; body = Call { prog; vers; proc; cred; verf } }
-  end
+  if mtype = msg_call then
+    { xid; body = Call (decode_call_body ~auth:true dec) }
   else if mtype = msg_reply then begin
     let rstat = Xdr.Decode.int dec in
     if rstat = msg_accepted then begin
@@ -146,6 +183,26 @@ let decode dec =
     else Xdr.Types.fail (Xdr.Types.Invalid_union (Int32.of_int rstat))
   end
   else Xdr.Types.fail (Xdr.Types.Invalid_union (Int32.of_int mtype))
+
+exception Not_a_call
+
+let decode_call ~auth dec =
+  let xid = Xdr.Decode.uint dec in
+  if Xdr.Decode.int dec <> msg_call then raise Not_a_call;
+  (xid, decode_call_body ~auth dec)
+
+let word s off = Int32.to_int (String.get_int32_be s off) land 0xffffffff
+
+(* Exactly the records {!decode} reads as an accepted SUCCESS reply to
+   [xid] with an empty verifier body, which is every success reply a
+   server here sends; anything else needs the full decoder. *)
+let is_success_reply s ~xid =
+  String.length s >= success_header_length
+  && word s 0 = xid
+  && word s 4 = msg_reply
+  && word s 8 = msg_accepted
+  && word s 16 = 0
+  && word s 20 = 0
 
 let call ?(cred = Auth.none) ?(verf = Auth.none) ~xid ~prog ~vers ~proc () =
   { xid; body = Call { prog; vers; proc; cred; verf } }

@@ -57,6 +57,50 @@ val encode : Xdr.Encode.t -> t -> unit
 val decode : Xdr.Decode.t -> t
 (** Decode the header, leaving the decoder positioned at the payload. *)
 
+(** {1 Per-call fast paths}
+
+    The common call and reply headers without a message record: [xid] is
+    the unsigned 32-bit transaction id as an [int] (what
+    [Int32.to_int x land 0xffffffff] gives), so nothing is boxed. *)
+
+val encode_call_header :
+  ?verf:Auth.t -> Xdr.Encode.t -> xid:int -> prog:int -> vers:int ->
+  proc:int -> cred:Auth.t -> unit
+(** The bytes {!encode} writes for
+    [call ~cred ?verf ~xid ~prog ~vers ~proc ()] ([verf] defaults to
+    {!Auth.none}). *)
+
+val call_header_length : cred:Auth.t -> int
+(** The length of that header with an empty verifier, where the arguments
+    start. *)
+
+val encode_success_header : ?verf:Auth.t -> Xdr.Encode.t -> xid:int -> unit
+(** The bytes {!encode} writes for [reply_success ?verf ~xid ()]; results
+    follow. *)
+
+val success_header_length : int
+(** 24: the length of that header with an empty verifier, where the
+    results start. *)
+
+exception Not_a_call
+
+val decode_call : auth:bool -> Xdr.Decode.t -> int * call
+(** The header {!decode} reads from a CALL, as [(xid, call)], for a server
+    that only accepts calls. With [~auth:false] the credential and the
+    verifier are stepped over, failing where {!decode} would, and read as
+    {!Auth.none}. Raises [Not_a_call] if the message type is not CALL
+    (the decoder is then past the xid and the type; {!decode} on a fresh
+    decoder tells a REPLY from garbage), and [Xdr.Types.Error] wherever
+    {!decode} would. *)
+
+val is_success_reply : string -> xid:int -> bool
+(** Whether a reply record starts with exactly the header
+    {!encode_success_header} writes for [xid], give or take the
+    verifier's flavor. When it does, {!decode} would return an accepted
+    [Success] reply to [xid] with the results at {!success_header_length};
+    any other record (another xid, a denial, an error, a verifier with a
+    body, a truncated header) answers [false] and needs {!decode}. *)
+
 (** {1 Convenience constructors} *)
 
 val call : ?cred:Auth.t -> ?verf:Auth.t -> xid:int32 -> prog:int -> vers:int ->

@@ -9,12 +9,16 @@ let encode_header ~last len =
   Bytes.set_int32_be b 0 (Int32.of_int v);
   Bytes.unsafe_to_string b
 
+let header_word b0 b1 b2 b3 =
+  (Char.code b0 lsl 24) lor (Char.code b1 lsl 16) lor (Char.code b2 lsl 8)
+  lor Char.code b3
+
+let is_last w = w land last_fragment_bit <> 0
+let fragment_length w = w land max_fragment_size
+
 let decode_header_fields b0 b1 b2 b3 =
-  let v =
-    (Char.code b0 lsl 24) lor (Char.code b1 lsl 16) lor (Char.code b2 lsl 8)
-    lor Char.code b3
-  in
-  (v land last_fragment_bit <> 0, v land max_fragment_size)
+  let w = header_word b0 b1 b2 b3 in
+  (is_last w, fragment_length w)
 
 let decode_header s =
   if String.length s <> 4 then invalid_arg "Record.decode_header";
@@ -50,7 +54,9 @@ let iter_fragments ~fragment_size msg f =
 let wirev ?(fragment_size = default_fragment_size) iov =
   check_fragment_size fragment_size;
   let total = Xdr.Iovec.length iov in
-  if total = 0 then [ Xdr.Iovec.slice (encode_header ~last:true 0) ]
+  if total <= fragment_size then
+    (* one fragment: its header in front of the message, as it is *)
+    Xdr.Iovec.slice (encode_header ~last:true total) :: iov
   else begin
     let rec fragments acc rest remaining =
       let len = min fragment_size remaining in
@@ -68,6 +74,19 @@ let wirev ?(fragment_size = default_fragment_size) iov =
 let writev ?fragment_size t iov = Transport.writev t (wirev ?fragment_size iov)
 
 let write ?fragment_size t msg = writev ?fragment_size t (Xdr.Iovec.of_string msg)
+
+let rec add_fragments buf ~fragment_size msg off =
+  let total = String.length msg in
+  let len = min fragment_size (total - off) in
+  let last = off + len >= total in
+  Buffer.add_int32_be buf
+    (Int32.of_int (if last then len lor last_fragment_bit else len));
+  Buffer.add_substring buf msg off len;
+  if not last then add_fragments buf ~fragment_size msg (off + len)
+
+let add_wire ?(fragment_size = default_fragment_size) buf msg =
+  check_fragment_size fragment_size;
+  add_fragments buf ~fragment_size msg 0
 
 let to_wire ?(fragment_size = default_fragment_size) msg =
   check_fragment_size fragment_size;
@@ -92,9 +111,74 @@ let () =
 
 (* Size-check a header's *claim* before allocating anything: a hostile or
    corrupted header must not be able to reserve unbounded memory. *)
-let check_claim ?(max_record_size = default_max_record_size) ~sofar len =
+let claim_within ~max_record_size ~sofar len =
   if len > max_record_size || sofar + len > max_record_size then
     raise (Oversized { claimed = sofar + len; limit = max_record_size })
+
+let check_claim ?(max_record_size = default_max_record_size) ~sofar len =
+  claim_within ~max_record_size ~sofar len
+
+type source = Of_string of string | Of_buffer of Buffer.t
+
+let source_length = function
+  | Of_string s -> String.length s
+  | Of_buffer b -> Buffer.length b
+
+let source_char src i =
+  match src with Of_string s -> String.get s i | Of_buffer b -> Buffer.nth b i
+
+let header_at src pos =
+  header_word (source_char src pos)
+    (source_char src (pos + 1))
+    (source_char src (pos + 2))
+    (source_char src (pos + 3))
+
+let rec find_end ~max_record_size src pos ~sofar =
+  if source_length src - pos < 4 then -1
+  else begin
+    let w = header_at src pos in
+    let len = fragment_length w in
+    claim_within ~max_record_size ~sofar len;
+    let next = pos + 4 + len in
+    if next > source_length src then -1
+    else if is_last w then next
+    else find_end ~max_record_size src next ~sofar:(sofar + len)
+  end
+
+let record_end ?(max_record_size = default_max_record_size) src pos =
+  find_end ~max_record_size src pos ~sofar:0
+
+let rec payload_length src pos ~stop acc =
+  if pos >= stop then acc
+  else begin
+    let len = fragment_length (header_at src pos) in
+    payload_length src (pos + 4 + len) ~stop (acc + len)
+  end
+
+let blit_source src pos dst off len =
+  match src with
+  | Of_string s -> Bytes.blit_string s pos dst off len
+  | Of_buffer b -> Buffer.blit b pos dst off len
+
+let rec gather src pos dst off =
+  let w = header_at src pos in
+  let len = fragment_length w in
+  blit_source src (pos + 4) dst off len;
+  if not (is_last w) then gather src (pos + 4 + len) dst (off + len)
+
+(* A single-fragment record is copied out once; the fragments of a longer
+   one are blitted into one exactly-sized string. *)
+let payload src pos ~stop =
+  let w = header_at src pos in
+  if is_last w then
+    match src with
+    | Of_string s -> String.sub s (pos + 4) (fragment_length w)
+    | Of_buffer b -> Buffer.sub b (pos + 4) (fragment_length w)
+  else begin
+    let dst = Bytes.create (payload_length src pos ~stop 0) in
+    gather src pos dst 0;
+    Bytes.unsafe_to_string dst
+  end
 
 (* Reassembly allocates once per record in the common single-fragment case:
    the payload is received straight into its final buffer. Multi-fragment
@@ -104,7 +188,7 @@ let check_claim ?(max_record_size = default_max_record_size) ~sofar len =
    staging buffer lives in the transport and is reused across records. *)
 let read_body ~max_record_size ~pool t ~last ~len =
   let hdr = t.Transport.hdr_scratch in
-  check_claim ~max_record_size ~sofar:0 len;
+  claim_within ~max_record_size ~sofar:0 len;
   if last then begin
     let b = Bytes.create len in
     Transport.recv_exact t b 0 len;
@@ -126,7 +210,7 @@ let read_body ~max_record_size ~pool t ~last ~len =
         if not last then begin
           Transport.recv_exact t hdr 0 4;
           let last, len = decode_header_bytes hdr in
-          check_claim ~max_record_size ~sofar:!total len;
+          claim_within ~max_record_size ~sofar:!total len;
           loop last len
         end
       in

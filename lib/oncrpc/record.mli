@@ -49,6 +49,26 @@ val check_claim : ?max_record_size:int -> sofar:int -> int -> unit
     past [max_record_size] (default 1 GiB, as for {!read}). The rule every
     reassembler applies to a header before allocating for it. *)
 
+(** {1 Records already in memory}
+
+    Channels that model the wire in memory hold what a client wrote as a
+    string or a buffer, and walk its records in place. *)
+
+type source = Of_string of string | Of_buffer of Buffer.t
+
+val record_end : ?max_record_size:int -> source -> int -> int
+(** [record_end src pos] is the offset just past the last fragment of the
+    record whose first header starts at [pos], or [-1] if [src] ends
+    before that record does (its tail is still to come). Each header's
+    claim is checked as for {!check_claim} when it is reached, so an
+    oversized one raises {!Oversized} before anything is copied. *)
+
+val payload : source -> int -> stop:int -> string
+(** [payload src pos ~stop] is the message carried by the complete record
+    from [pos] to [stop = record_end src pos]: a single fragment's payload
+    copied out once, or every fragment's payload joined into one
+    exactly-sized string. *)
+
 val read : ?max_record_size:int -> ?pool:Pool.t -> Transport.t -> string
 (** [read t] reassembles the next record into a single exactly-sized
     buffer. Single-fragment records are received directly into their final
@@ -75,6 +95,11 @@ val decode_header_bytes : bytes -> bool * int
 (** Like {!decode_header} over the first 4 bytes of a reusable staging
     buffer — the allocation-free path used with
     [Transport.hdr_scratch]. *)
+
+val add_wire : ?fragment_size:int -> Buffer.t -> string -> unit
+(** Append the bytes {!to_wire} returns to a buffer, with no intermediate
+    string: the framing a channel uses to queue replies in a reused
+    buffer. *)
 
 val to_wire : ?fragment_size:int -> string -> string
 (** The exact bytes {!write} would put on the wire, built contiguously.

@@ -4,27 +4,11 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type handler = Xdr.Decode.t -> Xdr.Encode.t -> unit
 
-type service = { vers : int; procedures : (int, handler) Hashtbl.t }
+(* A registered procedure and whether it is one-way: dispatch reads both
+   from one lookup keyed by the procedure number alone. *)
+type procedure = { handler : handler; mutable oneway : bool }
 
-(* At-most-once duplicate-request cache: remembers the reply produced for
-   each (ident, xid, prog, vers, proc), so a client retransmission of a
-   call whose reply was lost gets the original reply back instead of
-   re-executing the handler. The leading [ident] is the caller's
-   connection/tenant identity: two tenants reusing the same xid space must
-   never collide into each other's cached replies, so identity is part of
-   the key. Bounded FIFO; a live retransmission always targets a recent
-   entry, so eviction of old xids is safe. *)
-type dup_key = string * int32 * int * int * int
-
-type dup_cache = {
-  capacity : int;
-  entries : (dup_key, string option) Hashtbl.t;
-  order : dup_key Queue.t;
-  mutable hits : int;
-  lock : Mutex.t;
-      (* guards entries/order/hits — servers are shared across domains
-         by the sharded harnesses, and Hashtbl is not domain-safe *)
-}
+type service = { vers : int; procedures : (int, procedure) Hashtbl.t }
 
 type protocol_error =
   | Unparseable_request of string
@@ -47,14 +31,16 @@ let () =
 type t = {
   name : string;
   programs : (int, service list ref) Hashtbl.t;
-  oneway : (int * int * int, unit) Hashtbl.t;  (* (prog, vers, proc) *)
+  oneway : (int * int * int, unit) Hashtbl.t;
+      (* (prog, vers, proc) marked one-way, registered or not yet; each
+         registered procedure carries its own copy of the flag *)
   mutable auth_check : Auth.t -> Message.auth_stat option;
   mutable has_auth_check : bool;
-      (* whether a real auth hook is installed: the pre-parsed fast path
-         must fall back to the full software decode when it is, because
-         the device does not parse credentials *)
+      (* whether a real auth hook is installed: only then are credentials
+         materialised, and the pre-parsed fast path must fall back to the
+         full software decode, because the device does not parse them *)
   mutable observer : prog:int -> vers:int -> proc:int -> arg_bytes:int -> unit;
-  mutable dup_cache : dup_cache option;
+  mutable dup_cache : Dup_cache.t option;
   mutable obs : Obs.Recorder.t;
   mutable obs_proc_name : prog:int -> vers:int -> proc:int -> string;
 }
@@ -82,26 +68,18 @@ let set_obs ?proc_name t obs =
 
 let set_dup_cache ?(capacity = 4096) t =
   if capacity < 1 then invalid_arg "Server.set_dup_cache";
-  t.dup_cache <-
-    Some
-      {
-        capacity;
-        entries = Hashtbl.create capacity;
-        order = Queue.create ();
-        hits = 0;
-        lock = Mutex.create ();
-      }
+  t.dup_cache <- Some (Dup_cache.create ~capacity)
 
 let dup_hits t =
-  match t.dup_cache with
-  | None -> 0
-  | Some c ->
-      Mutex.lock c.lock;
-      let n = c.hits in
-      Mutex.unlock c.lock;
-      n
+  match t.dup_cache with None -> 0 | Some c -> Dup_cache.hits c
 
 let null_procedure (_ : Xdr.Decode.t) (_ : Xdr.Encode.t) = ()
+
+let rec find_service vers = function
+  | [] -> raise Not_found
+  | s :: rest -> if s.vers = vers then s else find_service vers rest
+
+let is_oneway t ~prog ~vers ~proc = Hashtbl.mem t.oneway (prog, vers, proc)
 
 let register t ~prog ~vers procedures =
   let services =
@@ -113,33 +91,42 @@ let register t ~prog ~vers procedures =
         l
   in
   let service =
-    match List.find_opt (fun s -> s.vers = vers) !services with
-    | Some s -> s
-    | None ->
+    match find_service vers !services with
+    | s -> s
+    | exception Not_found ->
         let s = { vers; procedures = Hashtbl.create 32 } in
         services := s :: !services;
         s
   in
-  if not (Hashtbl.mem service.procedures 0) then
-    Hashtbl.replace service.procedures 0 null_procedure;
-  List.iter
-    (fun (proc, h) -> Hashtbl.replace service.procedures proc h)
-    procedures
+  let add proc handler =
+    Hashtbl.replace service.procedures proc
+      { handler; oneway = is_oneway t ~prog ~vers ~proc }
+  in
+  if not (Hashtbl.mem service.procedures 0) then add 0 null_procedure;
+  List.iter (fun (proc, h) -> add proc h) procedures
 
 let set_oneway t ~prog ~vers procs =
-  List.iter (fun proc -> Hashtbl.replace t.oneway (prog, vers, proc) ()) procs
-
-let is_oneway t ~prog ~vers ~proc = Hashtbl.mem t.oneway (prog, vers, proc)
+  List.iter
+    (fun proc ->
+      Hashtbl.replace t.oneway (prog, vers, proc) ();
+      match Hashtbl.find t.programs prog with
+      | services -> (
+          match
+            Hashtbl.find (find_service vers !services).procedures proc
+          with
+          | p -> p.oneway <- true
+          | exception Not_found -> ())
+      | exception Not_found -> ())
+    procs
 
 let set_auth_check t f =
   t.auth_check <- f;
   t.has_auth_check <- true
 let set_observer t f = t.observer <- f
 
-let encode_reply msg results =
+let encode_reply msg =
   let enc = Xdr.Encode.create () in
   Message.encode enc msg;
-  (match results with Some f -> f enc | None -> ());
   Xdr.Encode.to_string enc
 
 let version_range services =
@@ -147,154 +134,131 @@ let version_range services =
     (fun (lo, hi) s -> (min lo s.vers, max hi s.vers))
     (max_int, min_int) services
 
-let dispatch_call t dec ~xid c =
-  match t.auth_check c.Message.cred with
-      | Some stat ->
-          Some
-            (encode_reply
-               (Message.reply_denied ~xid (Message.Auth_error stat))
-               None)
-      | None -> (
-          match Hashtbl.find_opt t.programs c.Message.prog with
-          | None ->
-              Some
-                (encode_reply (Message.reply_error ~xid Message.Prog_unavail)
-                   None)
-          | Some services -> (
-              match
-                List.find_opt (fun s -> s.vers = c.Message.vers) !services
-              with
-              | None ->
-                  let low, high = version_range !services in
-                  Some
-                    (encode_reply
-                       (Message.reply_error ~xid
-                          (Message.Prog_mismatch { low; high }))
-                       None)
-              | Some service -> (
-                  match Hashtbl.find_opt service.procedures c.Message.proc with
-                  | None ->
-                      Some
-                        (encode_reply
-                           (Message.reply_error ~xid Message.Proc_unavail)
-                           None)
-                  | Some handler ->
-                      t.observer ~prog:c.Message.prog ~vers:c.Message.vers
-                        ~proc:c.Message.proc
-                        ~arg_bytes:(Xdr.Decode.remaining dec);
-                      (* One-way ("batched") procedures never reply — not
-                         even on error; failures are logged and otherwise
-                         dropped, as RFC 5531 §8 prescribes. *)
-                      let oneway =
-                        is_oneway t ~prog:c.Message.prog ~vers:c.Message.vers
-                          ~proc:c.Message.proc
-                      in
-                      let results = Xdr.Encode.create () in
-                      let reply =
-                        match
-                          let () = handler dec results in
-                          Xdr.Decode.finish dec
-                        with
-                        | () ->
-                            encode_reply
-                              (Message.reply_success ~xid ())
-                              (* splice, don't flatten: a bulk download
-                                 payload stays a slice until the final
-                                 wire string is built *)
-                              (Some
-                                 (fun enc -> Xdr.Encode.append enc results))
-                        | exception Xdr.Types.Error e ->
-                            Log.debug (fun m ->
-                                m "%s: garbage args for proc %d: %s" t.name
-                                  c.Message.proc
-                                  (Xdr.Types.error_to_string e));
-                            encode_reply
-                              (Message.reply_error ~xid Message.Garbage_args)
-                              None
-                        | exception e ->
-                            Log.warn (fun m ->
-                                m "%s: handler for proc %d raised %s" t.name
-                                  c.Message.proc (Printexc.to_string e));
-                            encode_reply
-                              (Message.reply_error ~xid Message.System_err)
-                              None
-                      in
-                      if oneway then None else Some reply)))
+(* Replies to the calls the per-call path serves are a 24-byte header and
+   a few result words, so the encoder starts small. *)
+let reply_initial_size = 64
 
-let dup_lookup t key =
-  match t.dup_cache with
-  | None -> None
-  | Some cache ->
-      Mutex.lock cache.lock;
-      let hit = Hashtbl.find_opt cache.entries key in
-      (match hit with Some _ -> cache.hits <- cache.hits + 1 | None -> ());
-      Mutex.unlock cache.lock;
-      hit
+let replace_by_error enc ~xid stat =
+  Xdr.Encode.reset enc;
+  Message.encode enc (Message.reply_error ~xid:(Int32.of_int xid) stat)
 
-let dup_store t key reply =
-  match t.dup_cache with
-  | None -> ()
-  | Some cache ->
-      Mutex.lock cache.lock;
-      if Queue.length cache.order >= cache.capacity then
-        Hashtbl.remove cache.entries (Queue.pop cache.order);
-      Queue.push key cache.order;
-      Hashtbl.replace cache.entries key reply;
-      Mutex.unlock cache.lock
+(* Run a resolved procedure: the success header and the results go into
+   one encoder; a handler that fails has its partial reply discarded for
+   an error reply. [""] is the reply of a one-way procedure, which never
+   answers — not even on error; failures are logged and otherwise
+   dropped, as RFC 5531 §8 prescribes. *)
+let run_procedure t dec ~xid ~proc p =
+  let enc = Xdr.Encode.create ~initial_size:reply_initial_size () in
+  Message.encode_success_header enc ~xid;
+  (match
+     p.handler dec enc;
+     Xdr.Decode.finish dec
+   with
+  | () -> ()
+  | exception Xdr.Types.Error e ->
+      Log.debug (fun m ->
+          m "%s: garbage args for proc %d: %s" t.name proc
+            (Xdr.Types.error_to_string e));
+      replace_by_error enc ~xid Message.Garbage_args
+  | exception e ->
+      Log.warn (fun m ->
+          m "%s: handler for proc %d raised %s" t.name proc
+            (Printexc.to_string e));
+      replace_by_error enc ~xid Message.System_err);
+  if p.oneway then "" else Xdr.Encode.to_string enc
+
+let dispatch_call t dec ~xid ~prog ~vers ~proc ~cred =
+  let error stat = encode_reply (Message.reply_error ~xid:(Int32.of_int xid) stat) in
+  match t.auth_check cred with
+  | Some stat ->
+      encode_reply
+        (Message.reply_denied ~xid:(Int32.of_int xid) (Message.Auth_error stat))
+  | None -> (
+      match Hashtbl.find t.programs prog with
+      | exception Not_found -> error Message.Prog_unavail
+      | services -> (
+          match find_service vers !services with
+          | exception Not_found ->
+              let low, high = version_range !services in
+              error (Message.Prog_mismatch { low; high })
+          | service -> (
+              match Hashtbl.find service.procedures proc with
+              | exception Not_found -> error Message.Proc_unavail
+              | p ->
+                  t.observer ~prog ~vers ~proc
+                    ~arg_bytes:(Xdr.Decode.remaining dec);
+                  run_procedure t dec ~xid ~proc p)))
+
+let dispatch_spanned t dec ~xid ~prog ~vers ~proc ~cred =
+  if Obs.Recorder.enabled t.obs then begin
+    let sp =
+      Obs.Recorder.span_begin t.obs ~layer:"dispatch"
+        (Printf.sprintf "%s xid=%ld"
+           (t.obs_proc_name ~prog ~vers ~proc)
+           (Int32.of_int xid))
+    in
+    match dispatch_call t dec ~xid ~prog ~vers ~proc ~cred with
+    | reply ->
+        Obs.Recorder.span_end t.obs sp;
+        reply
+    | exception e ->
+        Obs.Recorder.span_end t.obs sp;
+        raise e
+  end
+  else dispatch_call t dec ~xid ~prog ~vers ~proc ~cred
 
 (* The common tail of both dispatch paths: at-most-once cache around the
-   dispatch-layer span around {!dispatch_call}. *)
-let dispatch_cached ?(ident = "") t dec ~xid c =
-  let key = (ident, xid, c.Message.prog, c.Message.vers, c.Message.proc) in
-  match dup_lookup t key with
-  | Some reply ->
-      (* Retransmission of an already-executed call: serve the recorded
-         reply (or, for a one-way call, suppress re-execution). *)
-      Obs.Recorder.incr t.obs "rpc.dup_hit";
-      Log.debug (fun m ->
-          m "%s: duplicate xid %ld proc %d — replaying cached reply" t.name
-            xid c.Message.proc);
-      reply
-  | None ->
-      let sp =
-        if Obs.Recorder.enabled t.obs then
-          Obs.Recorder.span_begin t.obs ~layer:"dispatch"
-            (Printf.sprintf "%s xid=%ld"
-               (t.obs_proc_name ~prog:c.Message.prog ~vers:c.Message.vers
-                  ~proc:c.Message.proc)
-               xid)
-        else Obs.Recorder.null_span
-      in
-      let reply =
-        try dispatch_call t dec ~xid c
-        with e ->
-          Obs.Recorder.span_end t.obs sp;
-          raise e
-      in
-      Obs.Recorder.span_end t.obs sp;
-      dup_store t key reply;
-      reply
+   dispatch-layer span around {!dispatch_call}. [""] is the (absent) reply
+   of a one-way call. *)
+let dispatch_cached ident t dec ~xid ~prog ~vers ~proc ~cred =
+  match t.dup_cache with
+  | None -> dispatch_spanned t dec ~xid ~prog ~vers ~proc ~cred
+  | Some cache -> (
+      match Dup_cache.lookup cache ~ident ~xid ~prog ~vers ~proc with
+      | Some reply ->
+          (* Retransmission of an already-executed call: serve the recorded
+             reply (or, for a one-way call, suppress re-execution). *)
+          Obs.Recorder.incr t.obs "rpc.dup_hit";
+          Log.debug (fun m ->
+              m "%s: duplicate xid %ld proc %d — replaying cached reply"
+                t.name (Int32.of_int xid) proc);
+          reply
+      | None ->
+          let reply = dispatch_spanned t dec ~xid ~prog ~vers ~proc ~cred in
+          Dup_cache.store cache ~ident ~xid ~prog ~vers ~proc reply;
+          reply)
 
-let dispatch_opt ?ident t request =
+let unparseable e =
+  Protocol_error (Unparseable_request (Xdr.Types.error_to_string e))
+
+(* A request that is not a CALL: the full decoder says whether it is a
+   well-formed REPLY or no message at all. *)
+let not_a_call request =
+  match Message.decode (Xdr.Decode.of_string request) with
+  | { Message.xid; _ } -> Protocol_error (Unexpected_reply { xid })
+  | exception Xdr.Types.Error e -> unparseable e
+
+(* Credentials are only materialised when an auth hook will look at
+   them. *)
+let dispatch_raw ident t request =
   let dec = Xdr.Decode.of_string request in
-  let msg =
-    try Message.decode dec
-    with Xdr.Types.Error e ->
-      raise (Protocol_error (Unparseable_request (Xdr.Types.error_to_string e)))
-  in
-  let xid = msg.Message.xid in
-  match msg.Message.body with
-  | Message.Reply _ -> raise (Protocol_error (Unexpected_reply { xid }))
-  | Message.Call c -> dispatch_cached ?ident t dec ~xid c
+  match Message.decode_call ~auth:t.has_auth_check dec with
+  | xid, { Message.prog; vers; proc; cred; _ } ->
+      dispatch_cached ident t dec ~xid ~prog ~vers ~proc ~cred
+  | exception Message.Not_a_call -> raise (not_a_call request)
+  | exception Xdr.Types.Error e -> raise (unparseable e)
+
+let dispatch_opt ?(ident = "") t request =
+  match dispatch_raw ident t request with "" -> None | reply -> Some reply
 
 (* Fast path for device-parsed calls: the RPC engine already framed the
    record and parsed the header, so the host positions a decoder at the
-   body and skips {!Message.decode} entirely. Replies are byte-identical
+   body and skips the header decode entirely. Replies are byte-identical
    to {!dispatch_opt} on the same record. When a real auth hook is
    installed we fall back to the software path — the device does not parse
    credentials, and the hook must see them. *)
-let dispatch_preparsed ?ident t ~xid ~prog ~vers ~proc ~body_off request =
-  if t.has_auth_check then dispatch_opt ?ident t request
+let dispatch_preparsed ?(ident = "") t ~xid ~prog ~vers ~proc ~body_off request =
+  if t.has_auth_check then dispatch_opt ~ident t request
   else begin
     if body_off < 0 || body_off > String.length request then
       raise
@@ -303,14 +267,16 @@ let dispatch_preparsed ?ident t ~xid ~prog ~vers ~proc ~body_off request =
               (Printf.sprintf "preparsed body offset %d out of bounds"
                  body_off)));
     let dec = Xdr.Decode.of_string ~pos:body_off request in
-    let c =
-      { Message.prog; vers; proc; cred = Auth.none; verf = Auth.none }
-    in
-    dispatch_cached ?ident t dec ~xid c
+    match
+      dispatch_cached ident t dec
+        ~xid:(Int32.to_int xid land 0xffffffff)
+        ~prog ~vers ~proc ~cred:Auth.none
+    with
+    | "" -> None
+    | reply -> Some reply
   end
 
-let dispatch ?ident t request =
-  Option.value (dispatch_opt ?ident t request) ~default:""
+let dispatch ?(ident = "") t request = dispatch_raw ident t request
 
 (* Per-connection identity for transports that carry no explicit tenant:
    each served connection gets a fresh ident, so concurrent clients with

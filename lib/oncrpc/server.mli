@@ -46,8 +46,15 @@ val set_dup_cache : ?capacity:int -> t -> unit
     non-idempotent procedures (allocation, launch, free) safe when a reply
     record is lost, and keying by identity means two tenants reusing the
     same xid space can never collide into each other's cached replies. For
-    cached one-way calls the duplicate is swallowed entirely. The cache is
-    a bounded FIFO ([capacity] entries, default 4096): a live
+    cached one-way calls the duplicate is swallowed entirely.
+
+    The cache is a {!Dup_cache}: a fixed ring of [capacity] slots (default
+    4096) over int and string arrays, found through a chained hash whose
+    links are slot numbers. A lookup hashes the ident and walks a chain of
+    at most about one slot; a store overwrites the oldest slot in place.
+    Neither allocates, so a call pays no per-entry boxes and nothing of the
+    cache is promoted to the major heap but the reply strings themselves.
+    It still evicts FIFO, in the order calls were first stored: a live
     retransmission always targets a recent xid, so evicting old entries is
     safe. *)
 

@@ -44,15 +44,12 @@ let writev t iov =
             s.Xdr.Iovec.off s.Xdr.Iovec.len)
         iov
 
-let recv_exact t buf off len =
-  let rec loop off len =
-    if len > 0 then begin
-      let n = t.recv buf off len in
-      if n = 0 then raise Closed;
-      loop (off + n) (len - n)
-    end
-  in
-  loop off len
+let rec recv_exact t buf off len =
+  if len > 0 then begin
+    let n = t.recv buf off len in
+    if n = 0 then raise Closed;
+    recv_exact t buf (off + n) (len - n)
+  end
 
 (* One direction of an in-memory pipe: a growable byte queue guarded by a
    mutex, with a condition to block readers until data or EOF arrives. *)

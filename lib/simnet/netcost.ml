@@ -12,7 +12,7 @@ let ceil_div a b = (a + b - 1) / b
    libtirpc use for their buffers). *)
 let io_chunk = 65_536
 
-let sender_cpu (p : Hostprofile.t) ~packets n =
+let[@inline] sender_cpu (p : Hostprofile.t) ~packets n =
   let syscalls = max 1 (ceil_div n io_chunk) in
   (* With TSO the guest stack processes 64 KiB super-frames and rings the
      doorbell per super-frame; without it, per TCP segment. *)
@@ -31,7 +31,7 @@ let sender_cpu (p : Hostprofile.t) ~packets n =
   +. Float.of_int (frames * p.per_packet_tx_ns)
   +. (if p.virtualized then Float.of_int (kicks * p.vmexit_ns) else 0.0)
 
-let receiver_cpu (p : Hostprofile.t) ~packets n =
+let[@inline] receiver_cpu (p : Hostprofile.t) ~packets n =
   let irq_batch =
     if p.offloads.Offload.mrg_rxbuf then p.irq_batch * 4 else p.irq_batch
   in
@@ -50,29 +50,43 @@ let receiver_cpu (p : Hostprofile.t) ~packets n =
   +. (Float.of_int n *. p.copy_ns_per_byte *. p.rx_copies)
   +. Float.of_int (syscalls * (p.syscall_ns + p.context_switch_ns))
 
-let one_way ~sender ~receiver ~link n =
+(* The pipelined end-to-end time of a message whose three stages cost
+   [s], [w] and [r] ns in all. *)
+let[@inline] pipelined ~(link : Link.t) ~packets s w r =
+  let latency = Float.of_int link.latency_ns in
+  if packets = 1 then latency +. s +. w +. r
+  else begin
+    (* pipeline: one packet through each stage, then the bottleneck *)
+    let fp = Float.of_int packets in
+    let per_pkt_s = s /. fp and per_pkt_w = w /. fp and per_pkt_r = r /. fp in
+    let bottleneck = Float.max per_pkt_s (Float.max per_pkt_w per_pkt_r) in
+    latency +. per_pkt_s +. per_pkt_w +. per_pkt_r
+    +. ((fp -. 1.0) *. bottleneck)
+  end
+
+let packets_of ~link n =
   if n < 0 then invalid_arg "Netcost.one_way: negative size";
-  let packets = max 1 (ceil_div n (Link.mss link)) in
+  max 1 (ceil_div n (Link.mss link))
+
+let one_way ~sender ~receiver ~link n =
+  let packets = packets_of ~link n in
   let s = sender_cpu sender ~packets n in
   let w = Link.serialize_ns link ~payload:n ~packets in
   let r = receiver_cpu receiver ~packets n in
-  let latency = Float.of_int link.Link.latency_ns in
-  let total_ns =
-    if packets = 1 then latency +. s +. w +. r
-    else begin
-      (* pipeline: one packet through each stage, then the bottleneck *)
-      let fp = Float.of_int packets in
-      let per_pkt_s = s /. fp and per_pkt_w = w /. fp and per_pkt_r = r /. fp in
-      let bottleneck = Float.max per_pkt_s (Float.max per_pkt_w per_pkt_r) in
-      latency +. per_pkt_s +. per_pkt_w +. per_pkt_r
-      +. ((fp -. 1.0) *. bottleneck)
-    end
-  in
   { packets; sender_cpu_ns = s; wire_ns = w; receiver_cpu_ns = r;
-    total = Time.of_float_ns total_ns }
+    total = Time.of_float_ns (pipelined ~link ~packets s w r) }
+
+(* [one_way]'s total without the breakdown: the stages stay unboxed floats
+   and the result is rounded as [Time.of_float_ns] rounds it. *)
+let one_way_ns ~sender ~receiver ~link n =
+  let packets = packets_of ~link n in
+  let s = sender_cpu sender ~packets n in
+  let w = Link.serialize_ns link ~payload:n ~packets in
+  let r = receiver_cpu receiver ~packets n in
+  Float.to_int (Float.round (pipelined ~link ~packets s w r))
 
 let one_way_time ~sender ~receiver ~link n =
-  (one_way ~sender ~receiver ~link n).total
+  Time.ns (one_way_ns ~sender ~receiver ~link n)
 
 let throughput_bytes_per_s ~sender ~receiver ~link n =
   let b = one_way ~sender ~receiver ~link n in

@@ -37,6 +37,12 @@ val one_way :
 val one_way_time :
   sender:Hostprofile.t -> receiver:Hostprofile.t -> link:Link.t -> int ->
   Time.t
+(** [(one_way ~sender ~receiver ~link n).total]. *)
+
+val one_way_ns :
+  sender:Hostprofile.t -> receiver:Hostprofile.t -> link:Link.t -> int -> int
+(** {!one_way_time} in nanoseconds, computed without building the
+    breakdown: the per-message cost a channel charges on every exchange. *)
 
 val throughput_bytes_per_s :
   sender:Hostprofile.t -> receiver:Hostprofile.t -> link:Link.t -> int ->

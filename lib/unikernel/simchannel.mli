@@ -9,6 +9,14 @@
     hooks), charges the reply's one-way time, and hands the reply bytes
     back. Wall-clock-free: all time is the engine's virtual clock.
 
+    Only complete records are dispatched. A record whose tail the client
+    has not written yet waits in the channel for the rest, so a client
+    reading for its reply meanwhile gets {!Oncrpc.Transport.Timeout} after
+    [rto]. A fragment header claiming more than a record may hold (see
+    {!Oncrpc.Record.check_claim}) makes the read raise
+    {!Oncrpc.Record.Oversized} before anything is copied, and drops the
+    bytes in flight: the stream cannot be framed past it.
+
     {b Fault injection.} With a {!Simnet.Fault} plan installed the channel
     consults it once per RPC record in each direction. A dropped or
     corrupted record manifests to the client as {!Oncrpc.Transport.Timeout}

@@ -104,27 +104,27 @@ let charge_syscalls t (p : Simnet.Hostprofile.t) len =
 (* Replies are framed without copying: the wire image is the fragment
    headers plus views of the reply string, which is freshly encoded and
    never mutated, so the endpoint may alias it until it is acknowledged.
-   Under the doorbell the (small) replies of one rx burst are gathered into
-   one contiguous submit instead, which is cheaper than carrying two slices
-   per reply through the send ring. *)
+   Under the doorbell the (small) replies of one rx burst are framed
+   straight into one contiguous submit instead, which is cheaper than
+   carrying two slices per reply through the send ring. *)
+let count_reply t len =
+  t.stats <- { t.stats with bytes_from_server = t.stats.bytes_from_server + len }
+
 let reply_out t reply =
-  if reply <> "" then begin
-    let wire = Oncrpc.Record.wirev (Xdr.Iovec.of_string reply) in
-    let len = Xdr.Iovec.length wire in
-    t.stats <-
-      { t.stats with bytes_from_server = t.stats.bytes_from_server + len };
-    if t.negotiated_rpc.Simnet.Offload.rpc_doorbell then
+  if reply <> "" then
+    if t.negotiated_rpc.Simnet.Offload.rpc_doorbell then begin
       (* coalesce: every reply of this rx burst rides one submit *)
-      Xdr.Iovec.iter
-        (fun s ->
-          Buffer.add_substring t.reply_batch s.Xdr.Iovec.base s.Xdr.Iovec.off
-            s.Xdr.Iovec.len)
-        wire
+      let before = Buffer.length t.reply_batch in
+      Oncrpc.Record.add_wire t.reply_batch reply;
+      count_reply t (Buffer.length t.reply_batch - before)
+    end
     else begin
+      let wire = Oncrpc.Record.wirev (Xdr.Iovec.of_string reply) in
+      let len = Xdr.Iovec.length wire in
+      count_reply t len;
       charge_syscalls t t.server_prof len;
       EP.sendv t.server_ep wire
     end
-  end
 
 let flush_replies t =
   if Buffer.length t.reply_batch > 0 then begin

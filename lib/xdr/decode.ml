@@ -23,35 +23,32 @@ let skip t n =
 
 let byte t i = Char.code (String.unsafe_get t.data i)
 
-let int32 t =
+(* The 32-bit word as an unsigned [int]: [int] and [uint] read through
+   this, so they never box an [int32] on the way. *)
+let word t =
   need t 4;
   let p = t.pos in
   t.pos <- p + 4;
-  Int32.logor
-    (Int32.shift_left (Int32.of_int (byte t p)) 24)
-    (Int32.of_int ((byte t (p + 1) lsl 16) lor (byte t (p + 2) lsl 8) lor byte t (p + 3)))
+  (byte t p lsl 24) lor (byte t (p + 1) lsl 16) lor (byte t (p + 2) lsl 8)
+  lor byte t (p + 3)
 
+let int32 t = Int32.of_int (word t)
 let uint32 = int32
-let int t = Int32.to_int (int32 t)
-
-let uint t =
-  let v = int32 t in
-  Int32.to_int v land 0xffffffff
+let int t = (word t lxor 0x80000000) - 0x80000000
+let uint = word
 
 let int64 t =
-  let hi = int32 t in
-  let lo = int32 t in
-  Int64.logor
-    (Int64.shift_left (Int64.of_int32 hi) 32)
-    (Int64.logand (Int64.of_int32 lo) 0xffffffffL)
+  let hi = word t in
+  let lo = word t in
+  Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
 
 let uint64 = int64
 
 let bool t =
-  match int32 t with
-  | 0l -> false
-  | 1l -> true
-  | v -> Types.fail (Types.Invalid_bool v)
+  match word t with
+  | 0 -> false
+  | 1 -> true
+  | v -> Types.fail (Types.Invalid_bool (Int32.of_int v))
 
 let float32 t = Int32.float_of_bits (int32 t)
 let float64 t = Int64.float_of_bits (int64 t)
@@ -94,6 +91,12 @@ let read_size ?max t =
 let opaque ?max t =
   let n = read_size ?max t in
   opaque_fixed t n
+
+let skip_opaque ?max t =
+  let n = read_size ?max t in
+  need t n;
+  t.pos <- t.pos + n;
+  check_padding t n
 
 (* No-copy view of a variable-length opaque: the slice aliases the
    decoder's backing string. Download paths hold the reply record alive

@@ -60,6 +60,10 @@ val opaque_fixed : t -> int -> bytes
 val opaque : ?max:int -> t -> bytes
 (** Variable-length opaque. *)
 
+val skip_opaque : ?max:int -> t -> unit
+(** Step over a variable-length opaque, checking it exactly as {!opaque}
+    does (same errors, same order) without copying it out. *)
+
 val opaque_slice : ?max:int -> t -> Iovec.slice
 (** Variable-length opaque as a no-copy view of the decoder's backing
     string — the zero-copy download path. The view stays valid for the

@@ -55,32 +55,23 @@ let reset t =
   t.parts <- [];
   t.parts_len <- 0
 
-(* Splice the contents of [src] onto [t] without flattening: [src]'s slices
-   are shared, only its pending small-field bytes are copied. [src] may be
-   reset and reused afterwards — the flushed strings are immutable and the
-   payload slices point at the original payloads, not at [src]. *)
-let append t src =
-  match (src.parts, Buffer.length src.buf) with
-  | [], 0 -> ()
-  | [], _ -> Buffer.add_buffer t.buf src.buf
-  | _ ->
-      flush t;
-      List.iter (fun s -> add_slice t s) (List.rev src.parts);
-      Buffer.add_buffer t.buf src.buf
-
 let int32 t v = Buffer.add_int32_be t.buf v
 let uint32 = int32
+
+(* The low 32 bits of [v], big-endian: [int] and [uint] convert here, next
+   to the buffer write, so no [int32] is boxed on the way. *)
+let word t v = Buffer.add_int32_be t.buf (Int32.of_int v)
 
 let int t v =
   if v > 0x7fffffff || v < -0x80000000 then
     Types.fail (Types.Size_exceeded { limit = 0x7fffffff; requested = v });
-  int32 t (Int32.of_int v)
+  word t v
 
 let uint t v =
   if v < 0 then Types.fail (Types.Negative_size v);
   if v > 0xffffffff then
     Types.fail (Types.Size_exceeded { limit = 0xffffffff; requested = v });
-  int32 t (Int32.of_int v)
+  word t v
 
 let int64 t v = Buffer.add_int64_be t.buf v
 let uint64 = int64

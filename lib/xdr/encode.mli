@@ -42,11 +42,6 @@ val to_iovec : t -> Iovec.t
     accumulated fields are sealed into immutable strings, so the result
     remains valid if the encoder is later reused. *)
 
-val append : t -> t -> unit
-(** [append t src] splices [src]'s contents onto [t] without flattening:
-    [src]'s slices are shared and only its pending small-field bytes are
-    copied. [src] is unchanged and may be reused. *)
-
 val reset : t -> unit
 (** Clear the encoder for reuse. *)
 

@@ -43,7 +43,7 @@ let concat t =
       blit_to_bytes t b 0;
       Bytes.unsafe_to_string b
 
-let slice_to_bytes s = Bytes.of_string (String.sub s.base s.off s.len)
+let slice_to_bytes s = Bytes.sub (Bytes.unsafe_of_string s.base) s.off s.len
 let slice_to_string s = String.sub s.base s.off s.len
 
 (* Split [t] into a prefix of exactly [n] bytes and the remainder, sharing

@@ -761,6 +761,41 @@ let test_launch_pointers_outside_memory () =
   check (Alcotest.float 0.0) "valid launch still computes" 3.0
     (Int32.float_of_bits (Bytes.get_int32_le back (4 * (n - 1))))
 
+(* The loopback dispatches only complete records: a record cut short
+   waits for its tail, and an oversized header claim is refused before
+   anything is copied. *)
+let test_local_partial_records () =
+  let dispatched = ref [] in
+  let tr =
+    Cricket.Local.transport_of_dispatch (fun record ->
+        dispatched := record :: !dispatched;
+        "reply:" ^ record)
+  in
+  let buf = Bytes.create 64 in
+  let wire = Oncrpc.Record.to_wire ~fragment_size:4 "0123456789" in
+  Oncrpc.Transport.send_string tr (String.sub wire 0 2);
+  check Alcotest.int "2-byte tail: no reply" 0 (tr.Oncrpc.Transport.recv buf 0 64);
+  Oncrpc.Transport.send_string tr (String.sub wire 2 9);
+  check Alcotest.int "first fragment only: no reply" 0
+    (tr.Oncrpc.Transport.recv buf 0 64);
+  check Alcotest.int "nothing dispatched" 0 (List.length !dispatched);
+  Oncrpc.Transport.send_string tr (String.sub wire 11 (String.length wire - 11));
+  Oncrpc.Record.write tr "next";
+  check Alcotest.string "reply" "reply:0123456789" (Oncrpc.Record.read tr);
+  check Alcotest.string "and the record behind it" "reply:next"
+    (Oncrpc.Record.read tr);
+  check (Alcotest.list Alcotest.string) "dispatched whole, in order"
+    [ "0123456789"; "next" ] (List.rev !dispatched);
+  dispatched := [];
+  Oncrpc.Transport.send_string tr "\xff\xff\xff\xff";
+  (match tr.Oncrpc.Transport.recv buf 0 64 with
+  | _ -> Alcotest.fail "expected Oversized"
+  | exception Oncrpc.Record.Oversized { claimed; _ } ->
+      check Alcotest.int "claimed" 0x7fffffff claimed);
+  check Alcotest.int "oversized not dispatched" 0 (List.length !dispatched);
+  Oncrpc.Record.write tr "again";
+  check Alcotest.string "after the refusal" "reply:again" (Oncrpc.Record.read tr)
+
 let suite =
   [
     Alcotest.test_case "device forwarding" `Quick test_device_forwarding;
@@ -800,4 +835,6 @@ let suite =
   @ [
       Alcotest.test_case "launch pointers outside device memory" `Quick
         test_launch_pointers_outside_memory;
+      Alcotest.test_case "loopback partial and oversized records" `Quick
+        test_local_partial_records;
     ]

@@ -154,6 +154,90 @@ let prop_writev_roundtrip_via_read =
       Oncrpc.Record.writev ~fragment_size a (Xdr.Iovec.of_string msg);
       Oncrpc.Record.read b = msg)
 
+let prop_add_wire_identity =
+  QCheck.Test.make ~count:200 ~name:"add_wire appends to_wire"
+    QCheck.(
+      triple (string_of_size (Gen.int_range 0 3000)) (int_range 1 997)
+        (string_of_size (Gen.int_range 0 8)))
+    (fun (msg, fragment_size, prefix) ->
+      let b = Buffer.create 16 in
+      Buffer.add_string b prefix;
+      Oncrpc.Record.add_wire ~fragment_size b msg;
+      Buffer.contents b = prefix ^ Oncrpc.Record.to_wire ~fragment_size msg)
+
+(* Walking a stream of records in place, from a string or a buffer, finds
+   the messages [to_wire] framed; cut anywhere, the stream yields the
+   records before the cut and stops where the cut one starts. *)
+let prop_walk_records =
+  QCheck.Test.make ~count:200 ~name:"record walk finds what to_wire framed"
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 0 5) (string_of_size (Gen.int_range 0 40)))
+        (int_range 1 13))
+    (fun (msgs, fragment_size) ->
+      let wires = List.map (Oncrpc.Record.to_wire ~fragment_size) msgs in
+      let stream = String.concat "" wires in
+      let starts =
+        List.rev
+          (snd
+             (List.fold_left
+                (fun (off, acc) w -> (off + String.length w, off :: acc))
+                (0, []) wires))
+      in
+      let walk src =
+        let rec loop pos acc =
+          match Oncrpc.Record.record_end src pos with
+          | -1 -> (List.rev acc, pos)
+          | stop -> loop stop (Oncrpc.Record.payload src pos ~stop :: acc)
+        in
+        loop 0 []
+      in
+      let sources s =
+        let b = Buffer.create 4 in
+        Buffer.add_string b s;
+        [ Oncrpc.Record.Of_string s; Oncrpc.Record.Of_buffer b ]
+      in
+      List.for_all (fun src -> walk src = (msgs, String.length stream))
+        (sources stream)
+      && List.for_all
+           (fun cut ->
+             let complete =
+               List.filteri
+                 (fun i _ ->
+                   List.nth starts i + String.length (List.nth wires i) <= cut)
+                 msgs
+             in
+             let resume =
+               List.fold_left
+                 (fun r (s, w) -> if s + String.length w <= cut then s + String.length w else r)
+                 0 (List.combine starts wires)
+             in
+             List.for_all
+               (fun src -> walk src = (complete, resume))
+               (sources (String.sub stream 0 cut)))
+           (List.init (String.length stream) Fun.id))
+
+let test_walk_oversized () =
+  (* each header's claim is checked when it is reached, before the rest
+     of the record is in *)
+  let claim hdr =
+    match
+      Oncrpc.Record.record_end ~max_record_size:64 (Oncrpc.Record.Of_string hdr) 0
+    with
+    | _ -> Alcotest.fail "expected Oversized"
+    | exception Oncrpc.Record.Oversized { claimed; limit } -> (claimed, limit)
+  in
+  check Alcotest.(pair int int) "one header" (65, 64)
+    (claim (Oncrpc.Record.encode_header ~last:true 65));
+  check Alcotest.(pair int int) "accumulated" (70, 64)
+    (claim
+       (Oncrpc.Record.encode_header ~last:false 40 ^ String.make 40 'x'
+       ^ Oncrpc.Record.encode_header ~last:true 30));
+  check Alcotest.int "protocol maximum" (-1)
+    (Oncrpc.Record.record_end
+       (Oncrpc.Record.Of_string (Oncrpc.Record.encode_header ~last:true 64 ^ "abc"))
+       0)
+
 let test_writev_zero_copy_tx () =
   (* A large payload encoded as RPC arguments must reach the transport as
      a view of the caller's buffer: exactly one gather call, and one of
@@ -765,6 +849,192 @@ let test_portmap_rpc () =
   in
   check Alcotest.int "remote getport" 1234 port
 
+(* --- per-call fast paths against the general codecs --- *)
+
+let test_fast_headers () =
+  let bytes f =
+    let e = E.create () in
+    f e;
+    E.to_string e
+  in
+  List.iter
+    (fun (xid, cred) ->
+      check Alcotest.string "call header"
+        (bytes (fun e ->
+             Oncrpc.Message.encode e
+               (Oncrpc.Message.call ~cred ~xid:(Int32.of_int xid) ~prog:0x20000001
+                  ~vers:1 ~proc:34 ())))
+        (bytes (fun e ->
+             Oncrpc.Message.encode_call_header e ~xid ~prog:0x20000001 ~vers:1
+               ~proc:34 ~cred));
+      let call =
+        bytes (fun e ->
+            Oncrpc.Message.encode_call_header ~verf:cred e ~xid ~prog:0x20000001
+              ~vers:1 ~proc:34 ~cred;
+            E.int e 7)
+      in
+      let decoded = Oncrpc.Message.decode (D.of_string call) in
+      check Alcotest.bool "verifier written" true
+        (decoded
+        = Oncrpc.Message.call ~cred ~verf:cred ~xid:(Int32.of_int xid)
+            ~prog:0x20000001 ~vers:1 ~proc:34 ());
+      List.iter
+        (fun auth ->
+          let dec = D.of_string call in
+          let xid', c = Oncrpc.Message.decode_call ~auth dec in
+          check Alcotest.int "call xid" xid xid';
+          check Alcotest.bool "call fields" true
+            (if auth then Oncrpc.Message.Call c = decoded.Oncrpc.Message.body
+             else
+               c
+               = { Oncrpc.Message.prog = 0x20000001; vers = 1; proc = 34;
+                   cred = Oncrpc.Auth.none; verf = Oncrpc.Auth.none });
+          check Alcotest.int "at the arguments" 7 (D.int dec))
+        [ true; false ];
+      let success =
+        bytes (fun e ->
+            Oncrpc.Message.encode e
+              (Oncrpc.Message.reply_success ~xid:(Int32.of_int xid) ()))
+      in
+      check Alcotest.string "success header" success
+        (bytes (fun e -> Oncrpc.Message.encode_success_header e ~xid));
+      check Alcotest.int "success header length"
+        Oncrpc.Message.success_header_length (String.length success);
+      check Alcotest.bool "recognised" true
+        (Oncrpc.Message.is_success_reply (success ^ "results") ~xid);
+      check Alcotest.bool "other xid" false
+        (Oncrpc.Message.is_success_reply success ~xid:((xid + 1) land 0xffffffff)))
+    [
+      (0, Oncrpc.Auth.none);
+      (1, Oncrpc.Auth.none);
+      (0x7fffffff, Oncrpc.Auth.none);
+      (0x80000000, Oncrpc.Auth.none);
+      (0xffffffff, Oncrpc.Auth.none);
+      ( 42,
+        Oncrpc.Auth.sys
+          { Oncrpc.Auth.stamp = 7l; machinename = "node"; uid = 1; gid = 2; gids = [ 3 ] }
+      );
+    ];
+  (* every other reply header needs the full decoder *)
+  List.iter
+    (fun msg ->
+      let s = bytes (fun e -> Oncrpc.Message.encode e msg) in
+      check Alcotest.bool "not a bare success" false
+        (Oncrpc.Message.is_success_reply (s ^ "\000\000\000\000") ~xid:5))
+    [
+      Oncrpc.Message.reply_error ~xid:5l Oncrpc.Message.Garbage_args;
+      Oncrpc.Message.reply_denied ~xid:5l
+        (Oncrpc.Message.Auth_error Oncrpc.Message.Auth_tooweak);
+      (* a verifier body of zeros: only its length tells it apart *)
+      Oncrpc.Message.reply_success ~verf:(Oncrpc.Auth.sys
+          { Oncrpc.Auth.stamp = 0l; machinename = ""; uid = 0; gid = 0; gids = [] })
+        ~xid:5l ();
+      Oncrpc.Message.call ~xid:5l ~prog:1 ~vers:1 ~proc:1 ();
+    ];
+  check Alcotest.bool "truncated" false
+    (Oncrpc.Message.is_success_reply "\000\000\000\005\000\000\000\001" ~xid:5);
+  (* a server's reader refuses anything but a CALL, and fails where the
+     full decoder fails *)
+  (match
+     Oncrpc.Message.decode_call ~auth:false
+       (D.of_string (bytes (fun e ->
+            Oncrpc.Message.encode e (Oncrpc.Message.reply_success ~xid:5l ()))))
+   with
+  | _ -> Alcotest.fail "expected Not_a_call"
+  | exception Oncrpc.Message.Not_a_call -> ());
+  List.iter
+    (fun s ->
+      let error f =
+        match f (D.of_string s) with
+        | _ -> "accepted"
+        | exception Xdr.Types.Error e -> Xdr.Types.error_to_string e
+      in
+      List.iter
+        (fun auth ->
+          check Alcotest.string "same error"
+            (error (fun d -> ignore (Oncrpc.Message.decode d)))
+            (error (fun d -> ignore (Oncrpc.Message.decode_call ~auth d))))
+        [ true; false ])
+    [
+      "\000\001";
+      "\000\000\000\005\000\000\000\000\000\000\000\003";
+      (* a credential body past the 400-byte limit *)
+      "\000\000\000\005\000\000\000\000\000\000\000\002\000\000\000\001\000\000\000\001\000\000\000\001\000\000\000\001\000\000\001\200";
+    ]
+
+(* The old at-most-once cache, kept as the reference the ring must match:
+   a Hashtbl from key to reply plus a Queue of keys in insertion order. *)
+module Ref_cache = struct
+  type key = string * int * int * int * int
+
+  type t = {
+    capacity : int;
+    entries : (key, string option) Hashtbl.t;
+    order : key Queue.t;
+    mutable hits : int;
+  }
+
+  let create capacity =
+    { capacity; entries = Hashtbl.create capacity; order = Queue.create (); hits = 0 }
+
+  let lookup c key =
+    let hit = Hashtbl.find_opt c.entries key in
+    (match hit with Some _ -> c.hits <- c.hits + 1 | None -> ());
+    hit
+
+  let store c key reply =
+    if Queue.length c.order >= c.capacity then
+      Hashtbl.remove c.entries (Queue.pop c.order);
+    Queue.push key c.order;
+    Hashtbl.replace c.entries key reply
+
+  let entries c =
+    List.map (fun k -> (k, Hashtbl.find c.entries k)) (List.of_seq (Queue.to_seq c.order))
+end
+
+(* Random traffic against both caches: an op with [call] set does what
+   dispatch does (look the key up, run and store on a miss); without it the
+   op is a retransmission, which only looks up. Several idents reuse the
+   same small xid space, and a [None] reply is a one-way call, which the
+   ring records as [""]. *)
+let prop_dup_cache_matches_reference =
+  let op =
+    QCheck.Gen.(tup5 bool (int_range 0 2) (int_range 0 9) (int_range 0 2) (int_range 0 4))
+  in
+  QCheck.Test.make ~count:500 ~name:"dup cache ring matches Hashtbl + Queue"
+    QCheck.(
+      make
+        ~print:(fun (cap, ops) ->
+          Printf.sprintf "capacity %d, %d ops" cap (List.length ops))
+        Gen.(pair (int_range 1 8) (list_size (int_range 0 200) op)))
+    (fun (capacity, ops) ->
+      let ring = Oncrpc.Dup_cache.create ~capacity in
+      let reference = Ref_cache.create capacity in
+      let idents = [| ""; "tenant-a"; "tenant-b" |] in
+      let to_ring = Option.value ~default:"" in
+      List.iteri
+        (fun i (call, ident, xid, proc, oneway) ->
+          let ident = idents.(ident) and prog = 0x20000001 + (xid mod 2) and vers = 1 in
+          let key = (ident, xid, prog, vers, proc) in
+          let expected = Ref_cache.lookup reference key in
+          let got = Oncrpc.Dup_cache.lookup ring ~ident ~xid ~prog ~vers ~proc in
+          if got <> Option.map to_ring expected then
+            QCheck.Test.fail_reportf "op %d: lookup differs" i;
+          (if call && expected = None then
+             let reply =
+               if oneway = 0 then None else Some (Printf.sprintf "reply-%d" i)
+             in
+             Ref_cache.store reference key reply;
+             Oncrpc.Dup_cache.store ring ~ident ~xid ~prog ~vers ~proc (to_ring reply));
+          if Oncrpc.Dup_cache.hits ring <> reference.Ref_cache.hits then
+            QCheck.Test.fail_reportf "op %d: hits differ" i;
+          if
+            Oncrpc.Dup_cache.entries ring
+            <> List.map (fun (k, r) -> (k, to_ring r)) (Ref_cache.entries reference)
+          then QCheck.Test.fail_reportf "op %d: eviction order differs" i)
+        ops;
+      true)
+
 let suite =
   [
     Alcotest.test_case "fragment header roundtrip" `Quick test_header_roundtrip;
@@ -819,3 +1089,9 @@ let suite =
         prop_record_roundtrip; prop_writev_wire_identity;
         prop_writev_roundtrip_via_read;
       ]
+  @ [ Alcotest.test_case "fast headers match the codecs" `Quick test_fast_headers ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_add_wire_identity; prop_dup_cache_matches_reference;
+        prop_walk_records ]
+  @ [ Alcotest.test_case "record walk refuses oversized claims" `Quick
+        test_walk_oversized ]

@@ -123,6 +123,29 @@ let test_gpu_cross_stream_event () =
         (Time.compare c.Gpusim.Stream.start f1)
   | cs -> Alcotest.failf "expected wait+memset, got %d" (List.length cs)
 
+(* An unsynchronised launch stream keeps only the commands still running:
+   each launch retires the ones that finished before it, instead of the
+   queue growing by one command per launch until a sync. *)
+let test_unsynced_stream_bounded () =
+  let g = Gpusim.Gpu.create ~memory_capacity:(1 lsl 20) Gpusim.Device.a100 in
+  let k = Option.get (Gpusim.Kernels.find Gpusim.Kernels.fill_name) in
+  let p = Gpusim.Memory.alloc (Gpusim.Gpu.memory g) 4096 in
+  let launch =
+    {
+      Gpusim.Kernels.grid = { Gpusim.Kernels.x = 1; y = 1; z = 1 };
+      block = { Gpusim.Kernels.x = 256; y = 1; z = 1 };
+      shared_mem = 0;
+      args = [| Gpusim.Kernels.Ptr p; Gpusim.Kernels.F32 1.0; Gpusim.Kernels.I32 1024l |];
+    }
+  in
+  let now = ref Time.zero and deepest = ref 0 in
+  for _ = 1 to 100_000 do
+    (* the host issues the next launch once the previous one is done *)
+    now := Gpusim.Gpu.launch g ~now:!now k launch;
+    deepest := max !deepest (Gpusim.Gpu.stream_pending g Gpusim.Gpu.default_stream)
+  done;
+  check Alcotest.int "deepest queue" 1 !deepest
+
 (* --- oncrpc: one-way calls --- *)
 
 let make_sum_server () =
@@ -443,4 +466,6 @@ let suite =
       test_stream_events_cross_stream;
     Alcotest.test_case "pipeline depth speedup (acceptance)" `Quick
       test_pipeline_depth_speedup;
+    Alcotest.test_case "unsynced launch stream stays bounded" `Quick
+      test_unsynced_stream_bounded;
   ]

@@ -81,6 +81,115 @@ let test_simchannel_charges_time () =
     (stats.Unikernel.Simchannel.bytes_to_server > 0
     && stats.Unikernel.Simchannel.bytes_from_server > 0)
 
+(* A record the client has not finished writing is not dispatched: the
+   channel waits for the rest, so the waiting client sees its
+   retransmission timeout; the rest arriving completes the record. A
+   header claiming more than a record may hold is refused, typed, before
+   anything is allocated for it. *)
+let test_simchannel_partial_records () =
+  let engine = Simnet.Engine.create () in
+  let dispatched = ref [] in
+  let channel =
+    Unikernel.Simchannel.create ~engine
+      ~client:Unikernel.Config.hermit.Unikernel.Config.profile
+      ~dispatch:(fun record ->
+        dispatched := record :: !dispatched;
+        "reply:" ^ record)
+      ()
+  in
+  let tr = Unikernel.Simchannel.transport channel in
+  let buf = Bytes.create 64 in
+  let expect_timeout what =
+    match tr.Oncrpc.Transport.recv buf 0 64 with
+    | n -> Alcotest.failf "%s: read %d bytes, expected a timeout" what n
+    | exception Oncrpc.Transport.Timeout -> ()
+  in
+  let wire = Oncrpc.Record.to_wire "0123456789" in
+  (* a 2-byte tail: not even a whole header *)
+  Oncrpc.Transport.send_string tr (String.sub wire 0 2);
+  expect_timeout "2-byte tail";
+  (* a header and a short body *)
+  Oncrpc.Transport.send_string tr (String.sub wire 2 5);
+  expect_timeout "short body";
+  check Alcotest.int "nothing dispatched" 0 (List.length !dispatched);
+  (* the rest of the record arrives: dispatched once, answered *)
+  Oncrpc.Transport.send_string tr (String.sub wire 7 (String.length wire - 7));
+  let reply = Oncrpc.Record.read tr in
+  check (Alcotest.list Alcotest.string) "dispatched whole" [ "0123456789" ]
+    !dispatched;
+  check Alcotest.string "reply" "reply:0123456789" reply;
+  let s = Unikernel.Simchannel.stats channel in
+  check Alcotest.int "timeouts" 2 s.Unikernel.Simchannel.timeouts;
+  check Alcotest.int "request bytes counted once" (String.length wire)
+    s.Unikernel.Simchannel.bytes_to_server;
+  (* an oversized claim *)
+  dispatched := [];
+  Oncrpc.Transport.send_string tr "\xff\xff\xff\xff";
+  (match tr.Oncrpc.Transport.recv buf 0 64 with
+  | _ -> Alcotest.fail "expected Oversized"
+  | exception Oncrpc.Record.Oversized { claimed; _ } ->
+      check Alcotest.int "claimed" 0x7fffffff claimed);
+  check Alcotest.int "oversized not dispatched" 0 (List.length !dispatched);
+  (* the broken stream was dropped; the next record goes through *)
+  Oncrpc.Record.write tr "next";
+  check Alcotest.string "after the refusal" "reply:next" (Oncrpc.Record.read tr)
+
+(* Figure 6 calls over the cost-model channel allocate a fixed number of
+   words each, however many are made: the at-most-once cache, the reply
+   encoder, the record walk and the stream queue all stay flat. The bounds
+   leave room over today's figures (150 words for cudaGetDeviceCount, 383
+   for a cudaMalloc + cudaFree pair, 343 for a launch) and sit well under
+   what this path used to cost (770, 1634 and 1032). *)
+let test_small_call_allocation () =
+  let cfg = Unikernel.Config.hermit in
+  let engine = Simnet.Engine.create () in
+  let server =
+    Cricket.Server.create ~clock:(Cudasim.Context.engine_clock engine) ()
+  in
+  Cudasim.Context.set_functional (Cricket.Server.context server) false;
+  let channel =
+    Unikernel.Simchannel.create ~engine ~client:cfg.Unikernel.Config.profile
+      ~dispatch:(Cricket.Server.dispatch server) ()
+  in
+  let client =
+    Cricket.Client.create ~launch_extra_ns:cfg.Unikernel.Config.launch_extra_ns
+      ~charge:(fun ns -> Simnet.Engine.advance engine (Time.ns ns))
+      ~transport:(Unikernel.Simchannel.transport channel) ()
+  in
+  let kbuf = Cricket.Client.malloc client 4096 in
+  let modul = Apps.Workload.load_standard_module client in
+  let fill = Apps.Workload.get_kernel client ~modul Gpusim.Kernels.fill_name in
+  let args =
+    [| Gpusim.Kernels.Ptr (Int64.to_int kbuf); Gpusim.Kernels.F32 1.0;
+       Gpusim.Kernels.I32 1024l |]
+  in
+  let dim = { Cricket.Client.x = 1; y = 1; z = 1 } in
+  let block = { Cricket.Client.x = 256; y = 1; z = 1 } in
+  let words_per_call n op =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      op ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  List.iter
+    (fun (name, bound, op) ->
+      (* past the dup cache's 4096 entries, so the ring has wrapped *)
+      ignore (words_per_call 5_000 op);
+      let small = words_per_call 1_000 op in
+      let large = words_per_call 10_000 op in
+      check (Alcotest.float 0.0) (name ^ ": same words per call") small large;
+      if large > bound then
+        Alcotest.failf "%s: %.2f words per call, bound %.0f" name large bound)
+    [
+      ( "cudaGetDeviceCount", 300.,
+        fun () -> ignore (Cricket.Client.get_device_count client) );
+      ( "cudaMalloc + cudaFree", 800.,
+        fun () -> Cricket.Client.free client (Cricket.Client.malloc client 1_048_576) );
+      ( "cuLaunchKernel", 700.,
+        fun () -> Cricket.Client.launch client fill ~grid:dim ~block args );
+    ]
+
 let test_runner_measures () =
   let m =
     Unikernel.Runner.run Unikernel.Config.rust_native (fun env ->
@@ -398,4 +507,8 @@ let suite =
       test_apps_verify_everywhere;
     Alcotest.test_case "call counts match paper profile" `Slow
       test_app_call_counts_match_paper;
+    Alcotest.test_case "simchannel partial and oversized records" `Quick
+      test_simchannel_partial_records;
+    Alcotest.test_case "small-call allocation is per-call constant" `Quick
+      test_small_call_allocation;
   ]

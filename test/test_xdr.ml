@@ -231,27 +231,6 @@ let test_encode_small_opaque_copied () =
   | [ _ ] -> ()
   | iov -> Alcotest.failf "expected 1 slice, got %d" (List.length iov)
 
-let test_encoder_append_splices_slices () =
-  let payload = Bytes.make (2 * E.zero_copy_threshold) 'w' in
-  let child = E.create () in
-  E.int child 3;
-  E.opaque child payload;
-  let parent = E.create () in
-  E.int parent 99;
-  E.append parent child;
-  E.int parent 100;
-  let iov = E.to_iovec parent in
-  check Alcotest.bool "child's payload slice survives the splice" true
-    (List.exists
-       (fun s -> s.Xdr.Iovec.base == Bytes.unsafe_to_string payload)
-       iov);
-  let dec = D.of_string (Xdr.Iovec.concat iov) in
-  check Alcotest.int "head" 99 (D.int dec);
-  check Alcotest.int "child head" 3 (D.int dec);
-  check Alcotest.bool "child payload" true (D.opaque dec = payload);
-  check Alcotest.int "tail" 100 (D.int dec);
-  D.finish dec
-
 let test_decode_opaque_slice_no_copy () =
   let wire = encode (fun e -> E.string e "helloworld"; E.int e 5) in
   let dec = D.of_string wire in
@@ -336,8 +315,6 @@ let suite =
       test_encode_large_opaque_zero_copy;
     Alcotest.test_case "small opaque is folded" `Quick
       test_encode_small_opaque_copied;
-    Alcotest.test_case "encoder append splices slices" `Quick
-      test_encoder_append_splices_slices;
     Alcotest.test_case "opaque_slice is a no-copy view" `Quick
       test_decode_opaque_slice_no_copy;
   ]
