@@ -196,9 +196,10 @@ let bandwidth_cmd =
         let result = ref None in
         let (_ : Unikernel.Runner.measurement) =
           Unikernel.Runner.run ~functional:false cfg (fun env ->
-              result := Some (Apps.Bandwidth.run ~verify:false env))
+              let measure = Apps.Bandwidth.measure ~total_bytes:(mib lsl 20) in
+              let h2d = measure Apps.Bandwidth.Host_to_device env in
+              result := Some (h2d, measure Apps.Bandwidth.Device_to_host env))
         in
-        ignore mib;
         match !result with
         | Some (h2d, d2h) ->
             Printf.printf "%-9s H2D %8.1f MiB/s   D2H %8.1f MiB/s\n"
@@ -273,44 +274,6 @@ let pipeline_cmd =
              & info [ "rounds" ] ~docv:"N" ~doc:"Upload+launch rounds.")
       $ Arg.(value & opt int Apps.Pipeline.default.Apps.Pipeline.elements
              & info [ "elements" ] ~docv:"N" ~doc:"f32 elements per vector."))
-
-(* --- multitenant --- *)
-
-let multitenant_cmd =
-  let policy_conv =
-    Arg.enum
-      [ ("fifo", Cricket.Sched.Fifo); ("rr", Cricket.Sched.Round_robin);
-        ("priority", Cricket.Sched.Priority) ]
-  in
-  let run policy tenants steps =
-    let work _ =
-      List.init steps (fun _ (client : Cricket.Client.t) ->
-          let d = Cricket.Client.malloc client (1 lsl 16) in
-          Cricket.Client.memset client ~ptr:d ~value:0 ~len:(1 lsl 16);
-          Cricket.Client.free client d)
-    in
-    let specs =
-      List.init tenants (fun i ->
-          {
-            Unikernel.Multitenant.name = Printf.sprintf "uk%d" i;
-            config = Unikernel.Config.hermit;
-            priority = (if i = 0 then 5 else 1);
-            work = work i;
-          })
-    in
-    let report = Unikernel.Multitenant.run ~policy ~functional:false specs in
-    Format.printf "%a" Unikernel.Multitenant.pp_report report
-  in
-  Cmd.v
-    (Cmd.info "multitenant"
-       ~doc:"N unikernel tenants sharing one Cricket server")
-    Term.(
-      const run
-      $ Arg.(value & opt policy_conv Cricket.Sched.Round_robin
-             & info [ "policy" ] ~docv:"POLICY" ~doc:"fifo | rr | priority")
-      $ Arg.(value & opt int 4 & info [ "tenants" ] ~docv:"N")
-      $ Arg.(value & opt int 20 & info [ "steps" ] ~docv:"N"
-             ~doc:"GPU work items per tenant."))
 
 (* --- offloads --- *)
 
@@ -1441,7 +1404,7 @@ let main =
   Cmd.group
     (Cmd.info "benchctl" ~doc:"run individual paper experiments")
     [ table1_cmd; matrixmul_cmd; solver_cmd; histogram_cmd; micro_cmd;
-      bandwidth_cmd; pipeline_cmd; multitenant_cmd; tenants_cmd; trace_cmd;
+      bandwidth_cmd; pipeline_cmd; tenants_cmd; trace_cmd;
       faults_cmd; offloads_cmd; latency_cmd; migrate_cmd; rpcacc_cmd;
       fleet_cmd ]
 

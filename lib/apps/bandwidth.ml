@@ -45,21 +45,17 @@ let measure ?(total_bytes = 512 lsl 20) ?(chunk_bytes = 64 lsl 20) direction
       Float.of_int bytes /. 1048576.0 /. Simnet.Time.to_float_s elapsed;
   }
 
-let run ?(verify = true) env =
+let run env =
   let client = env.Unikernel.Runner.client in
-  if verify then begin
-    let pattern =
-      Workload.xorshift_bytes ~seed:7 (1 lsl 20)
-    in
-    let d = Cricket.Client.malloc client (Bytes.length pattern) in
-    Cricket.Client.memcpy_h2d client ~dst:d pattern;
-    let back =
-      Cricket.Client.memcpy_d2h client ~src:d ~len:(Bytes.length pattern)
-    in
-    if not (Bytes.equal pattern back) then
-      failwith "bandwidthTest: data corrupted in transit";
-    Cricket.Client.free client d
-  end;
+  let pattern = Workload.xorshift_bytes ~seed:7 (1 lsl 20) in
+  let d = Cricket.Client.malloc client (Bytes.length pattern) in
+  Cricket.Client.memcpy_h2d client ~dst:d pattern;
+  let back =
+    Cricket.Client.memcpy_d2h client ~src:d ~len:(Bytes.length pattern)
+  in
+  if not (Bytes.equal pattern back) then
+    failwith "bandwidthTest: data corrupted in transit";
+  Cricket.Client.free client d;
   let h2d = measure Host_to_device env in
   let d2h = measure Device_to_host env in
   (h2d, d2h)

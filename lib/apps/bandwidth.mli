@@ -24,6 +24,6 @@ val measure :
   result
 (** Defaults: 512 MiB total in 64 MiB chunks. *)
 
-val run : ?verify:bool -> Unikernel.Runner.env -> result * result
-(** Both directions (H2D, D2H); with [verify], round-trips a pattern and
-    checks integrity. *)
+val run : Unikernel.Runner.env -> result * result
+(** Round-trips a pattern and checks its integrity, then measures both
+    directions (H2D, D2H) at the defaults. *)

@@ -19,7 +19,7 @@ type placement = { job : job; start : Time.t; finish : Time.t }
 (* Pick the next job among [ready] (non-empty) under the policy.
    [last_served] maps client -> index of the round-robin turn in which the
    client was last picked, for least-recently-served selection. *)
-let pick policy ~last_served ~turn:_ ready =
+let pick policy ~last_served ready =
   let by_arrival a b =
     match Time.compare a.arrival b.arrival with
     | 0 -> compare a.client b.client
@@ -71,7 +71,7 @@ let schedule policy jobs =
     let ready =
       List.filter (fun j -> Time.compare j.arrival decision_time <= 0) !pending
     in
-    let chosen = pick policy ~last_served ~turn:!turn ready in
+    let chosen = pick policy ~last_served ready in
     pending := List.filter (fun j -> j != chosen) !pending;
     Hashtbl.replace last_served chosen.client !turn;
     incr turn;
@@ -129,68 +129,3 @@ let fairness placements =
       let sum = List.fold_left ( +. ) 0.0 xs in
       let sum_sq = List.fold_left (fun acc x -> acc +. (x *. x)) 0.0 xs in
       if sum_sq = 0.0 then 1.0 else sum *. sum /. (n *. sum_sq)
-
-type multi_placement = {
-  mp_job : job;
-  gpu : int;
-  mp_start : Time.t;
-  mp_finish : Time.t;
-}
-
-let schedule_multi policy ~gpus jobs =
-  if gpus < 1 then invalid_arg "Sched.schedule_multi: gpus";
-  let pending =
-    ref
-      (List.sort
-         (fun a b ->
-           match Time.compare a.arrival b.arrival with
-           | 0 -> compare a.client b.client
-           | c -> c)
-         jobs)
-  in
-  let free_at = Array.make gpus Time.zero in
-  let last_served : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let turn = ref 0 in
-  let placements = ref [] in
-  while !pending <> [] do
-    (* the next scheduling decision happens when some GPU is free; jobs
-       are picked among those that have arrived by then *)
-    let least_loaded = ref 0 in
-    Array.iteri
-      (fun i t -> if Time.compare t free_at.(!least_loaded) < 0 then least_loaded := i)
-      free_at;
-    let g = !least_loaded in
-    let first_arrival = (List.hd !pending).arrival in
-    let decision_time =
-      if Time.compare free_at.(g) first_arrival > 0 then free_at.(g)
-      else first_arrival
-    in
-    let ready =
-      List.filter (fun j -> Time.compare j.arrival decision_time <= 0) !pending
-    in
-    let chosen = pick policy ~last_served ~turn:!turn ready in
-    pending := List.filter (fun j -> j != chosen) !pending;
-    Hashtbl.replace last_served chosen.client !turn;
-    incr turn;
-    let start = decision_time in
-    let finish = Time.add start chosen.duration in
-    free_at.(g) <- finish;
-    placements := { mp_job = chosen; gpu = g; mp_start = start; mp_finish = finish } :: !placements
-  done;
-  List.rev !placements
-
-let multi_makespan placements =
-  List.fold_left
-    (fun acc p -> if Time.compare p.mp_finish acc > 0 then p.mp_finish else acc)
-    Time.zero placements
-
-let gpu_utilization placements ~gpus =
-  let busy = Array.make gpus 0.0 in
-  List.iter
-    (fun p ->
-      busy.(p.gpu) <-
-        busy.(p.gpu) +. Time.to_float_s (Time.sub p.mp_finish p.mp_start))
-    placements;
-  let horizon = Time.to_float_s (multi_makespan placements) in
-  if horizon <= 0.0 then busy
-  else Array.map (fun b -> b /. horizon) busy

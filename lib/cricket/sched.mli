@@ -44,25 +44,3 @@ val makespan : placement list -> Time.t
 val fairness : placement list -> float
 (** Jain's fairness index over per-client busy GPU time (1.0 = perfectly
     fair). *)
-
-(** {1 Multi-GPU scheduling}
-
-    The evaluation node has four GPUs (A100 + 2×T4 + P40) and the paper's
-    Figure 2 envisions every application reaching every GPU. These
-    functions place jobs across a pool of identical queues with
-    least-loaded assignment under the same policies. *)
-
-type multi_placement = {
-  mp_job : job;
-  gpu : int;  (** 0-based index into the pool *)
-  mp_start : Time.t;
-  mp_finish : Time.t;
-}
-
-val schedule_multi : policy -> gpus:int -> job list -> multi_placement list
-(** Raises [Invalid_argument] when [gpus < 1]. *)
-
-val multi_makespan : multi_placement list -> Time.t
-
-val gpu_utilization : multi_placement list -> gpus:int -> float array
-(** Busy fraction of each GPU over the makespan. *)

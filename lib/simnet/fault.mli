@@ -5,9 +5,8 @@
     corrupt individual records, black-hole traffic during virtual-time
     partition windows, and crash (then restart) the server after a given
     number of records. {!Unikernel.Simchannel} consumes plans at RPC
-    record granularity, {!Tcpstack.Medium} at TCP segment granularity and
-    {!Oncrpc.Udp} at datagram granularity, so one plan exercises the same
-    scenario at any layer of the stack.
+    record granularity and {!Tcpstack.Medium} at TCP segment granularity,
+    so one plan exercises the same scenario at either layer of the stack.
 
     Determinism: random-rate rules draw from a PRNG seeded by the plan, and
     all windows are in virtual time, so a (plan, workload) pair produces a

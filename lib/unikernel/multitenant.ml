@@ -23,14 +23,11 @@ type report = {
   makespan : Simnet.Time.t;
 }
 
-let run ?(policy = Cricket.Sched.Round_robin) ?devices ?memory_capacity
-    ?(functional = true) specs =
+let run ?(policy = Cricket.Sched.Round_robin) ?(functional = true) specs =
   if specs = [] then invalid_arg "Multitenant.run: no tenants";
   let engine = Engine.create () in
   let server =
-    Cricket.Server.create ?devices ?memory_capacity
-      ~clock:(Cudasim.Context.engine_clock engine)
-      ()
+    Cricket.Server.create ~clock:(Cudasim.Context.engine_clock engine) ()
   in
   Cudasim.Context.set_functional (Cricket.Server.context server) functional;
   let specs_a = Array.of_list specs in

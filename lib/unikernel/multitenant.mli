@@ -51,8 +51,6 @@ type report = {
 
 val run :
   ?policy:Cricket.Sched.policy ->
-  ?devices:Gpusim.Device.t list ->
-  ?memory_capacity:int ->
   ?functional:bool ->
   tenant_spec list ->
   report

@@ -26,8 +26,6 @@ type env = {
 }
 
 val run :
-  ?devices:Gpusim.Device.t list ->
-  ?memory_capacity:int ->
   ?functional:bool ->
   ?obs:Obs.Recorder.t ->
   Config.t ->
@@ -44,11 +42,7 @@ val run :
     recorded and the run costs one branch per would-be event. *)
 
 val run_tcp :
-  ?devices:Gpusim.Device.t list ->
-  ?memory_capacity:int ->
   ?functional:bool ->
-  ?fault:Simnet.Fault.t ->
-  ?device:Simnet.Offload.t ->
   ?obs:Obs.Recorder.t ->
   Config.t ->
   (env -> unit) ->
@@ -57,9 +51,7 @@ val run_tcp :
     ({!Tcpchannel}: endpoints + virtio-style netdev with the
     configuration's negotiated offloads) instead of the
     {!Simnet.Netcost} closed form. Returns the channel too, for netdev /
-    endpoint statistics. A [fault] plan applies per TCP segment; the
-    stack heals losses by retransmission rather than surfacing
-    timeouts. *)
+    endpoint statistics. *)
 
 (** {1 Fault-injected runs} *)
 
@@ -77,19 +69,15 @@ type fault_report = {
 }
 
 val run_with_faults :
-  ?devices:Gpusim.Device.t list ->
-  ?memory_capacity:int ->
   ?functional:bool ->
-  ?retry:Oncrpc.Client.retry_policy ->
   ?checkpoint_every:int ->
-  ?obs:Obs.Recorder.t ->
   plan:Simnet.Fault.plan ->
   Config.t ->
   (env -> unit) ->
   fault_report
 (** Like {!run}, but the channel runs under the fault plan and the full
     recovery stack is armed: client-side retries with virtual-time backoff
-    ([retry], default {!Oncrpc.Client.default_retry}), the server's
+    ({!Oncrpc.Client.default_retry}), the server's
     at-most-once duplicate-request cache, session checkpoint/journal/replay
     recovery ([checkpoint_every], default 64), and automatic server respawn
     when a scheduled crash fires. Fully deterministic for a fixed (plan,

@@ -65,7 +65,7 @@ let test_bandwidth_verify_roundtrip () =
   ignore
     (Unikernel.Runner.run ~functional:true Unikernel.Config.rust_native
        (fun env ->
-         let h2d, d2h = Apps.Bandwidth.run ~verify:true env in
+         let h2d, d2h = Apps.Bandwidth.run env in
          check Alcotest.bool "h2d positive" true (h2d.Apps.Bandwidth.mib_per_s > 0.0);
          check Alcotest.bool "d2h positive" true (d2h.Apps.Bandwidth.mib_per_s > 0.0)))
 

@@ -570,60 +570,6 @@ let test_sched_idle_gap () =
         b.Cricket.Sched.start
   | _ -> Alcotest.fail "expected two placements"
 
-let test_sched_multi_gpu () =
-  (* 8 equal jobs, all at t=0: 4 GPUs should quarter the makespan *)
-  let jobs = List.init 8 (fun i -> job (Printf.sprintf "c%d" i) 0 100 0) in
-  let one = Cricket.Sched.schedule Cricket.Sched.Fifo jobs in
-  let four = Cricket.Sched.schedule_multi Cricket.Sched.Fifo ~gpus:4 jobs in
-  check Alcotest.int64 "1 gpu makespan" (Time.us 800)
-    (Cricket.Sched.makespan one);
-  check Alcotest.int64 "4 gpu makespan" (Time.us 200)
-    (Cricket.Sched.multi_makespan four);
-  (* every job placed exactly once on a valid GPU *)
-  check Alcotest.int "all placed" 8 (List.length four);
-  List.iter
-    (fun p ->
-      check Alcotest.bool "valid gpu" true
-        (p.Cricket.Sched.gpu >= 0 && p.Cricket.Sched.gpu < 4))
-    four;
-  (* utilization is balanced for uniform work *)
-  let util = Cricket.Sched.gpu_utilization four ~gpus:4 in
-  Array.iter
-    (fun u -> check Alcotest.bool "fully utilized" true (u > 0.99))
-    util;
-  match Cricket.Sched.schedule_multi Cricket.Sched.Fifo ~gpus:0 jobs with
-  | _ -> Alcotest.fail "gpus=0 must raise"
-  | exception Invalid_argument _ -> ()
-
-let test_sched_multi_no_overlap_per_gpu () =
-  let jobs =
-    List.init 20 (fun i -> job (Printf.sprintf "c%d" (i mod 5)) (i * 30) (50 + (i mod 3 * 20)) 0)
-  in
-  let placements = Cricket.Sched.schedule_multi Cricket.Sched.Round_robin ~gpus:3 jobs in
-  (* per-GPU serialization *)
-  for g = 0 to 2 do
-    let on_g =
-      List.filter (fun p -> p.Cricket.Sched.gpu = g) placements
-      |> List.sort (fun a b -> Time.compare a.Cricket.Sched.mp_start b.Cricket.Sched.mp_start)
-    in
-    let rec no_overlap = function
-      | a :: (b :: _ as rest) ->
-          Time.compare a.Cricket.Sched.mp_finish b.Cricket.Sched.mp_start <= 0
-          && no_overlap rest
-      | _ -> true
-    in
-    check Alcotest.bool (Printf.sprintf "gpu %d serialized" g) true
-      (no_overlap on_g)
-  done;
-  (* no job starts before its arrival *)
-  List.iter
-    (fun p ->
-      check Alcotest.bool "respects arrival" true
-        (Time.compare p.Cricket.Sched.mp_start
-           p.Cricket.Sched.mp_job.Cricket.Sched.arrival
-        >= 0))
-    placements
-
 let prop_sched_conservation =
   QCheck.Test.make ~count:100 ~name:"scheduler conserves work"
     QCheck.(list_of_size (Gen.int_range 1 20)
@@ -823,9 +769,6 @@ let suite =
     Alcotest.test_case "scheduler round-robin fairness" `Quick
       test_sched_round_robin_fairness;
     Alcotest.test_case "scheduler idle gaps" `Quick test_sched_idle_gap;
-    Alcotest.test_case "multi-GPU scheduling" `Quick test_sched_multi_gpu;
-    Alcotest.test_case "multi-GPU per-queue serialization" `Quick
-      test_sched_multi_no_overlap_per_gpu;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

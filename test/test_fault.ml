@@ -237,57 +237,12 @@ let test_session_lost_is_sticky () =
     !saw_sticky;
   check Alcotest.int "both crashes fired" 2 report.Unikernel.Runner.crashes
 
-(* --- UDP: retransmissions reuse the xid; late duplicates are skipped --- *)
+(* --- retransmissions reuse the xid; late duplicates are skipped --- *)
 
-let test_udp_retransmit_reuses_xid () =
-  (* a bare socket plays server: swallow the first datagram, answer the
-     retransmission, and assert both transmissions are byte-identical —
-     same xid, so the server-side dup cache would recognise them *)
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  let port =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> assert false
-  in
-  let server = Oncrpc.Server.create () in
-  Oncrpc.Server.register server ~prog:300000 ~vers:1
-    [ (1, fun dec enc -> E.int enc (D.int dec + 1)) ];
-  let first = ref Bytes.empty in
-  let second = ref Bytes.empty in
-  let responder =
-    Thread.create
-      (fun () ->
-        let buf = Bytes.create 65536 in
-        let n1, _ = Unix.recvfrom fd buf 0 65536 [] in
-        first := Bytes.sub buf 0 n1;
-        (* drop it: no reply, the client must retransmit *)
-        let n2, peer = Unix.recvfrom fd buf 0 65536 [] in
-        second := Bytes.sub buf 0 n2;
-        let reply = Oncrpc.Server.dispatch server (Bytes.sub_string buf 0 n2) in
-        ignore
-          (Unix.sendto fd
-             (Bytes.unsafe_of_string reply)
-             0 (String.length reply) [] peer))
-      ()
-  in
-  let client =
-    Oncrpc.Udp.connect ~timeout_s:0.05 ~retries:3 ~host:"127.0.0.1" ~port
-      ~prog:300000 ~vers:1 ()
-  in
-  let r = Oncrpc.Udp.call client ~proc:1 (fun enc -> E.int enc 41) D.int in
-  Thread.join responder;
-  check Alcotest.int "answered" 42 r;
-  check Alcotest.bool "retransmission is byte-identical (same xid)" true
-    (Bytes.equal !first !second);
-  Oncrpc.Udp.close_client client;
-  Unix.close fd
-
-let test_udp_late_duplicate_reply_discarded () =
-  (* a Duplicate fault makes the request arrive twice: the dup cache
-     answers both with the same xid (proving at-most-once execution), and
-     the second reply datagram sits in the client's socket buffer. The
-     next call must skip that stale xid and match its own reply. *)
+(* An RPC client over a Simchannel under [plan], with retries armed. Proc 1
+   answers [10 * arg] and counts its executions; the server keeps an
+   at-most-once cache. [sent] collects every byte the client writes. *)
+let faulty_rpc plan =
   let server = Oncrpc.Server.create () in
   let executions = ref 0 in
   Oncrpc.Server.register server ~prog:300000 ~vers:1
@@ -298,31 +253,62 @@ let test_udp_late_duplicate_reply_discarded () =
           E.int enc (D.int dec * 10) );
     ];
   Oncrpc.Server.set_dup_cache server;
-  let udp = Oncrpc.Udp.serve server ~port:0 in
-  let fault =
-    Simnet.Fault.make
-      { Simnet.Fault.none with Simnet.Fault.duplicate_nth = [ 0 ] }
+  let channel =
+    Unikernel.Simchannel.create ~engine:(Simnet.Engine.create ())
+      ~client:cfg.Unikernel.Config.profile ~fault:(Simnet.Fault.make plan)
+      ~dispatch:(Oncrpc.Server.dispatch server)
+      ()
+  in
+  let inner = Unikernel.Simchannel.transport channel in
+  let sent = Buffer.create 256 in
+  let transport =
+    Oncrpc.Transport.make
+      ~send:(fun buf off len ->
+        Buffer.add_subbytes sent buf off len;
+        inner.Oncrpc.Transport.send buf off len)
+      ~recv:inner.Oncrpc.Transport.recv ~close:inner.Oncrpc.Transport.close ()
   in
   let client =
-    Oncrpc.Udp.connect ~fault ~host:"127.0.0.1" ~port:(Oncrpc.Udp.port udp)
+    Oncrpc.Client.create ~retry:Oncrpc.Client.default_retry ~transport
       ~prog:300000 ~vers:1 ()
   in
-  let r1 = Oncrpc.Udp.call client ~proc:1 (fun enc -> E.int enc 4) D.int in
+  (server, executions, sent, client)
+
+let test_retransmit_reuses_xid () =
+  (* the first request is lost: the client times out and retransmits, and
+     both transmissions are byte-identical — same xid, so the server-side
+     dup cache would recognise them *)
+  let _, executions, sent, client =
+    faulty_rpc { Simnet.Fault.none with Simnet.Fault.drop_nth = [ 0 ] }
+  in
+  let r = Oncrpc.Client.call client ~proc:1 (fun enc -> E.int enc 4) D.int in
+  check Alcotest.int "answered" 40 r;
+  check Alcotest.int "one retransmission" 1
+    (Oncrpc.Client.stats client).Oncrpc.Client.retries;
+  check Alcotest.int "handler ran once" 1 !executions;
+  let wire = Buffer.contents sent in
+  let half = String.length wire / 2 in
+  check Alcotest.string "retransmission is byte-identical (same xid)"
+    (String.sub wire 0 half)
+    (String.sub wire half (String.length wire - half))
+
+let test_late_duplicate_reply_discarded () =
+  (* a Duplicate fault makes the request arrive twice: the dup cache
+     answers both with the same xid (proving at-most-once execution), and
+     the second reply sits in the channel's inbox. The next call must skip
+     that stale xid and match its own reply. *)
+  let server, executions, _, client =
+    faulty_rpc { Simnet.Fault.none with Simnet.Fault.duplicate_nth = [ 0 ] }
+  in
+  let r1 = Oncrpc.Client.call client ~proc:1 (fun enc -> E.int enc 4) D.int in
   check Alcotest.int "first call" 40 r1;
-  (* wait for the duplicate's reply to be queued on the client socket *)
-  let deadline = Unix.gettimeofday () +. 1.0 in
-  while Oncrpc.Server.dup_hits server < 1 && Unix.gettimeofday () < deadline do
-    Thread.yield ()
-  done;
   check Alcotest.int "server saw the same xid twice" 1
     (Oncrpc.Server.dup_hits server);
   check Alcotest.int "handler ran once" 1 !executions;
   (* if the stale duplicate reply (value 40) were matched to this call, the
      result would be 40, not 70 *)
-  let r2 = Oncrpc.Udp.call client ~proc:1 (fun enc -> E.int enc 7) D.int in
-  check Alcotest.int "stale reply skipped, fresh reply matched" 70 r2;
-  Oncrpc.Udp.close_client client;
-  Oncrpc.Udp.shutdown udp
+  let r2 = Oncrpc.Client.call client ~proc:1 (fun enc -> E.int enc 7) D.int in
+  check Alcotest.int "stale reply skipped, fresh reply matched" 70 r2
 
 let suite =
   [
@@ -338,8 +324,8 @@ let suite =
       test_dup_cache_executes_once;
     Alcotest.test_case "Session_lost is sticky, never a hang" `Quick
       test_session_lost_is_sticky;
-    Alcotest.test_case "udp retransmit reuses xid" `Quick
-      test_udp_retransmit_reuses_xid;
-    Alcotest.test_case "udp late duplicate reply discarded" `Quick
-      test_udp_late_duplicate_reply_discarded;
+    Alcotest.test_case "retransmit reuses xid" `Quick
+      test_retransmit_reuses_xid;
+    Alcotest.test_case "late duplicate reply discarded" `Quick
+      test_late_duplicate_reply_discarded;
   ]

