@@ -310,21 +310,24 @@ let memcpy_h2d t ~dst data =
   issue ();
   journal t issue
 
-(* Download fast path: decode the reply's mem_result by hand so the bulk
-   payload is read through a no-copy view of the reply record
-   (Xdr.Decode.opaque_slice) and materialised exactly once, instead of
-   being copied by the generated struct decoder and again by the caller.
-   Wire format is identical to the generated stub's. *)
-let call_mem_slice t ~proc encode_args =
-  Oncrpc.Client.call t.rpc ~proc encode_args (fun dec ->
-      let err = Xdr.Decode.int dec in
-      let data = Xdr.Decode.opaque_slice dec in
-      check err;
-      Xdr.Iovec.slice_to_bytes data)
+(* A mem_result decoded by hand: the error is checked, then the payload is
+   copied out of the reply once. *)
+let mem_data dec =
+  let err = Xdr.Decode.int dec in
+  let data = Xdr.Decode.opaque_slice dec in
+  check err;
+  Xdr.Iovec.slice_to_bytes data
+
+(* Downloads read their reply through: a successful one lands straight in
+   the buffer returned to the caller (see {!Oncrpc.Client.call_opaque});
+   anything else is decoded by [mem_data]. Wire format is the generated
+   stub's. *)
+let read_mem t ~proc ~len encode_args =
+  Oncrpc.Client.call_opaque t.rpc ~proc encode_args ~len mem_data
 
 let memcpy_d2h t ~src ~len =
   t.memcpy_down <- t.memcpy_down + len;
-  call_mem_slice t ~proc:P.proc_rpc_cudaMemcpyDtoH (fun enc ->
+  read_mem t ~proc:P.proc_rpc_cudaMemcpyDtoH ~len (fun enc ->
       Xdr.Encode.uint64 enc (tr t src);
       Xdr.Encode.uint64 enc (Int64.of_int len))
 
@@ -372,7 +375,7 @@ let memset_async t ~ptr ~value ~len ~stream =
 
 let memcpy_d2h_stream t ~src ~len ~stream =
   t.memcpy_down <- t.memcpy_down + len;
-  call_mem_slice t ~proc:P.proc_rpc_cudaMemcpyDtoHAsync (fun enc ->
+  read_mem t ~proc:P.proc_rpc_cudaMemcpyDtoHAsync ~len (fun enc ->
       Xdr.Encode.uint64 enc (tr t src);
       Xdr.Encode.uint64 enc (Int64.of_int len);
       Xdr.Encode.uint64 enc (tr t stream))

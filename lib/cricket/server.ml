@@ -182,13 +182,10 @@ let implementation t : P.Server.implementation =
         | Cudasim.Error.Success -> tenant_note_free t ~ptr
         | _ -> ());
         void_result e);
-    rpc_cudaMemcpyHtoD =
-      (fun dst data -> void_result (Cudasim.Api.memcpy_h2d ctx ~dst data));
-    rpc_cudaMemcpyDtoH =
-      (fun src len ->
-        match Cudasim.Api.memcpy_d2h ctx ~src ~len with
-        | Ok data -> mem_result_ok data
-        | Error e -> mem_result e);
+    (* served by [memcpy_htod] and [memcpy_dtoh], registered over the
+       generated handlers that would call these *)
+    rpc_cudaMemcpyHtoD = (fun _ _ -> invalid_arg "rpc_cudaMemcpyHtoD");
+    rpc_cudaMemcpyDtoH = (fun _ _ -> invalid_arg "rpc_cudaMemcpyDtoH");
     rpc_cudaMemcpyDtoD =
       (fun dst src len -> void_result (Cudasim.Api.memcpy_d2d ctx ~dst ~src ~len));
     rpc_cudaMemset =
@@ -475,6 +472,31 @@ let implementation t : P.Server.implementation =
         void_result Cudasim.Error.Success);
   }
 
+(* The two bulk procedures, decoded and encoded by hand so the server
+   copies their payload once: an upload goes from the request record
+   straight into device memory, a download from device memory straight
+   into the reply, which the encoder lays out only after the range check
+   and the charges have run. Wire format, charges and errors, in their
+   order, are the generated stubs'. *)
+let memcpy_htod ctx dec enc =
+  let dst = Xdr.Decode.uint64 dec in
+  let data = Xdr.Decode.opaque_slice dec in
+  Xdr.Encode.int enc
+    (err_of
+       (Cudasim.Api.memcpy_h2d_string ctx ~dst data.Xdr.Iovec.base
+          ~off:data.Xdr.Iovec.off ~len:data.Xdr.Iovec.len))
+
+let memcpy_dtoh ctx dec enc =
+  let src = Xdr.Decode.uint64 dec in
+  let len = Xdr.Decode.uint64 dec in
+  match Cudasim.Api.memcpy_d2h_check ctx ~src ~len with
+  | Cudasim.Error.Success ->
+      let len = Int64.to_int len in
+      Xdr.Encode.int enc 0;
+      Xdr.Encode.opaque_fill enc len (fun b off ->
+          Cudasim.Api.memcpy_d2h_into ctx ~src ~len b ~off)
+  | e -> Proto.xdr_encode_mem_result enc (mem_result e)
+
 (* The RPCL spec numbers its procedures below this. *)
 let proc_slots = 80
 
@@ -510,6 +532,11 @@ let create ?devices ?memory_capacity ?capacity_clamp ?(checkpoint_dir = ".")
       trace = Trace.create (); last_proc = -1; last_arg_bytes = 0 }
   in
   P.Server.register (implementation t) rpc;
+  Oncrpc.Server.register rpc ~prog:P.program_number ~vers:P.version_number
+    [
+      (P.Client.proc_rpc_cudaMemcpyHtoD, memcpy_htod ctx);
+      (P.Client.proc_rpc_cudaMemcpyDtoH, memcpy_dtoh ctx);
+    ];
   (* At-most-once: a client retransmission (same xid) of a call whose reply
      was lost gets the recorded reply, so non-idempotent calls are safe to
      retry. *)

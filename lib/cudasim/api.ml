@@ -103,23 +103,39 @@ let charge_pcie ctx bytes =
   in
   charge ctx (memcpy_overhead_ns + Int64.to_int (Time.of_float_ns transfer_ns))
 
-let memcpy_h2d ctx ~dst data =
+let memcpy_h2d_string ctx ~dst src ~off ~len =
   charge ctx dispatch_ns;
-  charge_pcie ctx (Bytes.length data);
-  match Gpusim.Memory.write (mem ctx) (Int64.to_int dst) data with
+  charge_pcie ctx len;
+  match Gpusim.Memory.write_string (mem ctx) (Int64.to_int dst) src off len with
   | () -> Error.Success
   | exception Gpusim.Memory.Error _ -> Error.Invalid_value
 
-let memcpy_d2h ctx ~src ~len =
+let memcpy_h2d ctx ~dst data =
+  memcpy_h2d_string ctx ~dst (Bytes.unsafe_to_string data) ~off:0
+    ~len:(Bytes.length data)
+
+let memcpy_d2h_check ctx ~src ~len =
   charge ctx dispatch_ns;
   let len = Int64.to_int len in
-  if len < 0 then Error Error.Invalid_value
+  if len < 0 then Error.Invalid_value
   else begin
     charge_pcie ctx len;
-    match Gpusim.Memory.read (mem ctx) (Int64.to_int src) len with
-    | data -> Ok data
-    | exception Gpusim.Memory.Error _ -> Error Error.Invalid_value
+    match Gpusim.Memory.readable (mem ctx) (Int64.to_int src) len with
+    | () -> Error.Success
+    | exception Gpusim.Memory.Error _ -> Error.Invalid_value
   end
+
+let memcpy_d2h_into ctx ~src ~len dst ~off =
+  Gpusim.Memory.read_into (mem ctx) (Int64.to_int src) len dst off
+
+let memcpy_d2h ctx ~src ~len =
+  match memcpy_d2h_check ctx ~src ~len with
+  | Error.Success ->
+      let len = Int64.to_int len in
+      let data = Bytes.create len in
+      memcpy_d2h_into ctx ~src ~len data ~off:0;
+      Ok data
+  | e -> Error e
 
 let memcpy_d2d ctx ~dst ~src ~len =
   charge ctx dispatch_ns;

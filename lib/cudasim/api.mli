@@ -36,7 +36,26 @@ val device_reset : Context.t -> Error.t
 val malloc : Context.t -> int64 -> (int64, Error.t) result
 val free : Context.t -> int64 -> Error.t
 val memcpy_h2d : Context.t -> dst:int64 -> bytes -> Error.t
+
+val memcpy_h2d_string :
+  Context.t -> dst:int64 -> string -> off:int -> len:int -> Error.t
+(** {!memcpy_h2d} of the [len] bytes of a string from [off], written into
+    device memory straight from it. *)
+
 val memcpy_d2h : Context.t -> src:int64 -> len:int64 -> (bytes, Error.t) result
+
+val memcpy_d2h_check : Context.t -> src:int64 -> len:int64 -> Error.t
+(** Everything {!memcpy_d2h} does but the copy: the charges and the range
+    check, with the error it would return. After [Success],
+    {!memcpy_d2h_into} copies the bytes out wherever the caller wants them
+    — how the server writes a download straight into its reply. *)
+
+val memcpy_d2h_into :
+  Context.t -> src:int64 -> len:int -> bytes -> off:int -> unit
+(** Copy [len] bytes of device memory at [src] into a buffer at [off]; no
+    charge. Meant for the range {!memcpy_d2h_check} just admitted, before
+    anything else runs on the context. *)
+
 val memcpy_d2d : Context.t -> dst:int64 -> src:int64 -> len:int64 -> Error.t
 val memset : Context.t -> ptr:int64 -> value:int -> len:int64 -> Error.t
 val mem_get_info : Context.t -> int64 * int64

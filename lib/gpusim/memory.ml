@@ -71,17 +71,20 @@ let blit_bytes_to_arena src srcoff (dst : arena) dstoff len =
 (* read-only use of the string's bytes *)
 let blit_string_to_arena src = blit_bytes_to_arena (Bytes.unsafe_of_string src)
 
-let arena_sub_bytes (src : arena) off len =
-  let b = Bytes.create len in
+let blit_arena_to_bytes (src : arena) srcoff dst dstoff len =
   let words = len land lnot 7 in
   let i = ref 0 in
   while !i < words do
-    bytes_set64 b !i (arena_get64 src (off + !i));
+    bytes_set64 dst (dstoff + !i) (arena_get64 src (srcoff + !i));
     i := !i + 8
   done;
   for i = words to len - 1 do
-    Bytes.unsafe_set b i (BA1.unsafe_get src (off + i))
-  done;
+    Bytes.unsafe_set dst (dstoff + i) (BA1.unsafe_get src (srcoff + i))
+  done
+
+let arena_sub_bytes src off len =
+  let b = Bytes.create len in
+  blit_arena_to_bytes src off b 0 len;
   b
 
 let arena_sub_string src off len =
@@ -228,20 +231,35 @@ let check_range t ptr len =
         fail (Out_of_bounds { ptr = base; offset = ptr - base; len;
                               alloc_size = size })
 
-let write t ptr data =
-  let len = Bytes.length data in
+let write_string t ptr src off len =
+  if off < 0 || len < 0 || off > String.length src - len then
+    invalid_arg "Memory.write_string";
   if len > 0 then begin
     check_range t ptr len;
     ensure_backing t (ptr + len);
-    blit_bytes_to_arena data 0 t.backing ptr len;
+    blit_string_to_arena src off t.backing ptr len;
     mark t ptr len
   end
+
+let write t ptr data =
+  write_string t ptr (Bytes.unsafe_to_string data) 0 (Bytes.length data)
+
+let readable t ptr len =
+  if len <> 0 then begin
+    check_range t ptr len;
+    ensure_backing t (ptr + len)
+  end
+
+let read_into t ptr len dst off =
+  if off < 0 || len < 0 || off > Bytes.length dst - len then
+    invalid_arg "Memory.read_into";
+  readable t ptr len;
+  blit_arena_to_bytes t.backing ptr dst off len
 
 let read t ptr len =
   if len = 0 then Bytes.empty
   else begin
-    check_range t ptr len;
-    ensure_backing t (ptr + len);
+    readable t ptr len;
     arena_sub_bytes t.backing ptr len
   end
 

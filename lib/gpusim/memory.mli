@@ -48,7 +48,25 @@ val live_allocations : t -> int
 (** {1 Bulk transfer (bounds-checked against the allocation)} *)
 
 val write : t -> int -> bytes -> unit
+
+val write_string : t -> int -> string -> int -> int -> unit
+(** [write_string t ptr src off len] is {!write} of the [len] bytes of
+    [src] from [off], blitted straight from [src]: the same range check,
+    the same dirty marks. Raises [Invalid_argument] if [off] and [len] do
+    not name a range of [src]. *)
+
 val read : t -> int -> int -> bytes
+
+val readable : t -> int -> int -> unit
+(** [readable t ptr len] raises the {!Error} that [read t ptr len] would,
+    and does nothing else that can be observed: a [read_into] of the same
+    range after it cannot fail. *)
+
+val read_into : t -> int -> int -> bytes -> int -> unit
+(** [read_into t ptr len dst off] is {!read} into [dst] at [off] instead of
+    a fresh buffer. Raises [Invalid_argument] if [off] and [len] do not
+    name a range of [dst]. *)
+
 val copy : t -> src:int -> dst:int -> len:int -> unit
 val memset : t -> int -> int -> int -> unit
 (** [memset t ptr byte len]. *)

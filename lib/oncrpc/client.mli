@@ -131,6 +131,20 @@ val call :
     an exhausted one) is in place. [deadline_ns] overrides the policy's
     per-call budget. *)
 
+val call_opaque :
+  ?deadline_ns:int ->
+  t -> proc:int -> (Xdr.Encode.t -> unit) -> len:int ->
+  (Xdr.Decode.t -> bytes) -> bytes
+(** [call_opaque t ~proc encode_args ~len decode_results] is
+    [call t ~proc encode_args decode_results] for a procedure whose results
+    are an [int] status and a variable-length opaque, read through. When
+    the reply is a success with status 0 and an opaque of [len] bytes, the
+    opaque goes from the transport straight into the fresh buffer that is
+    returned, crossing fragment headers: no record buffer, no second copy.
+    Any other reply is read whole and decoded by [decode_results] exactly
+    as {!call} would, stale xids skipped and failures typed. Statistics
+    count the same bytes either way. *)
+
 val call_void : ?deadline_ns:int -> t -> proc:int -> (Xdr.Encode.t -> unit) -> unit
 (** A call whose result type is [void]. *)
 

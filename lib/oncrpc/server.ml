@@ -68,7 +68,8 @@ let set_obs ?proc_name t obs =
 
 let set_dup_cache ?(capacity = 4096) t =
   if capacity < 1 then invalid_arg "Server.set_dup_cache";
-  t.dup_cache <- Some (Dup_cache.create ~capacity)
+  t.dup_cache <-
+    Some (Dup_cache.create ~capacity ~max_bytes:Dup_cache.default_max_bytes)
 
 let dup_hits t =
   match t.dup_cache with None -> 0 | Some c -> Dup_cache.hits c

@@ -55,14 +55,15 @@ let rec recv_exact t buf off len =
    mutex, with a condition to block readers until data or EOF arrives. *)
 module Byte_queue = struct
   type q = {
-    mutable data : Buffer.t;
+    data : Buffer.t;
+    mutable pos : int;  (* bytes of [data] already popped *)
     mutable closed : bool;
     lock : Mutex.t;
     cond : Condition.t;
   }
 
   let create () =
-    { data = Buffer.create 1024; closed = false; lock = Mutex.create ();
+    { data = Buffer.create 1024; pos = 0; closed = false; lock = Mutex.create ();
       cond = Condition.create () }
 
   let push q buf off len =
@@ -93,17 +94,25 @@ module Byte_queue = struct
 
   let pop q buf off len =
     Mutex.lock q.lock;
-    while Buffer.length q.data = 0 && not q.closed do
+    while Buffer.length q.data = q.pos && not q.closed do
       Condition.wait q.cond q.lock
     done;
-    let avail = Buffer.length q.data in
-    let n = min len avail in
-    if n > 0 then begin
-      Buffer.blit q.data 0 buf off n;
-      (* Buffer has no efficient drop-front; rebuild the remainder. *)
-      let rest = Buffer.sub q.data n (avail - n) in
+    let n = min len (Buffer.length q.data - q.pos) in
+    Buffer.blit q.data q.pos buf off n;
+    q.pos <- q.pos + n;
+    (* Drained, start over at the front. A reader that never catches up
+       drops the popped prefix once it is most of the buffer, so each byte
+       is moved a constant number of times. *)
+    let avail = Buffer.length q.data - q.pos in
+    if avail = 0 then begin
       Buffer.clear q.data;
-      Buffer.add_string q.data rest
+      q.pos <- 0
+    end
+    else if q.pos > avail then begin
+      let rest = Buffer.sub q.data q.pos avail in
+      Buffer.clear q.data;
+      Buffer.add_string q.data rest;
+      q.pos <- 0
     end;
     Mutex.unlock q.lock;
     n
@@ -131,7 +140,8 @@ let pipe () =
 
 let loopback ~peer =
   let out = Buffer.create 1024 in
-  let pending = Buffer.create 1024 in
+  (* the peer's last answer, read from [pos] on without copying it *)
+  let pending = ref "" and pos = ref 0 in
   let closed = ref false in
   let send buf off len =
     if !closed then raise Closed;
@@ -148,18 +158,20 @@ let loopback ~peer =
   let recv buf off len =
     if !closed then 0
     else begin
-      if Buffer.length pending = 0 then begin
+      if !pos = String.length !pending then begin
         if Buffer.length out = 0 then raise Closed;
         let request = Buffer.contents out in
         Buffer.clear out;
-        Buffer.add_string pending (peer request)
+        pending := peer request;
+        pos := 0
       end;
-      let avail = Buffer.length pending in
-      let n = min len avail in
-      Buffer.blit pending 0 buf off n;
-      let rest = Buffer.sub pending n (avail - n) in
-      Buffer.clear pending;
-      Buffer.add_string pending rest;
+      let n = min len (String.length !pending - !pos) in
+      Bytes.blit_string !pending !pos buf off n;
+      pos := !pos + n;
+      if !pos = String.length !pending then begin
+        pending := "";
+        pos := 0
+      end;
       n
     end
   in

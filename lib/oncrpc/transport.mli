@@ -74,7 +74,8 @@ val loopback : peer:(string -> string) -> t
 (** [loopback ~peer] is a client-side transport for strictly
     request/response protocols in a single thread. Bytes written are
     buffered; the first [recv] after one or more sends passes the buffered
-    request bytes to [peer] and serves its return value as the read data.
+    request bytes to [peer] and serves its return value as the read data,
+    from a cursor over the string: no read copies more than it returns.
     [peer] receives whole request records because the RPC client always
     writes a complete record before reading. *)
 

@@ -99,9 +99,9 @@ let skip_opaque ?max t =
   check_padding t n
 
 (* No-copy view of a variable-length opaque: the slice aliases the
-   decoder's backing string. Download paths hold the reply record alive
-   anyway, so handing out a view instead of fresh bytes removes the decode
-   copy for bulk payloads. *)
+   decoder's backing string. A handler holds the record alive anyway, so
+   handing out a view instead of fresh bytes removes the decode copy for
+   bulk payloads. *)
 let opaque_slice ?max t =
   let n = read_size ?max t in
   need t n;

@@ -66,9 +66,9 @@ val skip_opaque : ?max:int -> t -> unit
 
 val opaque_slice : ?max:int -> t -> Iovec.slice
 (** Variable-length opaque as a no-copy view of the decoder's backing
-    string — the zero-copy download path. The view stays valid for the
-    lifetime of the decoded message; copy out with
-    {!Iovec.slice_to_bytes} when the payload must outlive it. *)
+    string — how the Cricket server takes an upload into device memory.
+    The view stays valid for the lifetime of the decoded message; copy
+    out with {!Iovec.slice_to_bytes} when the payload must outlive it. *)
 
 val string : ?max:int -> t -> string
 (** XDR string. *)

@@ -4,10 +4,15 @@
    buffer as one slice and then records a zero-copy view of the payload, so
    a 64 MiB memcpy argument is never blitted at the XDR layer. *)
 
+(* A region whose bytes are written only when the message is laid out:
+   [write b off] fills [b.[off .. off + len)]. It sits in [parts] as the
+   empty [hole] slice, so the slice list stays a plain list. *)
+type fill = { len : int; write : bytes -> int -> unit }
+
 type t = {
   buf : Buffer.t;
   mutable parts : Iovec.slice list; (* reverse order *)
-  mutable parts_len : int;
+  mutable fills : fill list; (* one per [hole] in [parts], same order *)
 }
 
 (* Opaques at least this long are recorded as slices instead of being
@@ -15,34 +20,58 @@ type t = {
    extra iovec entry through the datapath. *)
 let zero_copy_threshold = 1024
 
-let create ?(initial_size = 256) () =
-  { buf = Buffer.create initial_size; parts = []; parts_len = 0 }
+let hole = Iovec.slice ""
 
-let length t = t.parts_len + Buffer.length t.buf
+let create ?(initial_size = 256) () =
+  { buf = Buffer.create initial_size; parts = []; fills = [] }
+
+let rec fills_length acc = function
+  | [] -> acc
+  | f :: rest -> fills_length (acc + f.len) rest
+
+let length t =
+  Iovec.length t.parts + fills_length 0 t.fills + Buffer.length t.buf
 
 let flush t =
   if Buffer.length t.buf > 0 then begin
     let s = Buffer.contents t.buf in
     Buffer.clear t.buf;
-    t.parts <- Iovec.slice s :: t.parts;
-    t.parts_len <- t.parts_len + String.length s
+    t.parts <- Iovec.slice s :: t.parts
   end
 
 let add_slice t s =
   flush t;
-  t.parts <- s :: t.parts;
-  t.parts_len <- t.parts_len + s.Iovec.len
+  t.parts <- s :: t.parts
 
 let to_iovec t =
+  if t.fills <> [] then invalid_arg "Xdr.Encode.to_iovec: unfilled opaque";
   flush t;
   List.rev t.parts
+
+(* Lay the parts out from the back, each fill in its hole. *)
+let rec blit_back b pos parts fills =
+  match parts with
+  | [] -> ()
+  | s :: rest when s == hole -> (
+      match fills with
+      | f :: fills ->
+          let pos = pos - f.len in
+          f.write b pos;
+          blit_back b pos rest fills
+      | [] -> assert false)
+  | s :: rest ->
+      let pos = pos - s.Iovec.len in
+      Bytes.blit_string s.Iovec.base s.Iovec.off b pos s.Iovec.len;
+      blit_back b pos rest fills
 
 let to_bytes t =
   match t.parts with
   | [] -> Buffer.to_bytes t.buf
   | _ ->
-      let b = Bytes.create (length t) in
-      Iovec.blit_to_bytes (to_iovec t) b 0;
+      flush t;
+      let len = length t in
+      let b = Bytes.create len in
+      blit_back b len t.parts t.fills;
       b
 
 let to_string t =
@@ -53,7 +82,7 @@ let to_string t =
 let reset t =
   Buffer.clear t.buf;
   t.parts <- [];
-  t.parts_len <- 0
+  t.fills <- []
 
 let int32 t v = Buffer.add_int32_be t.buf v
 let uint32 = int32
@@ -107,6 +136,20 @@ let opaque_sub ?max t b off len =
   pad t len
 
 let opaque ?max t b = opaque_sub ?max t b 0 (Bytes.length b)
+
+let opaque_fill t len write =
+  uint t len;
+  if len >= zero_copy_threshold then begin
+    flush t;
+    t.parts <- hole :: t.parts;
+    t.fills <- { len; write } :: t.fills
+  end
+  else begin
+    let b = Bytes.create len in
+    write b 0;
+    Buffer.add_bytes t.buf b
+  end;
+  pad t len
 
 let opaque_slice ?max t s =
   let len = s.Iovec.len in

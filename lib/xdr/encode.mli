@@ -40,7 +40,8 @@ val to_iovec : t -> Iovec.t
 (** The encoded message as a list of slices, without flattening: bulk
     payloads appear as views of the caller's original buffers. The small
     accumulated fields are sealed into immutable strings, so the result
-    remains valid if the encoder is later reused. *)
+    remains valid if the encoder is later reused. Raises [Invalid_argument]
+    if the message holds a deferred {!opaque_fill}. *)
 
 val reset : t -> unit
 (** Clear the encoder for reuse. *)
@@ -89,6 +90,14 @@ val opaque_sub : ?max:int -> t -> bytes -> int -> int -> unit
 val opaque : ?max:int -> t -> bytes -> unit
 (** Variable-length opaque: 4-byte length, data, zero padding. Large
     payloads are sliced, not copied (see the zero-copy contract above). *)
+
+val opaque_fill : t -> int -> (bytes -> int -> unit) -> unit
+(** [opaque_fill enc len write] encodes a variable-length opaque of [len]
+    bytes that [write b off] produces at [b.[off .. off + len)]. From
+    {!zero_copy_threshold} up, [write] runs only when {!to_string} or
+    {!to_bytes} lays the message out, straight into its result, so the
+    payload is copied once; until then {!to_iovec} raises
+    [Invalid_argument]. A shorter opaque is written at once. *)
 
 val opaque_slice : ?max:int -> t -> Iovec.slice -> unit
 (** Variable-length opaque from an existing slice — the zero-copy relay

@@ -135,7 +135,8 @@ let test_h2d_zero_copy_to_transport () =
   C.memcpy_h2d client ~dst:p payload;
   check Alcotest.bool "h2d payload reached the transport un-copied" true
     !aliased;
-  (* and the download path (now through Decode.opaque_slice) is intact *)
+  (* and the download path (read through into the returned buffer) is
+     intact *)
   let back = C.memcpy_d2h client ~src:p ~len:(Bytes.length payload) in
   check Alcotest.bool "d2h roundtrip intact" true (Bytes.equal back payload)
 
@@ -742,6 +743,212 @@ let test_local_partial_records () =
   Oncrpc.Record.write tr "again";
   check Alcotest.string "after the refusal" "reply:again" (Oncrpc.Record.read tr)
 
+(* --- the hand-written bulk handlers against the generated ones --- *)
+
+module Proto = Cricket.Proto
+module Rpc = Cricket.Proto.Rpc_cd_prog_def_v1
+
+(* The generated server handlers of cudaMemcpyHtoD and cudaMemcpyDtoH,
+   over the API calls the server made before: the reference the
+   hand-written handlers must match byte for byte. *)
+let generated_bulk_handlers ctx =
+  [
+    ( Rpc.Client.proc_rpc_cudaMemcpyHtoD,
+      fun dec enc ->
+        let dst = Xdr.Decode.uint64 dec in
+        let data = Proto.xdr_decode_mem_data dec in
+        Proto.xdr_encode_void_result enc
+          { Proto.err = Cudasim.Error.code (Cudasim.Api.memcpy_h2d ctx ~dst data) }
+    );
+    ( Rpc.Client.proc_rpc_cudaMemcpyDtoH,
+      fun dec enc ->
+        let src = Xdr.Decode.uint64 dec in
+        let len = Xdr.Decode.uint64 dec in
+        Proto.xdr_encode_mem_result enc
+          (match Cudasim.Api.memcpy_d2h ctx ~src ~len with
+          | Ok data -> { Proto.err = 0; data }
+          | Error e -> { Proto.err = Cudasim.Error.code e; data = Bytes.empty }) );
+  ]
+
+let bulk_server ~reference =
+  let engine = Simnet.Engine.create () in
+  let server =
+    Cricket.Server.create ~memory_capacity:(1 lsl 20)
+      ~clock:(Cudasim.Context.engine_clock engine) ()
+  in
+  let ctx = Cricket.Server.context server in
+  Cudasim.Context.set_functional ctx true;
+  if reference then
+    Oncrpc.Server.register (Cricket.Server.rpc_server server)
+      ~prog:Rpc.program_number ~vers:Rpc.version_number
+      (generated_bulk_handlers ctx);
+  let mem = Gpusim.Gpu.memory (Cudasim.Context.gpu ctx) in
+  Gpusim.Memory.set_tracking mem true;
+  (engine, server, mem)
+
+(* A call record: the header, then [args] written as raw XDR. *)
+let call_record ~xid ~proc args =
+  let enc = Xdr.Encode.create () in
+  Oncrpc.Message.encode_call_header enc ~xid ~prog:Rpc.program_number
+    ~vers:Rpc.version_number ~proc ~cred:Oncrpc.Auth.none;
+  args enc;
+  Xdr.Encode.to_string enc
+
+(* An opaque written by hand, so its length word ([claim]) and padding can
+   lie. *)
+let h2d_args ~dst ?(claim = fun n -> n) ?(pad = "\000\000\000") data enc =
+  let n = String.length data in
+  Xdr.Encode.uint64 enc dst;
+  Xdr.Encode.uint enc (claim n);
+  Xdr.Encode.opaque_fixed enc
+    (Bytes.of_string (data ^ String.sub pad 0 (Xdr.Types.padding_of n)))
+
+let d2h_args ~src ~len enc =
+  Xdr.Encode.uint64 enc src;
+  Xdr.Encode.uint64 enc len
+
+let test_bulk_handlers_match_generated () =
+  let e_new, s_new, m_new = bulk_server ~reference:false in
+  let e_ref, s_ref, m_ref = bulk_server ~reference:true in
+  let alloc size =
+    let a = Cudasim.Api.malloc (Cricket.Server.context s_new) (Int64.of_int size) in
+    let b = Cudasim.Api.malloc (Cricket.Server.context s_ref) (Int64.of_int size) in
+    check Alcotest.bool "same pointer" true (a = b);
+    Int64.to_int (Result.get_ok a)
+  in
+  let p = alloc 20_000 and q = alloc 3000 in
+  let pattern n = String.init n (fun i -> Char.chr ((i * 37 + n) land 0xff)) in
+  let h2d name ?claim ?pad ?(trailing = "") ~dst data =
+    (name, Rpc.Client.proc_rpc_cudaMemcpyHtoD,
+     (fun enc -> h2d_args ~dst:(Int64.of_int dst) ?claim ?pad data enc),
+     trailing)
+  in
+  let d2h name ?(trailing = "") ~src len =
+    (name, Rpc.Client.proc_rpc_cudaMemcpyDtoH,
+     (fun enc -> d2h_args ~src:(Int64.of_int src) ~len enc), trailing)
+  in
+  let cases =
+    [
+      h2d "h2d valid, large" ~dst:p (pattern 10_001);
+      h2d "h2d valid, small" ~dst:(q + 8) (pattern 13);
+      h2d "h2d zero-length" ~dst:p "";
+      h2d "h2d unallocated" ~dst:(p + 0x40000) (pattern 4096);
+      h2d "h2d straddling the end" ~dst:(q + 3000 - 100) (pattern 2000);
+      h2d "h2d truncated opaque" ~dst:p ~claim:(fun n -> n + 8) (pattern 2048);
+      h2d "h2d bad padding" ~dst:p ~pad:"\000\001\000" (pattern 1025);
+      h2d "h2d trailing bytes" ~dst:(p + 256) ~trailing:"\000\000\000\007"
+        (pattern 5000);
+      d2h "d2h valid, large" ~src:p 15_003L;
+      d2h "d2h valid, small" ~src:(q + 8) 13L;
+      d2h "d2h zero-length" ~src:p 0L;
+      d2h "d2h negative length" ~src:p (-1L);
+      d2h "d2h oversized" ~src:q 3001L;
+      d2h "d2h far past memory" ~src:q 0x7fff_ffff_ffffL;
+      d2h "d2h out of range" ~src:(p + 0x40000) 64L;
+      d2h "d2h trailing bytes" ~src:p 4096L ~trailing:"\000\000\000\001";
+    ]
+  in
+  List.iteri
+    (fun i (name, proc, args, trailing) ->
+      let request = call_record ~xid:(1000 + i) ~proc args ^ trailing in
+      let got = Cricket.Server.dispatch s_new request in
+      let expected = Cricket.Server.dispatch s_ref request in
+      check Alcotest.string (name ^ ": reply") expected got;
+      check Alcotest.bool (name ^ ": memory") true
+        (String.equal (Gpusim.Memory.snapshot m_ref) (Gpusim.Memory.snapshot m_new));
+      check Alcotest.bool (name ^ ": dirty pages") true
+        (String.equal (Gpusim.Memory.delta m_ref) (Gpusim.Memory.delta m_new));
+      check Alcotest.int64 (name ^ ": virtual time") (Simnet.Engine.now e_ref)
+        (Simnet.Engine.now e_new))
+    cases
+
+(* --- downloads read through, against the full decode --- *)
+
+(* A mem_result decoded from the whole reply, as downloads were before
+   they read through. *)
+let decode_mem_result dec =
+  let err = Xdr.Decode.int dec in
+  let data = Xdr.Decode.opaque_slice dec in
+  Cudasim.Error.check (Cudasim.Error.of_code err);
+  Xdr.Iovec.slice_to_bytes data
+
+let download_stack kind ~fragment_size =
+  let engine = Simnet.Engine.create () in
+  let server =
+    Cricket.Server.create ~memory_capacity:(1 lsl 22)
+      ~clock:(Cudasim.Context.engine_clock engine) ()
+  in
+  Cudasim.Context.set_functional (Cricket.Server.context server) true;
+  let dispatch = Cricket.Server.dispatch server in
+  let profile = Unikernel.Config.hermit.Unikernel.Config.profile in
+  let transport =
+    match kind with
+    | `Local -> Cricket.Local.transport server
+    | `Sim ->
+        Unikernel.Simchannel.transport
+          (Unikernel.Simchannel.create ~engine ~client:profile ~dispatch ())
+    | `Tcp ->
+        Unikernel.Tcpchannel.transport
+          (Unikernel.Tcpchannel.create ~engine ~client:profile ~dispatch ())
+  in
+  (engine, C.create ~fragment_size ~transport ())
+
+(* Two identical stacks: one downloads with the client (read through), the
+   other decodes the same reply whole. Result, client statistics and
+   virtual time must agree — over the loopback, the cost-model channel and
+   the TCP stack, for any request fragment size, downloads that fit one
+   reply fragment or need two, and downloads that fail. *)
+let prop_download_read_through =
+  let kinds = [| ("loopback", `Local); ("simchannel", `Sim); ("tcpchannel", `Tcp) |] in
+  let lens = [| 0; 1; 3; 1024; 4099; (1 lsl 20) - 32; (1 lsl 20) - 31; (1 lsl 20) + 5 |] in
+  QCheck.Test.make ~count:30 ~name:"download read through == full decode"
+    QCheck.(
+      make
+        ~print:(fun (k, fs, l, valid, stream) ->
+          Printf.sprintf "%s, fragments of %d, len %d, valid %b, stream %b"
+            (fst kinds.(k)) fs lens.(l) valid stream)
+        Gen.(
+          tup5 (int_bound 2)
+            (oneof [ int_range 16 100_000; return Oncrpc.Record.default_fragment_size ])
+            (int_bound (Array.length lens - 1)) bool bool))
+    (fun (k, fragment_size, l, valid, stream) ->
+      let len = lens.(l) in
+      let payload = Apps.Workload.xorshift_bytes ~seed:len (max len 1) in
+      let download ~read_through =
+        let engine, client = download_stack (snd kinds.(k)) ~fragment_size in
+        let p = C.malloc client (max len 1) in
+        C.memcpy_h2d client ~dst:p payload;
+        let src = if valid then p else Int64.add p 0x10_0000L in
+        let result =
+          match
+            match (read_through, stream) with
+            | true, false -> C.memcpy_d2h client ~src ~len
+            | true, true -> C.memcpy_d2h_stream client ~src ~len ~stream:0L
+            | false, _ ->
+                let proc, args =
+                  if stream then
+                    ( Rpc.Client.proc_rpc_cudaMemcpyDtoHAsync,
+                      fun enc ->
+                        d2h_args ~src ~len:(Int64.of_int len) enc;
+                        Xdr.Encode.uint64 enc 0L )
+                  else
+                    ( Rpc.Client.proc_rpc_cudaMemcpyDtoH,
+                      d2h_args ~src ~len:(Int64.of_int len) )
+                in
+                Oncrpc.Client.call (C.rpc client) ~proc args decode_mem_result
+          with
+          | b -> Ok (Bytes.to_string b)
+          | exception e -> Error (Printexc.to_string e)
+        in
+        (result, Oncrpc.Client.stats (C.rpc client), Simnet.Engine.now engine)
+      in
+      let ((result, _, _) as got) = download ~read_through:true in
+      (match result with
+      | Ok b when valid && b <> Bytes.sub_string payload 0 len ->
+          QCheck.Test.fail_report "download corrupted"
+      | _ -> ());
+      got = download ~read_through:false)
+
 let suite =
   [
     Alcotest.test_case "device forwarding" `Quick test_device_forwarding;
@@ -780,4 +987,7 @@ let suite =
         test_launch_pointers_outside_memory;
       Alcotest.test_case "loopback partial and oversized records" `Quick
         test_local_partial_records;
+      Alcotest.test_case "bulk handlers match the generated ones" `Quick
+        test_bulk_handlers_match_generated;
     ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_download_read_through ]

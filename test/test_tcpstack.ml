@@ -960,6 +960,93 @@ let test_tcpchannel_oversized_header () =
         (1 lsl 30) + 4 );
     ]
 
+(* --- the bulk path's payload-sized allocations --- *)
+
+let major_words () = (Gc.quick_stat ()).Gc.major_words
+
+(* A Cricket server behind a Tcpchannel, its dispatches' major words
+   recorded newest first. *)
+let cricket_over_tcp ?rto () =
+  let engine = Engine.create () in
+  let server =
+    Cricket.Server.create ~clock:(Cudasim.Context.engine_clock engine) ()
+  in
+  Cudasim.Context.set_functional (Cricket.Server.context server) true;
+  let dispatched = ref [] in
+  let dispatch request =
+    let w0 = major_words () in
+    let reply = Cricket.Server.dispatch server request in
+    dispatched := (major_words () -. w0) :: !dispatched;
+    reply
+  in
+  let ch = Unikernel.Tcpchannel.create ~engine ~client:hermit ?rto ~dispatch () in
+  let client =
+    Cricket.Client.create ~transport:(Unikernel.Tcpchannel.transport ch) ()
+  in
+  (ch, client, dispatched)
+
+(* A 16 MiB round trip allocates the payload once on the server (the d2h
+   reply) and once on the client (the buffer it returns): the upload goes
+   from the request record into device memory, and the download from the
+   transport into the returned buffer. Counted in payload-sized blocks of
+   major-heap words, after a warm-up round trip has sized the reused
+   buffers. *)
+let test_bulk_round_trip_allocations () =
+  let len = 16 lsl 20 in
+  let payload_words = float_of_int (len / (Sys.word_size / 8)) in
+  let payloads words = Float.to_int (Float.round (words /. payload_words)) in
+  let _, client, dispatched = cricket_over_tcp () in
+  let payload = Apps.Workload.xorshift_bytes ~seed:3 len in
+  let dst = Cricket.Client.malloc client len in
+  let round_trip () =
+    dispatched := [];
+    Cricket.Client.memcpy_h2d client ~dst payload;
+    let h2d = List.hd !dispatched in
+    let w0 = major_words () in
+    let back = Cricket.Client.memcpy_d2h client ~src:dst ~len in
+    let call = major_words () -. w0 in
+    let d2h = List.hd !dispatched in
+    check Alcotest.bool "payload back intact" true (Bytes.equal back payload);
+    (payloads h2d, payloads d2h, payloads (call -. d2h))
+  in
+  ignore (round_trip ());
+  let h2d, d2h, client_d2h = round_trip () in
+  check Alcotest.int "server h2d" 0 h2d;
+  check Alcotest.int "server d2h" 1 d2h;
+  check Alcotest.int "client d2h" 1 client_d2h
+
+(* Fault-free Hermit over Tcpchannel retransmits, and only the server
+   does. Uploading, the Hermit client's receive path falls behind the ACK
+   stream the server returns, so the h2d reply waits in that backlog while
+   the server's fixed 200 us RTO fires, doubling each time, until the
+   client's ACK gets back. Every spurious copy reaches the client as a
+   duplicate and draws a duplicate ACK; from three of them on, the ACKs
+   arriving during the d2h trigger one fast retransmit. With a 5 ms RTO
+   none of it happens. Pinned, as modelled behaviour, at two sizes: the
+   server's retransmissions after the h2d, after the d2h, and how many of
+   them were fast. *)
+let test_fault_free_retransmissions () =
+  let counts ?rto len =
+    let ch, client, _ = cricket_over_tcp ?rto () in
+    let payload = Bytes.make len 'r' in
+    let dst = Cricket.Client.malloc client len in
+    let server () =
+      let c, s = Unikernel.Tcpchannel.endpoint_stats ch in
+      check Alcotest.int "client never retransmits" 0 c.EP.retransmissions;
+      s
+    in
+    Cricket.Client.memcpy_h2d client ~dst payload;
+    let h2d = (server ()).EP.retransmissions in
+    ignore (Cricket.Client.memcpy_d2h client ~src:dst ~len);
+    let s = server () in
+    (h2d, s.EP.retransmissions, s.EP.fast_retransmissions)
+  in
+  let triple = Alcotest.(triple int int int) in
+  check triple "1 MiB" (2, 2, 0) (counts (1 lsl 20));
+  check triple "4 MiB" (3, 4, 1) (counts (4 lsl 20));
+  check triple "1 MiB, 5 ms RTO" (0, 0, 0) (counts ~rto:(Time.ms 5) (1 lsl 20));
+  check triple "4 MiB, 5 ms RTO" (0, 0, 0) (counts ~rto:(Time.ms 5) (4 lsl 20))
+
 let suite =
   [
     Alcotest.test_case "checksum RFC1071 vector" `Quick
@@ -1024,3 +1111,9 @@ let suite =
         prop_offload_paths_deliver_identical_bytes;
         prop_tcpchannel_multi_fragment_records;
       ]
+  @ [
+      Alcotest.test_case "bulk round trip payload allocations" `Quick
+        test_bulk_round_trip_allocations;
+      Alcotest.test_case "fault-free retransmissions are the server's" `Quick
+        test_fault_free_retransmissions;
+    ]

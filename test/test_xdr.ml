@@ -282,6 +282,33 @@ let prop_concat_independent =
       encode (fun e -> E.string e a; E.string e b)
       = encode (fun e -> E.string e a) ^ encode (fun e -> E.string e b))
 
+(* Opaques written by [opaque_fill] — several per message, small and large,
+   between other fields — lay out exactly as [opaque] writes the same
+   bytes, and a message still waiting for a fill refuses [to_iovec]. *)
+let prop_opaque_fill_identity =
+  QCheck.Test.make ~count:200 ~name:"opaque_fill lays out what opaque encodes"
+    QCheck.(small_list (string_of_size (Gen.int_range 0 3000)))
+    (fun payloads ->
+      let encoded opaque =
+        encode (fun e ->
+            List.iteri
+              (fun i p ->
+                E.int e i;
+                opaque e p)
+              payloads;
+            E.int e (-1))
+      in
+      let deferred = E.create () in
+      E.opaque_fill deferred E.zero_copy_threshold (fun b off ->
+          Bytes.fill b off E.zero_copy_threshold 'd');
+      (match E.to_iovec deferred with
+      | _ -> QCheck.Test.fail_report "to_iovec took an unfilled opaque"
+      | exception Invalid_argument _ -> ());
+      encoded (fun e p ->
+          E.opaque_fill e (String.length p) (fun b off ->
+              Bytes.blit_string p 0 b off (String.length p)))
+      = encoded (fun e p -> E.opaque e (Bytes.of_string p)))
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -290,6 +317,8 @@ let qcheck_tests =
       prop_sliced_encode_identity; prop_opaque_slice_roundtrip;
       prop_concat_independent;
     ]
+
+let fill_tests = List.map QCheck_alcotest.to_alcotest [ prop_opaque_fill_identity ]
 
 let suite =
   [
@@ -318,4 +347,4 @@ let suite =
     Alcotest.test_case "opaque_slice is a no-copy view" `Quick
       test_decode_opaque_slice_no_copy;
   ]
-  @ qcheck_tests
+  @ qcheck_tests @ fill_tests
