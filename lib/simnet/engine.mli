@@ -13,6 +13,9 @@ val create : unit -> t
 
 val now : t -> Time.t
 
+val now_ns : t -> int
+(** [now] as plain nanoseconds. *)
+
 val advance : t -> Time.t -> unit
 (** Move the clock forward by a duration (never backwards; negative
     durations raise [Invalid_argument]). *)
@@ -22,7 +25,12 @@ val advance_to : t -> Time.t -> unit
 
 val schedule_at : t -> Time.t -> (unit -> unit) -> unit
 (** Enqueue a callback for an absolute time; times before [now] fire
-    immediately on the next run step (clock never rewinds). *)
+    immediately on the next run step (clock never rewinds). The queue keys
+    events by [int] nanoseconds: a time outside the [int] range raises
+    [Invalid_argument], here and wherever a [Time.t] enters the engine. *)
+
+val schedule_at_ns : t -> int -> (unit -> unit) -> unit
+(** [schedule_at] with the time as plain nanoseconds. *)
 
 val schedule_after : t -> Time.t -> (unit -> unit) -> unit
 

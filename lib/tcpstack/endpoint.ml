@@ -30,6 +30,7 @@ let state_to_string = function
 type stats = {
   segments_sent : int;
   segments_received : int;
+  data_segments_sent : int;
   retransmissions : int;
   fast_retransmissions : int;
   bytes_sent : int;
@@ -80,6 +81,7 @@ type t = {
   mutable fast_retransmits : int;
   mutable segments_sent : int;
   mutable segments_received : int;
+  mutable data_segments_sent : int;
   mutable retransmissions : int;
   mutable bytes_sent : int;
   mutable bytes_received : int;
@@ -117,6 +119,7 @@ let create ~engine ~name ~mss ~iss ~local_port ~remote_port
     fast_retransmits = 0;
     segments_sent = 0;
     segments_received = 0;
+    data_segments_sent = 0;
     retransmissions = 0;
     bytes_sent = 0;
     bytes_received = 0;
@@ -137,6 +140,7 @@ let state t = t.state
 
 let stats t =
   { segments_sent = t.segments_sent; segments_received = t.segments_received;
+    data_segments_sent = t.data_segments_sent;
     retransmissions = t.retransmissions;
     fast_retransmissions = t.fast_retransmits; bytes_sent = t.bytes_sent;
     bytes_received = t.bytes_received }
@@ -145,31 +149,35 @@ let congestion_window t = t.cwnd
 
 let unacked t = Seqnum.diff t.snd_nxt t.snd_una
 
-let emit t ?(payload = []) ?(plen = 0) ~seq ~flags () =
+let emit t ~payload ~plen ~seq ~flags =
   let f =
     { Frame.src_port = t.local_port; dst_port = t.remote_port; seq;
       ack = t.rcv_nxt; flags; window = t.rcv_window; payload;
       payload_len = plen }
   in
   t.segments_sent <- t.segments_sent + 1;
+  if plen > 0 then t.data_segments_sent <- t.data_segments_sent + 1;
   t.bytes_sent <- t.bytes_sent + plen;
   t.tx f
 
-let send_ack t =
-  emit t ~seq:t.snd_nxt
-    ~flags:{ Segment.flags_none with ack = true }
-    ()
+(* The flags of the two segments sent most, shared instead of built per
+   segment: a pure ACK and a plain data segment. *)
+let ack_flags = { Segment.flags_none with ack = true }
+let data_flags = { ack_flags with psh = true }
+
+let send_ack t = emit t ~payload:[] ~plen:0 ~seq:t.snd_nxt ~flags:ack_flags
 
 (* Every segment carries ACK except the initial SYN of an active open
    (which is also what a retransmission must reproduce). *)
 let pending_flags t (p : pending) =
-  { Segment.syn = p.syn; fin = p.fin; rst = false;
-    psh = p.plen > 0;
-    ack = not (p.syn && t.state = Syn_sent) }
+  if p.plen > 0 && not (p.syn || p.fin) then data_flags
+  else
+    { Segment.syn = p.syn; fin = p.fin; rst = false;
+      psh = p.plen > 0;
+      ack = not (p.syn && t.state = Syn_sent) }
 
 let transmit_pending t p =
   emit t ~payload:p.payload ~plen:p.plen ~seq:p.seq ~flags:(pending_flags t p)
-    ()
 
 let max_rto_backoff = 6 (* cap the timer at 64x its base value *)
 
@@ -179,7 +187,10 @@ let rec arm_rto t =
   (* exponential backoff (RFC 6298 §5.5): a spurious timeout — e.g. the
      peer's receive path is the bottleneck and ACKs queue behind it —
      must not fire at the same rate until the retry budget is gone *)
-  let rto = Int64.shift_left t.rto (min t.rto_backoff max_rto_backoff) in
+  let rto =
+    if t.rto_backoff = 0 then t.rto
+    else Int64.shift_left t.rto (min t.rto_backoff max_rto_backoff)
+  in
   Engine.schedule_after t.engine rto (fun () -> on_rto t generation)
 
 and on_rto t generation =
@@ -359,12 +370,13 @@ let process_ack t (f : Frame.t) =
 
 let max_ooo_segments = 256
 
-let append_payload t iov =
-  Xdr.Iovec.iter
-    (fun s ->
+let rec append_payload t (iov : Xdr.Iovec.t) =
+  match iov with
+  | [] -> ()
+  | s :: rest ->
       Buffer.add_substring t.recv_buf s.Xdr.Iovec.base s.Xdr.Iovec.off
-        s.Xdr.Iovec.len)
-    iov
+        s.Xdr.Iovec.len;
+      append_payload t rest
 
 (* Splice any buffered out-of-order segments that are now in order. *)
 let rec drain_ooo t =

@@ -32,6 +32,7 @@ val state_to_string : state -> string
 type stats = {
   segments_sent : int;
   segments_received : int;
+  data_segments_sent : int;  (** segments carrying payload (incl. rexmit) *)
   retransmissions : int;  (** all retransmitted segments (RTO + fast) *)
   fast_retransmissions : int;  (** triggered by triple duplicate ACKs *)
   bytes_sent : int;  (** payload bytes handed to the wire (incl. rexmit) *)

@@ -51,25 +51,42 @@ let seq_length t =
   + (if t.flags.Segment.syn then 1 else 0)
   + if t.flags.Segment.fin then 1 else 0
 
+(* The bytes [pos, pos+len) of [iov] as slices sharing its storage, found
+   in one walk; a slice wholly inside the range is reused as it is. *)
+let rec range (iov : Xdr.Iovec.t) pos len =
+  if len = 0 then []
+  else
+    match iov with
+    | [] -> invalid_arg "Frame.sub"
+    | s :: rest ->
+        let slen = s.Xdr.Iovec.len in
+        if pos >= slen then range rest (pos - slen) len
+        else begin
+          let n = min len (slen - pos) in
+          let piece =
+            if pos = 0 && n = slen then s else Xdr.Iovec.sub_slice s pos n
+          in
+          piece :: range rest 0 (len - n)
+        end
+
 (* [sub t pos len] is the data sub-range [pos, pos+len) of [t]'s payload
    as its own frame (sequence number advanced, payload aliased). SYN
    stays on the first byte of the sequence space, FIN on the last. *)
 let sub t pos len =
   if pos < 0 || len < 0 || pos + len > t.payload_len then
     invalid_arg "Frame.sub";
-  let before, _ = Xdr.Iovec.split t.payload (pos + len) in
-  let _, payload = Xdr.Iovec.split before pos in
   let last = pos + len = t.payload_len in
+  let f = t.flags in
+  let syn = f.Segment.syn && pos = 0
+  and fin = f.Segment.fin && last
+  and psh = f.Segment.psh && last in
   {
     t with
-    seq = Seqnum.add t.seq (pos + if t.flags.Segment.syn && pos > 0 then 1 else 0);
+    seq = Seqnum.add t.seq (pos + if f.Segment.syn && pos > 0 then 1 else 0);
     flags =
-      {
-        t.flags with
-        Segment.syn = t.flags.Segment.syn && pos = 0;
-        fin = t.flags.Segment.fin && last;
-        psh = t.flags.Segment.psh && last;
-      };
-    payload;
+      (if syn = f.Segment.syn && fin = f.Segment.fin && psh = f.Segment.psh
+       then f
+       else { f with Segment.syn; fin; psh });
+    payload = range t.payload pos len;
     payload_len = len;
   }

@@ -1,5 +1,4 @@
 module Engine = Simnet.Engine
-module Time = Simnet.Time
 module Fault = Simnet.Fault
 module Offload = Simnet.Offload
 module Hostprofile = Simnet.Hostprofile
@@ -59,6 +58,16 @@ let effective (f : Offload.t) =
     Offload.tso = f.Offload.tso && f.Offload.tx_checksum;
     gro = f.Offload.gro && f.Offload.rx_checksum }
 
+(* The three pipeline cursors of one direction plus the delivery floor,
+   in nanoseconds. An all-float record is stored flat, so advancing a
+   cursor writes a float in place instead of boxing one. *)
+type cursors = {
+  mutable tx_free : float;  (* guest tx CPU busy until *)
+  mutable wire_free : float;
+  mutable rx_free : float;
+  mutable last_arrival : float;  (* FIFO floor for deliveries *)
+}
+
 (* One transmit direction: sender guest -> device -> wire -> receiver. *)
 type dir = {
   peer : Endpoint.t;
@@ -66,10 +75,7 @@ type dir = {
   rcv : Hostprofile.t;
   feat_tx : Offload.t;  (* negotiated with the sending guest *)
   feat_rx : Offload.t;  (* negotiated with the receiving guest *)
-  mutable tx_free : float;  (* guest tx CPU busy until (ns) *)
-  mutable wire_free : float;
-  mutable rx_free : float;
-  mutable last_arrival : float;  (* FIFO floor for deliveries *)
+  cur : cursors;
   mutable kick_pending : int;  (* guest frames since last doorbell *)
   mutable irq_pending : int;  (* rx units since last interrupt *)
 }
@@ -80,6 +86,13 @@ type t = {
   fault : Fault.t option;
   ab : dir;
   ba : dir;
+  (* per-frame scratch, indexed by wire segment: each segment's fault
+     decision and wire-done time. Owned by this device, so netdevs on
+     different domains never share it. *)
+  mutable decisions : Fault.decision array;
+  mutable done_at : float array;
+  mutable run_first : int;  (* the GRO run being built: its first segment *)
+  mutable run_count : int;  (* and how many passing segments it holds *)
   mutable guest_tx_frames : int;
   mutable wire_segments : int;
   mutable tso_frames : int;
@@ -95,7 +108,11 @@ type t = {
 
 let set_obs t obs = t.obs <- obs
 
-let now_ns t = Int64.to_float (Engine.now t.engine)
+let[@inline] now_ns t = Int64.to_float (Engine.now t.engine)
+
+(* [Float.max] for the cursors' values (never NaN), written here so that
+   it is inlined and its float arguments stay unboxed. *)
+let[@inline] fmax (a : float) b = if a >= b then a else b
 
 (* --- sender side -------------------------------------------------------- *)
 
@@ -133,7 +150,7 @@ let guest_tx t d (f : Frame.t) =
       else cost
     end
   in
-  d.tx_free <- Float.max (now_ns t) d.tx_free +. cost;
+  d.cur.tx_free <- fmax (now_ns t) d.cur.tx_free +. cost;
   (* without scatter-gather the device needs contiguous staging: the
      flatten is performed, not just charged *)
   if (not d.feat_tx.Offload.scatter_gather) && n > 0 then begin
@@ -164,17 +181,20 @@ let sw_verify t (u : Frame.t) ~csum ~corrupt =
     else Checksum.finish (Checksum.sum_iovec u.Frame.payload)
   in
   t.sw_checksum_bytes <- t.sw_checksum_bytes + u.Frame.payload_len;
-  match csum with
-  | Some c when c <> computed ->
-      t.csum_drops <- t.csum_drops + 1;
-      false
-  | _ -> not corrupt
+  if computed <> csum then begin
+    t.csum_drops <- t.csum_drops + 1;
+    false
+  end
+  else not corrupt
 
-(* Deliver one rx unit: charge receiver CPU on the rx cursor and schedule
-   the endpoint callback at the cursor's new position. *)
-let deliver_unit t d ~ready ~csum ~corrupt (u : Frame.t) =
+(* Deliver one rx unit whose last wire segment is done at [done_at]:
+   charge receiver CPU on the rx cursor and schedule the endpoint callback
+   at the cursor's new position. Without rx checksum offload the device
+   has stamped the unit and the receiver verifies it in software. *)
+let deliver_unit t d ~done_at ~corrupt (u : Frame.t) =
   let p = d.rcv in
   let n = u.Frame.payload_len in
+  let c = d.cur in
   t.rx_units <- t.rx_units + 1;
   let cost =
     Float.of_int p.Hostprofile.per_packet_rx_ns
@@ -199,132 +219,112 @@ let deliver_unit t d ~ready ~csum ~corrupt (u : Frame.t) =
     end
     else cost
   in
-  d.rx_free <- Float.max ready d.rx_free +. cost;
+  let ready = done_at +. Float.of_int t.link.Link.latency_ns in
+  c.rx_free <- fmax ready c.rx_free +. cost;
   let ok =
     if d.feat_rx.Offload.rx_checksum then true
-    else sw_verify t u ~csum ~corrupt
+    else
+      (* the device stamp: the sum of the unit as sent *)
+      let csum = Checksum.finish (Checksum.sum_iovec u.Frame.payload) in
+      sw_verify t u ~csum ~corrupt
   in
   if ok then begin
-    let arrival = Float.max d.rx_free (d.last_arrival +. 1.0) in
-    d.last_arrival <- arrival;
+    let arrival = fmax c.rx_free (c.last_arrival +. 1.0) in
+    c.last_arrival <- arrival;
     let peer = d.peer in
-    Engine.schedule_at t.engine (Time.of_float_ns arrival) (fun () ->
-        Endpoint.on_frame peer u)
+    Engine.schedule_at_ns t.engine
+      (Int64.to_int (Int64.of_float (Float.round arrival)))
+      (fun () -> Endpoint.on_frame peer u)
   end
 
 (* --- wire --------------------------------------------------------------- *)
 
-(* A wire segment annotated with its fate and timing. *)
-type wseg = {
-  pos : int;  (* payload offset within the parent frame *)
-  len : int;
-  decision : Fault.decision;
-  done_at : float;  (* wire cursor after serialization (+ fault delay) *)
-}
+(* The sub-frame of wire segments [first, first + count) of [f]. *)
+let unit_of f ~mss ~first ~count =
+  let n = f.Frame.payload_len in
+  let pos = first * mss in
+  let stop = min n ((first + count) * mss) in
+  if pos = 0 && stop = n then f else Frame.sub f pos (stop - pos)
 
-let latency t = Float.of_int t.link.Link.latency_ns
+(* Deliver the current GRO run of [f], if any, as one rx unit. *)
+let flush t d f ~mss =
+  let merged = t.run_count in
+  if merged > 0 then begin
+    if merged > 1 then begin
+      t.gro_merged <- t.gro_merged + (merged - 1);
+      Obs.Recorder.incr t.obs ~by:(merged - 1) "net.gro_merged"
+    end;
+    let first = t.run_first in
+    t.run_count <- 0;
+    deliver_unit t d
+      ~done_at:t.done_at.(first + merged - 1)
+      ~corrupt:false
+      (unit_of f ~mss ~first ~count:merged)
+  end
 
 (* Cut a guest frame at wire MSS, move every segment across the wire, and
    re-coalesce in-order runs into rx units (GRO). A unit is flushed by
    reaching [gro_limit], by a faulted segment, or by the end of the
    frame; its ready time is the wire-done time of its last segment plus
-   propagation latency. *)
+   propagation latency. A run is tracked as its first segment and its
+   length; every segment is wired (fault drawn, wire cursor advanced)
+   before the first unit is delivered. *)
 let transmit t d (f : Frame.t) =
   let mss = Link.mss t.link in
   let n = f.Frame.payload_len in
   let nsegs = if n <= mss then 1 else (n + mss - 1) / mss in
   if nsegs > 1 then t.tso_frames <- t.tso_frames + 1;
-  (* device-side checksum stamp: free for the guest; only materialized
-     when the receiver will verify in software *)
-  let stamp sub =
-    if d.feat_rx.Offload.rx_checksum then None
-    else Some (Checksum.finish (Checksum.sum_iovec sub.Frame.payload))
-  in
-  let wire_one ~pos ~len =
+  if nsegs > Array.length t.done_at then begin
+    t.decisions <- Array.make nsegs Fault.Pass;
+    t.done_at <- Array.make nsegs 0.0
+  end;
+  let c = d.cur in
+  for i = 0 to nsegs - 1 do
+    let len = min mss (n - (i * mss)) in
     t.wire_segments <- t.wire_segments + 1;
     let decision =
       match t.fault with
       | None -> Fault.Pass
       | Some fl -> Fault.decide ~now:(Engine.now t.engine) fl
     in
+    (* [Link.serialize_ns ~packets:1], written out so that the float
+       stays unboxed *)
     let ser =
-      Link.serialize_ns t.link ~payload:len ~packets:1
+      (Float.of_int (len + t.link.Link.header_bytes)
+       *. 8.0 /. t.link.Link.bandwidth_gbps)
       +. match decision with Fault.Delay x -> Int64.to_float x | _ -> 0.0
     in
-    d.wire_free <- Float.max d.tx_free d.wire_free +. ser;
-    { pos; len; decision; done_at = d.wire_free }
-  in
-  let segs =
-    if nsegs = 1 then [ wire_one ~pos:0 ~len:n ]
-    else
-      List.init nsegs (fun i ->
-          let pos = i * mss in
-          wire_one ~pos ~len:(min mss (n - pos)))
-  in
+    c.wire_free <- fmax c.tx_free c.wire_free +. ser;
+    t.decisions.(i) <- decision;
+    t.done_at.(i) <- c.wire_free
+  done;
   let gro = d.feat_rx.Offload.gro in
-  (* accumulate [run] = consecutive passing segments to merge *)
-  let flush run =
-    match run with
-    | [] -> ()
-    | last :: _ ->
-        let first = List.nth run (List.length run - 1) in
-        let merged = List.length run in
-        if merged > 1 then begin
-          t.gro_merged <- t.gro_merged + (merged - 1);
-          Obs.Recorder.incr t.obs ~by:(merged - 1) "net.gro_merged"
-        end;
-        let u =
-          if first.pos = 0 && last.pos + last.len = n then f
-          else Frame.sub f first.pos (last.pos + last.len - first.pos)
-        in
-        deliver_unit t d ~ready:(last.done_at +. latency t) ~csum:(stamp u)
-          ~corrupt:false u
-  in
-  let run = ref [] in
-  let run_len = ref 0 in
-  List.iter
-    (fun (s : wseg) ->
-      let sub () =
-        if s.pos = 0 && s.len = n then f else Frame.sub f s.pos s.len
-      in
-      match s.decision with
-      | Fault.Pass | Fault.Delay _ ->
-          if gro && !run_len < gro_limit then begin
-            run := s :: !run;
-            incr run_len
-          end
-          else begin
-            flush !run;
-            run := [ s ];
-            run_len := 1
-          end
-      | Fault.Drop ->
-          (* the hole breaks coalescing: flush what we have *)
-          flush !run;
-          run := [];
-          run_len := 0
-      | Fault.Corrupt ->
-          flush !run;
-          run := [];
-          run_len := 0;
-          if d.feat_rx.Offload.rx_checksum then
-            (* the device's FCS/checksum validation catches it before the
-               segment reaches a receive buffer: pure loss, no rx CPU *)
-            t.fcs_drops <- t.fcs_drops + 1
-          else
-            let u = sub () in
-            deliver_unit t d ~ready:(s.done_at +. latency t) ~csum:(stamp u)
-              ~corrupt:true u
-      | Fault.Duplicate ->
-          flush !run;
-          run := [];
-          run_len := 0;
-          let u = sub () in
-          let ready = s.done_at +. latency t in
-          deliver_unit t d ~ready ~csum:(stamp u) ~corrupt:false u;
-          deliver_unit t d ~ready ~csum:(stamp u) ~corrupt:false u)
-    segs;
-  flush !run
+  t.run_count <- 0;
+  for i = 0 to nsegs - 1 do
+    match t.decisions.(i) with
+    | Fault.Pass | Fault.Delay _ ->
+        if not (gro && t.run_count < gro_limit) then flush t d f ~mss;
+        if t.run_count = 0 then t.run_first <- i;
+        t.run_count <- t.run_count + 1
+    | Fault.Drop ->
+        (* the hole breaks coalescing: flush what we have *)
+        flush t d f ~mss
+    | Fault.Corrupt ->
+        flush t d f ~mss;
+        if d.feat_rx.Offload.rx_checksum then
+          (* the device's FCS/checksum validation catches it before the
+             segment reaches a receive buffer: pure loss, no rx CPU *)
+          t.fcs_drops <- t.fcs_drops + 1
+        else
+          deliver_unit t d ~done_at:t.done_at.(i) ~corrupt:true
+            (unit_of f ~mss ~first:i ~count:1)
+    | Fault.Duplicate ->
+        flush t d f ~mss;
+        let u = unit_of f ~mss ~first:i ~count:1 in
+        deliver_unit t d ~done_at:t.done_at.(i) ~corrupt:false u;
+        deliver_unit t d ~done_at:t.done_at.(i) ~corrupt:false u
+  done;
+  flush t d f ~mss
 
 let on_guest_frame t d (f : Frame.t) =
   let f = guest_tx t d f in
@@ -341,13 +341,16 @@ let connect ~engine ~link ?fault ?(device = Offload.all) ~a:(ea, pa)
     effective (Offload.negotiate ~device ~guest:pb.Hostprofile.offloads)
   in
   let dir peer snd rcv feat_tx feat_rx =
-    { peer; snd; rcv; feat_tx; feat_rx; tx_free = 0.0; wire_free = 0.0;
-      rx_free = 0.0; last_arrival = 0.0; kick_pending = 0; irq_pending = 0 }
+    { peer; snd; rcv; feat_tx; feat_rx;
+      cur =
+        { tx_free = 0.0; wire_free = 0.0; rx_free = 0.0; last_arrival = 0.0 };
+      kick_pending = 0; irq_pending = 0 }
   in
   let t =
     { engine; link; fault;
       ab = dir eb pa pb feat_a feat_b;
       ba = dir ea pb pa feat_b feat_a;
+      decisions = [||]; done_at = [||]; run_first = 0; run_count = 0;
       guest_tx_frames = 0; wire_segments = 0; tso_frames = 0; rx_units = 0;
       gro_merged = 0; sw_checksum_bytes = 0; staging_copies = 0;
       csum_drops = 0; fcs_drops = 0; payload_bytes = 0;

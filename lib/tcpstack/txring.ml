@@ -29,29 +29,33 @@ let push_bytes t b =
   if Bytes.length b > 0 then
     push_slice t (Xdr.Iovec.slice (Bytes.to_string b))
 
+(* The front [n] bytes, in order and without reversing an accumulator: a
+   segment cut from inside one slice comes back as one fresh slice, and a
+   slice consumed whole from its start is reused as it is. *)
+let rec take_front t n =
+  if n = 0 then []
+  else begin
+    let s = Queue.peek t.q in
+    let avail = s.Xdr.Iovec.len - t.head_off in
+    if avail <= n then begin
+      ignore (Queue.pop t.q);
+      let piece =
+        if t.head_off = 0 then s else Xdr.Iovec.sub_slice s t.head_off avail
+      in
+      t.head_off <- 0;
+      piece :: take_front t (n - avail)
+    end
+    else begin
+      let piece = Xdr.Iovec.sub_slice s t.head_off n in
+      t.head_off <- t.head_off + n;
+      [ piece ]
+    end
+  end
+
 let take t n =
   if n < 0 || n > t.length then invalid_arg "Txring.take";
-  let rec loop acc n =
-    if n = 0 then List.rev acc
-    else begin
-      let s = Queue.peek t.q in
-      let avail = s.Xdr.Iovec.len - t.head_off in
-      if avail <= n then begin
-        ignore (Queue.pop t.q);
-        let piece = Xdr.Iovec.sub_slice s t.head_off avail in
-        t.head_off <- 0;
-        loop (piece :: acc) (n - avail)
-      end
-      else begin
-        let piece = Xdr.Iovec.sub_slice s t.head_off n in
-        t.head_off <- t.head_off + n;
-        loop (piece :: acc) 0
-      end
-    end
-  in
-  let iov = loop [] n in
   t.length <- t.length - n;
-  iov
+  take_front t n
 
 let clear t =
   Queue.clear t.q;

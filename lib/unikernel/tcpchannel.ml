@@ -74,7 +74,11 @@ type t = {
   mutable frag_last : bool;
   mutable frags : Bytes.t list;  (* completed fragments, newest first *)
   mutable frags_len : int;
-  mutable stats : stats;
+  mutable messages : int;
+  mutable bytes_to_server : int;
+  mutable bytes_from_server : int;
+  mutable network_ns : int;
+  mutable timeouts : int;
   mutable obs : Obs.Recorder.t;
   (* virtual time spent inside server dispatch, accumulated so the recv
      wait span can report blocked-on-network time net of dispatch time *)
@@ -107,8 +111,7 @@ let charge_syscalls t (p : Simnet.Hostprofile.t) len =
    Under the doorbell the (small) replies of one rx burst are framed
    straight into one contiguous submit instead, which is cheaper than
    carrying two slices per reply through the send ring. *)
-let count_reply t len =
-  t.stats <- { t.stats with bytes_from_server = t.stats.bytes_from_server + len }
+let count_reply t len = t.bytes_from_server <- t.bytes_from_server + len
 
 let reply_out t reply =
   if reply <> "" then
@@ -174,7 +177,7 @@ let feed_server t =
           in
           t.frags <- [];
           t.frags_len <- 0;
-          t.stats <- { t.stats with messages = t.stats.messages + 1 };
+          t.messages <- t.messages + 1;
           let t0 = Engine.now t.engine in
           let reply = t.dispatch request in
           t.dispatched_ns <-
@@ -196,7 +199,7 @@ let feed_server_rpc t rdev chunk =
   let entries = Tcpstack.Rpcdev.drain rdev in
   List.iter
     (fun (e : Tcpstack.Rpcdev.entry) ->
-      t.stats <- { t.stats with messages = t.stats.messages + 1 };
+      t.messages <- t.messages + 1;
       let reply =
         match (e.Tcpstack.Rpcdev.parse, t.dispatch_parsed) with
         | Some (Ok p), Some f -> f ~ident:e.Tcpstack.Rpcdev.ident p e.record
@@ -274,9 +277,8 @@ let create ~engine ~client ?(server = Config.server_profile)
           ();
       hdr = Bytes.create 4; hdr_pos = 0; in_frag = false; frag = Bytes.empty;
       frag_pos = 0; frag_last = false; frags = []; frags_len = 0;
-      stats =
-        { messages = 0; bytes_to_server = 0; bytes_from_server = 0;
-          network_time = Time.zero; timeouts = 0 };
+      messages = 0; bytes_to_server = 0; bytes_from_server = 0;
+      network_ns = 0; timeouts = 0;
       obs = Obs.Recorder.null; dispatched_ns = Time.zero }
   in
   EP.listen server_ep;
@@ -291,9 +293,7 @@ let create ~engine ~client ?(server = Config.server_profile)
   if EP.state client_ep <> EP.Established then
     failwith "Tcpchannel.create: handshake failed";
   let push s =
-    t.stats <-
-      { t.stats with
-        bytes_to_server = t.stats.bytes_to_server + String.length s };
+    t.bytes_to_server <- t.bytes_to_server + String.length s;
     charge_syscalls t t.client_prof (String.length s);
     EP.send_string t.client_ep s
   in
@@ -303,19 +303,14 @@ let create ~engine ~client ?(server = Config.server_profile)
      reusable buffers *)
   let sendv iov = push (Xdr.Iovec.concat iov) in
   let recv buf off len =
-    let available () = EP.recv_length client_ep in
-    if available () = 0 then begin
+    if EP.recv_length client_ep = 0 then begin
       let t0 = Engine.now engine in
       let d0 = t.dispatched_ns in
       drain t;
-      while available () = 0 && Engine.step engine do
+      while EP.recv_length client_ep = 0 && Engine.step engine do
         drain t
       done;
-      t.stats <-
-        { t.stats with
-          network_time =
-            Time.add t.stats.network_time
-              (Time.sub (Engine.now engine) t0) };
+      t.network_ns <- t.network_ns + Engine.now_ns engine - Int64.to_int t0;
       (* The wait interval covers both stack time and the server dispatch
          it triggered; the dispatch layer records itself, so the net span
          is the blocked time with dispatch time carved out (placed at the
@@ -326,14 +321,14 @@ let create ~engine ~client ?(server = Config.server_profile)
           ~start_ns:(Time.add t0 dispatch_d)
           ~stop_ns:(Engine.now engine)
       end;
-      if available () = 0 then begin
+      if EP.recv_length client_ep = 0 then begin
         (* the event queue ran dry with no reply bytes in flight: nothing
            will ever arrive (e.g. a one-way misuse); model the wait *)
         let sp = Obs.Recorder.span_begin t.obs ~layer:"net" "net.rto" in
         Engine.advance engine rto;
         Obs.Recorder.span_end t.obs sp;
         Obs.Recorder.incr t.obs "net.rto";
-        t.stats <- { t.stats with timeouts = t.stats.timeouts + 1 };
+        t.timeouts <- t.timeouts + 1;
         raise Oncrpc.Transport.Timeout
       end
     end;
@@ -355,7 +350,12 @@ let create ~engine ~client ?(server = Config.server_profile)
   t
 
 let transport t = t.transport
-let stats t = t.stats
+
+let stats t =
+  { messages = t.messages; bytes_to_server = t.bytes_to_server;
+    bytes_from_server = t.bytes_from_server;
+    network_time = Int64.of_int t.network_ns; timeouts = t.timeouts }
+
 let negotiated_rpc t = t.negotiated_rpc
 let rpcdev_stats t = Option.map Tcpstack.Rpcdev.stats t.rpcdev
 let doorbell_stats t = Option.map Oncrpc.Doorbell.stats t.doorbell

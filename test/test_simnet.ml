@@ -8,40 +8,90 @@ let check = Alcotest.check
 
 (* --- heap --- *)
 
+let drain h =
+  let rec go acc =
+    if Simnet.Heap.is_empty h then List.rev acc
+    else go (Simnet.Heap.pop_min h :: acc)
+  in
+  go []
+
 let test_heap_ordering () =
   let h = Simnet.Heap.create () in
-  List.iter (fun p -> Simnet.Heap.push h ~priority:(Int64.of_int p) p)
-    [ 5; 1; 4; 1; 3; 9; 0 ];
-  let rec drain acc =
-    match Simnet.Heap.pop h with
-    | None -> List.rev acc
-    | Some (_, v) -> drain (v :: acc)
-  in
-  check (Alcotest.list Alcotest.int) "sorted" [ 0; 1; 1; 3; 4; 5; 9 ] (drain [])
+  List.iter (fun p -> Simnet.Heap.push h ~priority:p p) [ 5; 1; 4; 1; 3; 9; 0 ];
+  check Alcotest.int "min priority" 0 (Simnet.Heap.min_priority h);
+  check (Alcotest.list Alcotest.int) "sorted" [ 0; 1; 1; 3; 4; 5; 9 ] (drain h)
 
 let test_heap_fifo_ties () =
   let h = Simnet.Heap.create () in
-  List.iter (fun v -> Simnet.Heap.push h ~priority:7L v) [ "a"; "b"; "c" ];
-  let rec drain acc =
-    match Simnet.Heap.pop h with
-    | None -> List.rev acc
-    | Some (_, v) -> drain (v :: acc)
-  in
+  List.iter (fun v -> Simnet.Heap.push h ~priority:7 v) [ "a"; "b"; "c" ];
   check (Alcotest.list Alcotest.string) "insertion order" [ "a"; "b"; "c" ]
-    (drain [])
+    (drain h)
 
 let prop_heap_sorts =
   QCheck.Test.make ~count:200 ~name:"heap pops sorted"
     QCheck.(list (int_bound 1_000_000))
     (fun l ->
       let h = Simnet.Heap.create () in
-      List.iter (fun p -> Simnet.Heap.push h ~priority:(Int64.of_int p) p) l;
-      let rec drain acc =
-        match Simnet.Heap.pop h with
-        | None -> List.rev acc
-        | Some (_, v) -> drain (v :: acc)
-      in
-      drain [] = List.stable_sort compare l)
+      List.iter (fun p -> Simnet.Heap.push h ~priority:p p) l;
+      drain h = List.stable_sort compare l)
+
+(* Popped values are not kept reachable by the queue: once every value has
+   been popped and dropped, a full major GC collects all of them. *)
+let test_heap_releases_popped () =
+  let n = 64 in
+  let h = Simnet.Heap.create () in
+  let weak = Weak.create n in
+  (* allocate in a function of its own, so no stack slot of this one
+     holds a value *)
+  let fill () =
+    for i = 0 to n - 1 do
+      let v = Bytes.make 16 (Char.chr (65 + (i mod 26))) in
+      Weak.set weak i (Some v);
+      Simnet.Heap.push h ~priority:(n - i) v
+    done
+  in
+  fill ();
+  while not (Simnet.Heap.is_empty h) do
+    ignore (Simnet.Heap.pop_min h)
+  done;
+  Gc.full_major ();
+  let alive = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check weak i then incr alive
+  done;
+  check Alcotest.int "popped values still reachable" 0 !alive;
+  (* the queue is used again here, so it was live during the collection *)
+  Simnet.Heap.push h ~priority:1 (Bytes.make 1 'z');
+  check Alcotest.int "length" 1 (Simnet.Heap.length h)
+
+(* Interleaved pushes and pops against a sorted reference list. Priorities
+   are drawn from a small range, so most keys collide: equal priorities
+   must pop in insertion order. *)
+let prop_heap_interleaved =
+  QCheck.Test.make ~count:300 ~name:"heap interleaved push/pop vs reference"
+    QCheck.(list (option (int_bound 8)))
+    (fun ops ->
+      let h = Simnet.Heap.create () in
+      (* reference: (priority, insertion index), kept sorted *)
+      let reference = ref [] and next = ref 0 in
+      List.for_all
+        (fun op ->
+          match op with
+          | Some p ->
+              let id = !next in
+              incr next;
+              Simnet.Heap.push h ~priority:p (p, id);
+              reference := List.merge compare !reference [ (p, id) ];
+              Simnet.Heap.length h = List.length !reference
+          | None -> (
+              match !reference with
+              | [] -> Simnet.Heap.is_empty h
+              | ((p, _) as expected) :: rest ->
+                  reference := rest;
+                  Simnet.Heap.min_priority h = p
+                  && Simnet.Heap.pop_min h = expected))
+        ops
+      && drain h = !reference)
 
 (* --- engine --- *)
 
@@ -90,6 +140,27 @@ let test_engine_advance () =
   | exception Invalid_argument _ -> ());
   Engine.advance_to e (Time.us 3);
   check Alcotest.int64 "no rewind" (Time.us 10) (Engine.now e)
+
+(* The queue keys events by int nanoseconds: an int64 time that does not
+   fit is refused, not wrapped. *)
+let test_engine_rejects_out_of_range () =
+  let e = Engine.create () in
+  let refused name f =
+    match f () with
+    | () -> Alcotest.failf "%s: out-of-range time accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  let huge = Int64.add (Int64.of_int max_int) 1L in
+  refused "schedule_at" (fun () -> Engine.schedule_at e huge ignore);
+  refused "schedule_at (negative)" (fun () ->
+      Engine.schedule_at e (Int64.sub (Int64.of_int min_int) 1L) ignore);
+  refused "schedule_after" (fun () -> Engine.schedule_after e huge ignore);
+  refused "advance_to" (fun () -> Engine.advance_to e huge);
+  check Alcotest.int "nothing queued" 0 (Engine.pending e);
+  Engine.schedule_at e (Int64.of_int max_int) ignore;
+  Engine.run e;
+  check Alcotest.int64 "largest int accepted" (Int64.of_int max_int)
+    (Engine.now e)
 
 (* --- netcost --- *)
 
@@ -234,3 +305,10 @@ let suite =
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_heap_sorts; prop_netcost_superadditive ]
+  @ [
+      Alcotest.test_case "heap releases popped values" `Quick
+        test_heap_releases_popped;
+      Alcotest.test_case "engine rejects out-of-range times" `Quick
+        test_engine_rejects_out_of_range;
+      QCheck_alcotest.to_alcotest prop_heap_interleaved;
+    ]
