@@ -1,31 +1,53 @@
-(* Split a raw byte stream of record-marked fragments into its complete
-   records, and the offset where a record whose tail is still to come
-   starts (the length of the stream when there is none). *)
-let records_of_stream stream =
-  let src = Oncrpc.Record.Of_string stream in
-  let rec loop pos acc =
-    match Oncrpc.Record.record_end src pos with
-    | -1 -> (List.rev acc, pos)
-    | stop -> loop stop (Oncrpc.Record.payload src pos ~stop :: acc)
-  in
-  loop 0 []
+module Inbox = Oncrpc.Record.Inbox
+module Outbox = Oncrpc.Record.Outbox
 
 let transport_of_dispatch dispatch =
-  (* The start of a record the client has not finished writing: it waits
-     for the rest, as it would in a socket buffer. *)
-  let held = ref "" in
-  Oncrpc.Transport.loopback ~peer:(fun request ->
-      let stream = if !held = "" then request else !held ^ request in
-      held := "";
-      let records, stop = records_of_stream stream in
-      if stop < String.length stream then
-        held := String.sub stream stop (String.length stream - stop);
-      records
-      |> List.filter_map (fun record ->
-             match dispatch record with
-             | "" -> None (* one-way call: no reply record *)
-             | reply -> Some (Oncrpc.Record.to_wire reply))
-      |> String.concat "")
+  (* Written bytes are reassembled into records as they arrive; a record
+     whose tail has not been written waits in [inbox], as it would in a
+     socket buffer. [written] says whether anything came since the last
+     dispatch. *)
+  let inbox = Inbox.create () and outbox = Outbox.create () in
+  let written = ref false and closed = ref false in
+  let add s off len =
+    if len > 0 then begin
+      written := true;
+      Inbox.add inbox s off len
+    end
+  in
+  let send buf off len =
+    if !closed then raise Oncrpc.Transport.Closed;
+    add (Bytes.unsafe_to_string buf) off len
+  in
+  let add_slice s = add s.Xdr.Iovec.base s.Xdr.Iovec.off s.Xdr.Iovec.len in
+  let sendv iov =
+    if !closed then raise Oncrpc.Transport.Closed;
+    Xdr.Iovec.iter add_slice iov
+  in
+  (* The first read after a write dispatches every complete record in
+     order. If one raises, the later ones and the replies so far are
+     dropped. *)
+  let serve record =
+    match dispatch record with
+    | "" -> () (* one-way call: no reply record *)
+    | reply -> Outbox.push outbox reply
+  in
+  let dispatch_all () =
+    if not !written then raise Oncrpc.Transport.Closed;
+    written := false;
+    match List.iter serve (Inbox.take inbox) with
+    | () -> ()
+    | exception e ->
+        Outbox.clear outbox;
+        raise e
+  in
+  let recv buf off len =
+    if !closed then 0
+    else begin
+      if Outbox.is_empty outbox then dispatch_all ();
+      Outbox.read outbox buf off len
+    end
+  in
+  Oncrpc.Transport.make ~sendv ~send ~recv ~close:(fun () -> closed := true) ()
 
 let transport server = transport_of_dispatch (Server.dispatch server)
 

@@ -13,6 +13,9 @@ let header_word b0 b1 b2 b3 =
   (Char.code b0 lsl 24) lor (Char.code b1 lsl 16) lor (Char.code b2 lsl 8)
   lor Char.code b3
 
+let header_word_of_bytes b =
+  header_word (Bytes.get b 0) (Bytes.get b 1) (Bytes.get b 2) (Bytes.get b 3)
+
 let is_last w = w land last_fragment_bit <> 0
 let fragment_length w = w land max_fragment_size
 
@@ -180,6 +183,167 @@ let payload src pos ~stop =
     Bytes.unsafe_to_string dst
   end
 
+(* A record-level loopback needs no byte stream in either direction. What
+   the client writes is parsed as it arrives: each header is checked before
+   its fragment's buffer exists, and each payload byte is copied once, into
+   a buffer of exactly the claimed size. Replies go out through a cursor
+   that makes each header in a 4-byte scratch and blits payload bytes from
+   the reply straight into the reader's buffer. *)
+module Inbox = struct
+  type t = {
+    header : bytes;  (* the fragment header being read *)
+    mutable header_got : int;  (* its bytes so far: 4 once it is parsed *)
+    mutable fragment : bytes;  (* the fragment's payload, exactly sized *)
+    mutable fragment_got : int;
+    mutable last : bool;  (* the fragment ends its record *)
+    mutable parts : string list;  (* earlier fragments, newest first *)
+    mutable sofar : int;  (* their bytes *)
+    mutable records : string list;  (* complete records, newest first *)
+    mutable refused : exn option;  (* an [Oversized] header claim *)
+  }
+
+  let create () =
+    { header = Bytes.create 4; header_got = 0; fragment = Bytes.empty;
+      fragment_got = 0; last = false; parts = []; sofar = 0; records = [];
+      refused = None }
+
+  let close_fragment t =
+    let fragment = Bytes.unsafe_to_string t.fragment in
+    t.fragment <- Bytes.empty;
+    t.header_got <- 0;
+    if t.last then begin
+      let record =
+        match t.parts with
+        | [] -> fragment
+        | parts -> String.concat "" (List.rev (fragment :: parts))
+      in
+      t.records <- record :: t.records;
+      t.parts <- [];
+      t.sofar <- 0
+    end
+    else begin
+      t.parts <- fragment :: t.parts;
+      t.sofar <- t.sofar + String.length fragment
+    end
+
+  let open_fragment t =
+    let w = header_word_of_bytes t.header in
+    let len = fragment_length w in
+    match check_claim ~sofar:t.sofar len with
+    | () ->
+        t.fragment <- Bytes.create len;
+        t.fragment_got <- 0;
+        t.last <- is_last w;
+        if len = 0 then close_fragment t
+    | exception (Oversized _ as e) -> t.refused <- Some e
+
+  let rec add t s off len =
+    if len > 0 && t.refused = None then
+      if t.header_got < 4 then begin
+        let n = min len (4 - t.header_got) in
+        Bytes.blit_string s off t.header t.header_got n;
+        t.header_got <- t.header_got + n;
+        if t.header_got = 4 then open_fragment t;
+        add t s (off + n) (len - n)
+      end
+      else begin
+        let n = min len (Bytes.length t.fragment - t.fragment_got) in
+        Bytes.blit_string s off t.fragment t.fragment_got n;
+        t.fragment_got <- t.fragment_got + n;
+        if t.fragment_got = Bytes.length t.fragment then close_fragment t;
+        add t s (off + n) (len - n)
+      end
+
+  let take t =
+    match t.refused with
+    | None ->
+        let records =
+          match t.records with ([] | [ _ ]) as one -> one | many -> List.rev many
+        in
+        t.records <- [];
+        records
+    | Some e ->
+        t.header_got <- 0;
+        t.fragment <- Bytes.empty;
+        t.parts <- [];
+        t.sofar <- 0;
+        t.records <- [];
+        t.refused <- None;
+        raise e
+end
+
+module Outbox = struct
+  type t = {
+    header : bytes;  (* the header being served *)
+    messages : string Queue.t;  (* the ones after [current] *)
+    mutable current : string;
+    mutable served : int;  (* wire bytes of [current] already read *)
+    mutable busy : bool;  (* [current] has wire bytes left *)
+  }
+
+  let create () =
+    { header = Bytes.create 4; messages = Queue.create (); current = "";
+      served = 0; busy = false }
+
+  let is_empty t = not t.busy
+
+  let push t msg =
+    if t.busy then Queue.push msg t.messages
+    else begin
+      t.current <- msg;
+      t.served <- 0;
+      t.busy <- true
+    end
+
+  let clear t =
+    Queue.clear t.messages;
+    t.current <- "";
+    t.busy <- false
+
+  (* Fragment k of [current] starts [k * (fragment + 4)] wire bytes in:
+     where a read stopped says which header or payload byte is next. *)
+  let fragment = default_fragment_size
+
+  let wire_length msg =
+    let len = String.length msg in
+    len + (4 * max 1 ((len + fragment - 1) / fragment))
+
+  let rec read t buf off len got =
+    if len = 0 || not t.busy then got
+    else begin
+      let msg = t.current in
+      let k = t.served / (fragment + 4) and r = t.served mod (fragment + 4) in
+      let start = k * fragment in
+      let flen = min fragment (String.length msg - start) in
+      let n =
+        if r < 4 then begin
+          let last = start + flen = String.length msg in
+          Bytes.set_int32_be t.header 0
+            (Int32.of_int (if last then flen lor last_fragment_bit else flen));
+          let n = min len (4 - r) in
+          Bytes.blit t.header r buf off n;
+          n
+        end
+        else begin
+          let n = min len (flen - (r - 4)) in
+          Bytes.blit_string msg (start + r - 4) buf off n;
+          n
+        end
+      in
+      t.served <- t.served + n;
+      if t.served = wire_length msg then begin
+        if Queue.is_empty t.messages then clear t
+        else begin
+          t.current <- Queue.take t.messages;
+          t.served <- 0
+        end
+      end;
+      read t buf (off + n) (len - n) (got + n)
+    end
+
+  let read t buf off len = read t buf off len 0
+end
+
 (* Reassembly allocates once per record in the common single-fragment case:
    the payload is received straight into its final buffer. Multi-fragment
    records stage each fragment in a pooled buffer and blit into an
@@ -247,10 +411,7 @@ type cursor = {
 let next_fragment c =
   let hdr = c.transport.Transport.hdr_scratch in
   Transport.recv_exact c.transport hdr 0 4;
-  let w =
-    header_word (Bytes.get hdr 0) (Bytes.get hdr 1) (Bytes.get hdr 2)
-      (Bytes.get hdr 3)
-  in
+  let w = header_word_of_bytes hdr in
   let len = fragment_length w in
   claim_within ~max_record_size:default_max_record_size ~sofar:c.claimed len;
   c.left <- len;

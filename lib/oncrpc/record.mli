@@ -72,6 +72,58 @@ val payload : source -> int -> stop:int -> string
     copied out once, or every fragment's payload joined into one
     exactly-sized string. *)
 
+(** {1 Records crossing an in-process loopback}
+
+    A peer in the same process takes what a client writes record by record
+    and answers with whole messages, so neither direction needs a byte
+    stream: an {!Inbox} reassembles records as their bytes are written, and
+    an {!Outbox} frames replies as they are read. *)
+
+module Inbox : sig
+  type t
+  (** Records being reassembled from written wire bytes. Between records
+      it holds nothing but a 4-byte header. *)
+
+  val create : unit -> t
+
+  val add : t -> string -> int -> int -> unit
+  (** [add t s off len] takes [len] written bytes of [s] from [off]. A
+      fragment header is checked as {!check_claim} checks it, by default,
+      as soon as its fourth byte arrives; its payload is then copied once,
+      into a buffer of exactly the claimed size. After a refused header,
+      whatever is written is dropped until {!take}. *)
+
+  val take : t -> string list
+  (** The records completed since the last [take], in order, forgotten
+      here; a record whose tail is still to come stays. If a header was
+      refused meanwhile, raises {!Oversized} instead and forgets everything
+      written up to now, the unfinished record included. *)
+end
+
+module Outbox : sig
+  type t
+  (** Messages waiting to be read as wire bytes. *)
+
+  val create : unit -> t
+
+  val push : t -> string -> unit
+  (** Queue a message behind the others. *)
+
+  val is_empty : t -> bool
+  (** Every queued message has been read through. *)
+
+  val clear : t -> unit
+  (** Forget every queued message. *)
+
+  val read : t -> bytes -> int -> int -> int
+  (** [read t buf off len] copies up to [len] bytes of the queued
+      messages' wire image — each framed as {!to_wire} frames it, one after
+      the other — into [buf] at [off], and returns how many: [len], or
+      fewer when the queue runs out. Headers come from a 4-byte scratch,
+      and payload bytes are blitted from the message itself. A message is
+      let go once its last byte has been read. *)
+end
+
 val read : ?max_record_size:int -> ?pool:Pool.t -> Transport.t -> string
 (** [read t] reassembles the next record into a single exactly-sized
     buffer. Single-fragment records are received directly into their final

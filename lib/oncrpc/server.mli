@@ -3,8 +3,9 @@
     A server hosts any number of (program, version) services; each service
     maps procedure numbers to handlers. Dispatch is a pure
     request-record → reply-record function, so the same server instance can
-    be driven by a real TCP accept loop, an in-process {!Transport.loopback}
-    transport, or the simulated-network channel used by the benchmarks.
+    be driven by a real TCP accept loop, the in-process record-level
+    loopback of [Cricket.Local], or the simulated-network channels used by
+    the benchmarks.
 
     Error mapping follows RFC 5531: unknown program → [PROG_UNAVAIL],
     version out of range → [PROG_MISMATCH], unknown procedure →

@@ -5,10 +5,11 @@
     provided:
 
     - {!pipe}: an in-process duplex pair usable from two threads;
-    - {!loopback}: a synchronous in-process client endpoint whose peer is a
-      callback invoked with each complete write "flush" — used to connect an
-      RPC client directly to an RPC server dispatch function in one thread
-      (this is how the simulated-network benchmarks run);
+    - {!loopback}: a test fake — a synchronous in-process client endpoint
+      whose peer is a callback answering the raw bytes written with raw
+      wire bytes. No library code uses it. The in-process way to drive a
+      server is the record-level loopback [Cricket.Local], which hands the
+      server whole records and never holds a byte stream;
     - {!of_fd} / TCP helpers: real sockets via [Unix];
     - the tcp_sim family ({!Unikernel.Tcpchannel}): a transport whose byte
       stream runs through the executable TCP stack —
@@ -72,12 +73,13 @@ val pipe : unit -> t * t
 
 val loopback : peer:(string -> string) -> t
 (** [loopback ~peer] is a client-side transport for strictly
-    request/response protocols in a single thread. Bytes written are
-    buffered; the first [recv] after one or more sends passes the buffered
-    request bytes to [peer] and serves its return value as the read data,
-    from a cursor over the string: no read copies more than it returns.
-    [peer] receives whole request records because the RPC client always
-    writes a complete record before reading. *)
+    request/response protocols in a single thread, kept as a test fake for
+    tests that inject raw wire bytes. Bytes written are buffered; the first
+    [recv] after one or more sends passes the buffered request bytes to
+    [peer] and serves its return value as the read data, from a cursor over
+    the string: no read copies more than it returns. [peer] receives whole
+    request records because the RPC client always writes a complete record
+    before reading. *)
 
 val of_fd : Unix.file_descr -> t
 (** Transport over a connected socket or pipe fd. [close] closes the fd. *)

@@ -949,6 +949,221 @@ let prop_download_read_through =
       | _ -> ());
       got = download ~read_through:false)
 
+(* --- the record-level loopback against the byte-stream one --- *)
+
+(* The loopback as it was: every write lands in the raw transport's
+   buffer, and the first read splits the whole stream into records,
+   dispatches them and frames the replies into one string. The reference
+   the record-level [Cricket.Local.transport_of_dispatch] must match. *)
+let stream_transport_of_dispatch dispatch =
+  let records_of_stream stream =
+    let src = Oncrpc.Record.Of_string stream in
+    let rec loop pos acc =
+      match Oncrpc.Record.record_end src pos with
+      | -1 -> (List.rev acc, pos)
+      | stop -> loop stop (Oncrpc.Record.payload src pos ~stop :: acc)
+    in
+    loop 0 []
+  in
+  let held = ref "" in
+  Oncrpc.Transport.loopback ~peer:(fun request ->
+      let stream = if !held = "" then request else !held ^ request in
+      held := "";
+      let records, stop = records_of_stream stream in
+      if stop < String.length stream then
+        held := String.sub stream stop (String.length stream - stop);
+      records
+      |> List.filter_map (fun record ->
+             match dispatch record with
+             | "" -> None
+             | reply -> Some (Oncrpc.Record.to_wire reply))
+      |> String.concat "")
+
+type loopback_item =
+  | Call of { len : int; kind : [ `Reply | `Oneway | `Raise ];
+              fragment_size : int option }
+  | Refused of { prefix : int; claim : int; last : bool }
+      (* a fragment of [prefix] bytes, then a header taking the record
+         [claim] bytes past the 1 GiB limit *)
+
+type loopback_step = Write of { len : int; vectored : bool } | Read of int
+
+(* A call's first byte says what the dispatch does with it. *)
+let marker = function `Reply -> 'r' | `Oneway -> 'o' | `Raise -> '!'
+
+let loopback_dispatch log record =
+  log := record :: !log;
+  if record = "" then "empty"
+  else
+    match record.[0] with
+    | 'o' -> ""
+    | '!' -> failwith "dispatch refused"
+    | _ -> "<" ^ record
+
+let item_wire i = function
+  | Call { len; kind; fragment_size } ->
+      let body =
+        String.init len (fun j ->
+            if j = 0 then marker kind else Char.chr ((j * 31 + i) land 0xff))
+      in
+      Oncrpc.Record.to_wire ?fragment_size body
+  | Refused { prefix; claim; last } ->
+      let limit = Oncrpc.Record.default_max_record_size in
+      (if prefix = 0 then ""
+       else Oncrpc.Record.encode_header ~last:false prefix ^ String.make prefix 'p')
+      ^ Oncrpc.Record.encode_header ~last (limit - prefix + claim)
+
+let gen_loopback_scenario =
+  let open QCheck.Gen in
+  let len =
+    frequency
+      [ (6, int_range 0 64); (3, int_range 0 5000);
+        (1, int_range ((1 lsl 20) - 5) ((2 lsl 20) + 5)) ]
+  in
+  let call =
+    map3
+      (fun len kind fragment_size -> Call { len; kind; fragment_size })
+      len
+      (frequency [ (6, return `Reply); (2, return `Oneway); (1, return `Raise) ])
+      (frequency [ (1, return None); (2, map Option.some (int_range 1 100_000)) ])
+  in
+  let refused =
+    map3
+      (fun prefix claim last -> Refused { prefix; claim; last })
+      (frequency [ (1, return 0); (1, int_range 1 16) ])
+      (int_range 1 1000) bool
+  in
+  let read_len =
+    frequency [ (3, int_range 1 3); (1, return 4); (3, int_range 1 100_000) ]
+  in
+  let* items = list_size (int_range 1 8) (frequency [ (8, call); (1, refused) ]) in
+  let lens = List.mapi (fun i item -> String.length (item_wire i item)) items in
+  let total = List.fold_left ( + ) 0 lens in
+  (* cuts anywhere, and a few bytes after record starts: inside headers *)
+  let* anywhere = list_size (int_range 0 12) (int_range 0 total) in
+  let starts = List.rev (List.fold_left (fun acc l -> (List.hd acc + l) :: acc) [ 0 ] lens) in
+  let* near =
+    flatten_l
+      (List.map
+         (fun s -> map2 (fun keep d -> if keep then [ min total (s + d) ] else [])
+                     bool (int_range 0 5))
+         starts)
+  in
+  let cuts = List.sort_uniq compare ((total :: anywhere) @ List.concat near) in
+  let* steps =
+    flatten_l
+      (snd
+         (List.fold_left
+            (fun (pos, acc) cut ->
+              let write =
+                map (fun vectored -> [ Write { len = cut - pos; vectored } ]) bool
+              in
+              let reads =
+                frequency
+                  [ (1, return []);
+                    (1, list_size (int_range 1 3) (map (fun n -> Read n) read_len)) ]
+              in
+              (cut, acc @ [ write; reads ]))
+            (0, []) cuts))
+  in
+  return (items, List.concat steps)
+
+let print_loopback_scenario (items, steps) =
+  let item = function
+    | Call { len; kind; fragment_size } ->
+        Printf.sprintf "call %d%s%s" len
+          (match kind with `Reply -> "" | `Oneway -> " one-way" | `Raise -> " raising")
+          (match fragment_size with None -> "" | Some f -> Printf.sprintf " /%d" f)
+    | Refused { prefix; claim; last } ->
+        Printf.sprintf "refused %d+%d%s" prefix claim (if last then " last" else "")
+  in
+  let step = function
+    | Write { len; vectored } -> Printf.sprintf "w%d%s" len (if vectored then "v" else "")
+    | Read n -> Printf.sprintf "r%d" n
+  in
+  String.concat ", " (List.map item items) ^ " | "
+  ^ String.concat " " (List.map step steps)
+
+(* What one loopback makes of a scenario: the records it dispatched, in
+   order, and what every read returned, the reads draining it at the end
+   included. *)
+let run_loopback make (items, steps) =
+  let stream = String.concat "" (List.mapi item_wire items) in
+  let log = ref [] in
+  let tr = make (loopback_dispatch log) in
+  let read n =
+    let buf = Bytes.create n in
+    match tr.Oncrpc.Transport.recv buf 0 n with
+    | got -> Ok (Bytes.sub_string buf 0 got)
+    | exception e -> Error (Printexc.to_string e)
+  in
+  let pos = ref 0 in
+  let reads =
+    List.filter_map
+      (function
+        | Write { len; vectored } ->
+            let chunk = String.sub stream !pos len in
+            pos := !pos + len;
+            if vectored && len > 1 then
+              Oncrpc.Transport.writev tr
+                [ Xdr.Iovec.slice ~off:0 ~len:(len / 2) chunk;
+                  Xdr.Iovec.slice ~off:(len / 2) ~len:(len - (len / 2)) chunk ]
+            else Oncrpc.Transport.send_string tr chunk;
+            None
+        | Read n -> Some (read n))
+      steps
+  in
+  let rec drain acc =
+    match read 65_536 with
+    | Ok "" | Error _ as r -> List.rev (r :: acc)
+    | r -> drain (r :: acc)
+  in
+  (List.rev !log, reads @ drain [])
+
+let prop_loopback_matches_stream =
+  QCheck.Test.make ~count:150
+    ~name:"record-level loopback == byte-stream loopback"
+    (QCheck.make ~print:print_loopback_scenario gen_loopback_scenario)
+    (fun scenario ->
+      run_loopback Cricket.Local.transport_of_dispatch scenario
+      = run_loopback stream_transport_of_dispatch scenario)
+
+(* --- the loopback's payload-sized allocations --- *)
+
+let major_words () = (Gc.quick_stat ()).Gc.major_words
+
+(* Round trips over [Cricket.Local], counted in payload-sized blocks of
+   major-heap words after a warm-up round trip. Uploading, a record of one
+   fragment is copied once, into its exactly-sized buffer, and a longer one
+   once more to join its fragments; downloading, the server builds its
+   reply once and the client allocates the buffer it returns, while the
+   loopback serves the reply straight into the client's reads. *)
+let test_local_round_trip_allocations () =
+  let round_trips len =
+    let _, _, client = make_pair () in
+    let payload_words = float_of_int (len / (Sys.word_size / 8)) in
+    let payloads words = Float.to_int (Float.round (words /. payload_words)) in
+    let payload = Apps.Workload.xorshift_bytes ~seed:5 len in
+    let dst = C.malloc client len in
+    let round_trip () =
+      let w0 = major_words () in
+      C.memcpy_h2d client ~dst payload;
+      let w1 = major_words () in
+      let back = C.memcpy_d2h client ~src:dst ~len in
+      let w2 = major_words () in
+      check Alcotest.bool "payload back intact" true (Bytes.equal back payload);
+      (payloads (w1 -. w0), payloads (w2 -. w1))
+    in
+    ignore (round_trip ());
+    round_trip ()
+  in
+  let h2d, d2h = round_trips (512 lsl 10) in
+  check Alcotest.bool (Printf.sprintf "512 KiB h2d: %d <= 1" h2d) true (h2d <= 1);
+  check Alcotest.bool (Printf.sprintf "512 KiB d2h: %d <= 2" d2h) true (d2h <= 2);
+  let h2d, d2h = round_trips (4 lsl 20) in
+  check Alcotest.bool (Printf.sprintf "4 MiB h2d: %d <= 2" h2d) true (h2d <= 2);
+  check Alcotest.bool (Printf.sprintf "4 MiB d2h: %d <= 2" d2h) true (d2h <= 2)
+
 let suite =
   [
     Alcotest.test_case "device forwarding" `Quick test_device_forwarding;
@@ -991,3 +1206,8 @@ let suite =
         test_bulk_handlers_match_generated;
     ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_download_read_through ]
+  @ [
+      QCheck_alcotest.to_alcotest prop_loopback_matches_stream;
+      Alcotest.test_case "loopback payload copies" `Quick
+        test_local_round_trip_allocations;
+    ]

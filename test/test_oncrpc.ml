@@ -406,13 +406,7 @@ let add_service server =
 
 let make_loopback_client ?(vers = 1) ?(prog = 300000) server =
   let transport =
-    Oncrpc.Transport.loopback ~peer:(fun request ->
-        (* requests arrive record-marked; peel and re-add framing *)
-        let dec_t, enc_t = Oncrpc.Transport.pipe () in
-        Oncrpc.Transport.send_string dec_t request;
-        let record = Oncrpc.Record.read enc_t in
-        let reply = Oncrpc.Server.dispatch server record in
-        Oncrpc.Record.to_wire reply)
+    Cricket.Local.transport_of_dispatch (Oncrpc.Server.dispatch server)
   in
   Oncrpc.Client.create ~transport ~prog ~vers ()
 
@@ -489,11 +483,7 @@ let test_auth_rejection () =
       { Oncrpc.Auth.stamp = 0l; machinename = "m"; uid = 0; gid = 0; gids = [] }
   in
   let transport =
-    Oncrpc.Transport.loopback ~peer:(fun request ->
-        let dec_t, enc_t = Oncrpc.Transport.pipe () in
-        Oncrpc.Transport.send_string dec_t request;
-        let record = Oncrpc.Record.read enc_t in
-        Oncrpc.Record.to_wire (Oncrpc.Server.dispatch server record))
+    Cricket.Local.transport_of_dispatch (Oncrpc.Server.dispatch server)
   in
   let c = Oncrpc.Client.create ~cred ~transport ~prog:300000 ~vers:1 () in
   Oncrpc.Client.call_void c ~proc:0 (fun _ -> ())

@@ -471,6 +471,66 @@ let test_lease_expiry_during_recovery () =
       | _ -> Alcotest.fail "expected sticky Session_lost"
       | exception Cricket.Client.Session_lost _ -> ())
 
+(* --- what a tenant costs --- *)
+
+let kib_of_words w = float_of_int (w * (Sys.word_size / 8)) /. 1024.
+
+(* N clients of one server, each after one 32 KiB upload and download:
+   the heap reachable from them and not from the server, in KiB per
+   client. The server is left out because its at-most-once cache keeps
+   replies by design. *)
+let served_kib_per_client n =
+  let _, server = make_server () in
+  let len = 32 lsl 10 in
+  let payload = Bytes.make len 's' in
+  let clients =
+    Array.init n (fun i ->
+        let c = Cricket.Local.connect_for server ~tenant:(Printf.sprintf "t%d" i) in
+        let dst = Cricket.Client.malloc c len in
+        Cricket.Client.memcpy_h2d c ~dst payload;
+        ignore (Cricket.Client.memcpy_d2h c ~src:dst ~len);
+        c)
+  in
+  let own =
+    Obj.reachable_words (Obj.repr (clients, server))
+    - Obj.reachable_words (Obj.repr server)
+  in
+  kib_of_words own /. float_of_int n
+
+(* N built tenants that have made no call: the core with a lease per
+   tenant, and one client per tenant over the record-level loopback. *)
+let idle_tenant_words n =
+  let engine, server = make_server () in
+  let caps = { Tenancy.Lease.mem_bytes = 1 lsl 20; streams = 1; ttl = Time.s 10 } in
+  let core =
+    Tenancy.Core.create ~engine ~server ~policy:Cricket.Sched.Round_robin
+      ~tenants:
+        (Array.init n (fun i ->
+             { Tenancy.Core.name = Printf.sprintf "t%d" i; priority = 0;
+               caps = Some caps }))
+      ()
+  in
+  let clients = Array.init n (fun tenant -> connect_tenant core ~tenant engine) in
+  Obj.reachable_words (Obj.repr (core, clients))
+
+(* A served tenant keeps at most 4 KiB once its call is over: nothing of
+   the transfer stays in its loopback. An idle tenant costs at most 10 KiB,
+   measured as the slope between 100 and 400 tenants. *)
+let test_tenant_cost () =
+  List.iter
+    (fun n ->
+      let kib = served_kib_per_client n in
+      check Alcotest.bool
+        (Printf.sprintf "%d served clients: %.2f KiB each <= 4" n kib)
+        true (kib <= 4.))
+    [ 100; 400 ];
+  let slope =
+    kib_of_words (idle_tenant_words 400 - idle_tenant_words 100) /. 300.
+  in
+  check Alcotest.bool
+    (Printf.sprintf "idle tenant: %.2f KiB <= 10" slope)
+    true (slope <= 10.)
+
 let suite =
   [
     Alcotest.test_case "admission windows" `Quick test_admission_windows;
@@ -496,4 +556,5 @@ let suite =
       test_loadgen_uniform_fairness;
     Alcotest.test_case "lease expiry during recovery" `Quick
       test_lease_expiry_during_recovery;
+    Alcotest.test_case "tenant cost: served and idle" `Quick test_tenant_cost;
   ]
