@@ -98,6 +98,10 @@ type t = {
   mutable used : int;
   mutable tracking : bool;
   mutable dirty : Bytes.t;  (* one byte per page; empty until tracking *)
+  mutable scratch : Float.Array.t;
+      (* the GEMM loops' f64 mirror of their operands, grown to the
+         high-water mark; owned by the arena, not a module global, because
+         each domain runs its own gpusim *)
 }
 
 let create ~capacity =
@@ -110,6 +114,7 @@ let create ~capacity =
     used = 0;
     tracking = false;
     dirty = Bytes.empty;
+    scratch = Float.Array.create 0;
   }
 
 let page_count t = (base_address + t.capacity + page_size - 1) / page_size
@@ -358,59 +363,203 @@ let set_f32 t addr v =
 (* The kernel loops below read [t.backing] only after their last span:
    a span can grow, and so replace, the backing store. Element order and
    arithmetic are those of a per-element loop — products summed in f64,
-   rounded to f32 once at the store — and operands are read in place, so
-   an output aliasing an input sees the stores already made. *)
+   rounded to f32 once at the store — and the result is as if operands
+   were read in place, so an output aliasing an input sees the stores
+   already made. *)
+
+(* Whether the byte ranges [\[x, x + xlen)] and [\[y, y + ylen)] share a
+   byte. Both have passed [span], so the sums cannot overflow. *)
+let overlaps x xlen y ylen = xlen > 0 && ylen > 0 && x < y + ylen && y < x + xlen
+
+(* At least [n] floats of the arena's scratch. It is asked for only after
+   every span has passed, and [n] is bounded by operands already in
+   device memory. *)
+let scratch t n =
+  if Float.Array.length t.scratch < n then t.scratch <- Float.Array.create n;
+  t.scratch
+
+external fget : Float.Array.t -> int -> float = "%floatarray_unsafe_get"
+external fset : Float.Array.t -> int -> float -> unit = "%floatarray_unsafe_set"
+
+(* The GEMM loops widen each f32 once into an f64 mirror ([Int32]'s
+   float/bits conversions are C calls, and a call per multiply-add spills
+   every register), then compute four output elements per pass. Each of
+   the four accumulators starts at 0.0 and adds its products in the
+   per-element loop's order, so every sum, and its rounding at the store,
+   is the per-element loop's. The mirror would miss stores to an operand,
+   so when the output overlaps an input the per-element loop runs over
+   the arena instead. *)
+
+let matrix_mul_in_place m ~c ~a ~b ~ha ~wa ~wb =
+  for i = 0 to ha - 1 do
+    for j = 0 to wb - 1 do
+      let acc = ref 0.0 in
+      for k = 0 to wa - 1 do
+        acc :=
+          !acc
+          +. load_f32 m (a + (4 * ((i * wa) + k)))
+             *. load_f32 m (b + (4 * ((k * wb) + j)))
+      done;
+      store_f32 m (c + (4 * ((i * wb) + j))) !acc
+    done
+  done
+
+(* B is mirrored transposed, [bt.(j * wa + k)], followed by one row of A
+   at [row]. *)
+let matrix_mul_mirrored t ~c ~a ~b ~ha ~wa ~wb =
+  let wa = max wa 0 in
+  let row = wa * wb in
+  let s = scratch t (row + wa) in
+  let m = t.backing in
+  for k = 0 to wa - 1 do
+    for j = 0 to wb - 1 do
+      fset s ((j * wa) + k) (load_f32 m (b + (4 * ((k * wb) + j))))
+    done
+  done;
+  for i = 0 to ha - 1 do
+    for k = 0 to wa - 1 do
+      fset s (row + k) (load_f32 m (a + (4 * ((i * wa) + k))))
+    done;
+    let ci = c + (4 * i * wb) in
+    let j = ref 0 in
+    while !j + 4 <= wb do
+      let b0 = !j * wa in
+      let b1 = b0 + wa in
+      let b2 = b1 + wa in
+      let b3 = b2 + wa in
+      let acc0 = ref 0.0 and acc1 = ref 0.0 in
+      let acc2 = ref 0.0 and acc3 = ref 0.0 in
+      for k = 0 to wa - 1 do
+        let x = fget s (row + k) in
+        acc0 := !acc0 +. (x *. fget s (b0 + k));
+        acc1 := !acc1 +. (x *. fget s (b1 + k));
+        acc2 := !acc2 +. (x *. fget s (b2 + k));
+        acc3 := !acc3 +. (x *. fget s (b3 + k))
+      done;
+      let cj = ci + (4 * !j) in
+      store_f32 m cj !acc0;
+      store_f32 m (cj + 4) !acc1;
+      store_f32 m (cj + 8) !acc2;
+      store_f32 m (cj + 12) !acc3;
+      j := !j + 4
+    done;
+    for j = !j to wb - 1 do
+      let bj = j * wa in
+      let acc = ref 0.0 in
+      for k = 0 to wa - 1 do
+        acc := !acc +. (fget s (row + k) *. fget s (bj + k))
+      done;
+      store_f32 m (ci + (4 * j)) !acc
+    done
+  done
 
 let matrix_mul t ~c ~a ~b ~ha ~wa ~wb =
   if ha > 0 && wb > 0 then begin
-    if wa > 0 then begin
-      span t a (extent t ~runs:ha ~ld:wa wa);
-      span t b (extent t ~runs:wa ~ld:wb wb)
-    end;
-    span_w t c (extent t ~runs:ha ~ld:wb wb);
-    let m = t.backing in
-    for i = 0 to ha - 1 do
-      for j = 0 to wb - 1 do
-        let acc = ref 0.0 in
-        for k = 0 to wa - 1 do
-          acc :=
-            !acc
-            +. load_f32 m (a + (4 * ((i * wa) + k)))
-               *. load_f32 m (b + (4 * ((k * wb) + j)))
-        done;
-        store_f32 m (c + (4 * ((i * wb) + j))) !acc
-      done
-    done
+    let a_len = extent t ~runs:ha ~ld:wa wa in
+    let b_len = extent t ~runs:wa ~ld:wb wb in
+    let c_len = extent t ~runs:ha ~ld:wb wb in
+    span t a a_len;
+    span t b b_len;
+    span_w t c c_len;
+    if overlaps c c_len a a_len || overlaps c c_len b b_len then
+      matrix_mul_in_place t.backing ~c ~a ~b ~ha ~wa ~wb
+    else matrix_mul_mirrored t ~c ~a ~b ~ha ~wa ~wb
   end
+
+(* [(alpha * acc) + (beta * C)] stored at [ci], C read just before the
+   store: C's columns may overlap each other when [ldc < m]. *)
+let[@inline] sgemm_store mem ci ~alpha ~beta acc =
+  let prior = if beta = 0.0 then 0.0 else load_f32 mem ci in
+  store_f32 mem ci ((alpha *. acc) +. (beta *. prior))
+
+let sgemm_in_place mem ~m ~n ~k ~alpha ~a ~lda ~b ~ldb ~beta ~c ~ldc =
+  for j = 0 to n - 1 do
+    for i = 0 to m - 1 do
+      let acc = ref 0.0 in
+      for l = 0 to k - 1 do
+        acc :=
+          !acc
+          +. load_f32 mem (a + (4 * ((l * lda) + i)))
+             *. load_f32 mem (b + (4 * ((j * ldb) + l)))
+      done;
+      sgemm_store mem (c + (4 * ((j * ldc) + i))) ~alpha ~beta !acc
+    done
+  done
+
+(* A is mirrored transposed, [at.(i * k + l)], followed by one column of
+   B at [col]. Columns of C are stored in order, rows in order within a
+   column, as the per-element loop does. *)
+let sgemm_mirrored t ~m ~n ~k ~alpha ~a ~lda ~b ~ldb ~beta ~c ~ldc =
+  let k = max k 0 in
+  let col = m * k in
+  let s = scratch t (col + k) in
+  let mem = t.backing in
+  for l = 0 to k - 1 do
+    for i = 0 to m - 1 do
+      fset s ((i * k) + l) (load_f32 mem (a + (4 * ((l * lda) + i))))
+    done
+  done;
+  for j = 0 to n - 1 do
+    for l = 0 to k - 1 do
+      fset s (col + l) (load_f32 mem (b + (4 * ((j * ldb) + l))))
+    done;
+    let cj = c + (4 * j * ldc) in
+    let i = ref 0 in
+    while !i + 4 <= m do
+      let a0 = !i * k in
+      let a1 = a0 + k in
+      let a2 = a1 + k in
+      let a3 = a2 + k in
+      let acc0 = ref 0.0 and acc1 = ref 0.0 in
+      let acc2 = ref 0.0 and acc3 = ref 0.0 in
+      (* A's elements are bound before the products: ocamlopt would
+         otherwise make a load the second operand, and of two NaNs a
+         product keeps its first operand's payload *)
+      for l = 0 to k - 1 do
+        let y = fget s (col + l) in
+        let x0 = fget s (a0 + l) and x1 = fget s (a1 + l) in
+        let x2 = fget s (a2 + l) and x3 = fget s (a3 + l) in
+        acc0 := !acc0 +. (x0 *. y);
+        acc1 := !acc1 +. (x1 *. y);
+        acc2 := !acc2 +. (x2 *. y);
+        acc3 := !acc3 +. (x3 *. y)
+      done;
+      let ci = cj + (4 * !i) in
+      sgemm_store mem ci ~alpha ~beta !acc0;
+      sgemm_store mem (ci + 4) ~alpha ~beta !acc1;
+      sgemm_store mem (ci + 8) ~alpha ~beta !acc2;
+      sgemm_store mem (ci + 12) ~alpha ~beta !acc3;
+      i := !i + 4
+    done;
+    for i = !i to m - 1 do
+      let ai = i * k in
+      let acc = ref 0.0 in
+      for l = 0 to k - 1 do
+        acc := !acc +. (fget s (ai + l) *. fget s (col + l))
+      done;
+      sgemm_store mem (cj + (4 * i)) ~alpha ~beta !acc
+    done
+  done
 
 let sgemm t ~m ~n ~k ~alpha ~a ~lda ~b ~ldb ~beta ~c ~ldc =
   if m > 0 && n > 0 then begin
-    if k > 0 then begin
-      span t a (extent t ~runs:k ~ld:lda m);
-      span t b (extent t ~runs:n ~ld:ldb k)
-    end;
-    span t c (extent t ~runs:n ~ld:ldc m);
+    let a_len = extent t ~runs:k ~ld:lda m in
+    let b_len = extent t ~runs:n ~ld:ldb k in
+    let c_len = extent t ~runs:n ~ld:ldc m in
+    span t a a_len;
+    span t b b_len;
+    span t c c_len;
     (* only the m stored rows of each column are dirty, not the gap up
        to the next column *)
     if t.tracking then
       for j = 0 to n - 1 do
         mark t (c + (4 * j * ldc)) (4 * m)
       done;
-    let mem = t.backing in
-    for j = 0 to n - 1 do
-      for i = 0 to m - 1 do
-        let acc = ref 0.0 in
-        for l = 0 to k - 1 do
-          acc :=
-            !acc
-            +. load_f32 mem (a + (4 * ((l * lda) + i)))
-               *. load_f32 mem (b + (4 * ((j * ldb) + l)))
-        done;
-        let ci = c + (4 * ((j * ldc) + i)) in
-        let prior = if beta = 0.0 then 0.0 else load_f32 mem ci in
-        store_f32 mem ci ((alpha *. !acc) +. (beta *. prior))
-      done
-    done
+    (* the mirror's m·k floats fit in A's extent only when A's columns do
+       not overlap each other *)
+    if overlaps c c_len a a_len || overlaps c c_len b b_len || lda < m then
+      sgemm_in_place t.backing ~m ~n ~k ~alpha ~a ~lda ~b ~ldb ~beta ~c ~ldc
+    else sgemm_mirrored t ~m ~n ~k ~alpha ~a ~lda ~b ~ldb ~beta ~c ~ldc
   end
 
 let histogram256 t ~bins ~data ~count =

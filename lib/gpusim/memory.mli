@@ -109,9 +109,19 @@ val set_f32 : t -> int -> float -> unit
     The built-in kernels whose inner loops dominate execution. Each admits
     its operands, marks the pages it stores to, and runs over the arena
     with unboxed 32-bit loads and stores; an empty loop touches nothing.
-    Operands are read in place, so an output aliasing an input sees the
-    stores already made. Float products are summed in f64 and rounded to
-    f32 once, at the store. *)
+    Results are as if operands were read in place, element by element:
+    an output aliasing an input sees the stores already made. Float
+    products are summed in f64, in the per-element order, and rounded to
+    f32 once, at the store.
+
+    The GEMM loops ({!matrix_mul}, {!sgemm}) widen each f32 operand once
+    into an f64 mirror owned by the arena: the strided operand whole and
+    transposed (B for matrixMul, A for sgemm), the other one row or
+    column at a time. The mirror grows to the largest such operand seen,
+    only after every span has passed, and is not part of {!snapshot} or
+    {!delta}. When the output's bytes overlap an input's, or sgemm's A
+    has overlapping columns ([lda < m]), they run the per-element loop
+    over the arena instead; the results are the same bits either way. *)
 
 val matrix_mul : t -> c:int -> a:int -> b:int -> ha:int -> wa:int -> wb:int -> unit
 (** Row-major [C(ha×wb) = A(ha×wa) · B(wa×wb)]. *)

@@ -531,49 +531,119 @@ let same_as_reference ?(word = wide_f32) ~seed sizes ~loop ~reference =
   && M.dirty_page_count m1 = M.dirty_page_count m2
   && String.equal (M.delta m1) (M.delta m2)
 
+(* The values where IEEE arithmetic has corner cases, each as often as a
+   [wide_f32] value: NaNs with payloads (quiet and signalling, either
+   sign), ±0, ±inf, subnormals and ±max-finite. Two NaNs meeting in a
+   product or a sum keep the payload of one of them, so the operand order
+   of every product and sum must also be the per-element loop's. *)
+let special_f32 rng =
+  let sign = if Random.State.bool rng then 0x8000_0000l else 0l in
+  let payload bits = Int32.logand (Random.State.bits32 rng) bits in
+  let magnitude =
+    match Random.State.int rng 12 with
+    | 0 | 1 -> Int32.logor 0x7fc0_0000l (payload 0x3f_ffffl)  (* quiet NaN *)
+    | 2 -> Int32.logor 0x7f80_0001l (payload 0x3f_ffffl)  (* signalling *)
+    | 3 -> 0l
+    | 4 -> 0x7f80_0000l
+    | 5 -> Int32.logor 1l (payload 0x7f_ffffl)  (* subnormal *)
+    | 6 -> 0x7f7f_ffffl
+    | _ -> Int32.logand (wide_f32 rng) 0x7fff_ffffl
+  in
+  Int32.logor sign magnitude
+
+(* Where C lies relative to A and B. The loops mirror their operands in
+   f64 unless C's written bytes overlap an operand's read bytes; then
+   they must behave as if reading in place, seeing the stores already
+   made. [On_a o]/[On_b o] start C [o] elements into that operand's
+   allocation, which is sized to hold C too. *)
+type placement = Apart | On_a of int | On_b of int
+
+let placement =
+  QCheck.(
+    frequency
+      [ (2, always Apart); (1, map (fun o -> On_a o) (int_bound 5));
+        (1, map (fun o -> On_b o) (int_bound 5)) ])
+
+(* The allocation sizes of A, B and C, in bytes, for C placed by [place],
+   and C's address given the three allocations. *)
+let placed_sizes place ~a_size ~b_size ~c_size =
+  match place with
+  | Apart -> [ a_size; b_size; c_size ]
+  | On_a o -> [ max a_size ((4 * o) + c_size); b_size; 0 ]
+  | On_b o -> [ a_size; max b_size ((4 * o) + c_size); 0 ]
+
+let placed_c place a b c =
+  match place with
+  | Apart -> c
+  | On_a o -> a + (4 * o)
+  | On_b o -> b + (4 * o)
+
+(* Dimensions up to 40 run full four-element blocks and 1-3 element tails
+   over sums of more than four products; negative inner dimensions store
+   zeros. *)
+let dim = QCheck.int_bound 40
+let inner_dim = QCheck.int_range (-2) 40
+
 let prop_matrix_mul_reference =
   QCheck.Test.make ~count:200 ~name:"matrixMul loop == per-element reference"
-    QCheck.(
-      quad (int_bound 17) (int_bound 17) (int_bound 17) (pair bool int))
-    (fun (ha, wa, wb, (c_is_a, seed)) ->
-      (* an aliased C shares A's allocation, sized for the larger of both *)
-      let a_size = 4 * ha * max wa (if c_is_a then wb else 0) in
+    QCheck.(quad dim inner_dim dim (triple placement bool int))
+    (fun (ha, wa, wb, (place, specials, seed)) ->
       let run f m = function
-        | [ a; b; c ] -> f m ~c:(if c_is_a then a else c) ~a ~b ~ha ~wa ~wb
+        | [ a; b; c ] -> f m ~c:(placed_c place a b c) ~a ~b ~ha ~wa ~wb
         | _ -> assert false
       in
-      same_as_reference ~seed
-        [ a_size; 4 * wa * wb; 4 * ha * wb ]
+      same_as_reference
+        ~word:(if specials then special_f32 else wide_f32)
+        ~seed
+        (placed_sizes place ~a_size:(4 * ha * max wa 0)
+           ~b_size:(4 * max wa 0 * wb) ~c_size:(4 * ha * wb))
         ~loop:(run M.matrix_mul) ~reference:(run Ref.matrix_mul))
 
 let prop_sgemm_reference =
   QCheck.Test.make ~count:200 ~name:"sgemm loop == per-element reference"
     QCheck.(
       quad
-        (triple (int_bound 9) (int_bound 9) (int_bound 9))
-        (triple (int_bound 2) (int_bound 2)
-           (oneof [ int_bound 3; int_range 1020 2100 ]))
-        (pair bool bool) int)
-    (fun ((m, n, k), (pad_a, pad_b, gap_c), (beta_zero, c_is_a), seed) ->
-      let lda = max 1 m + pad_a and ldb = max 1 k + pad_b in
-      (* a gap over 1024 floats puts C's columns on different pages, and
-         over 2048 leaves whole pages between them unwritten *)
-      let ldc = max 1 m + gap_c in
-      let extent runs ld rows =
-        if runs = 0 || rows = 0 then 0 else 4 * (((runs - 1) * ld) + rows)
+        (triple dim dim inner_dim)
+        (triple (int_range (-2) 2) (int_bound 2)
+           (oneof [ int_range (-3) 3; int_range 1020 2100 ]))
+        (pair bool
+           (frequency [ (4, map Option.some placement); (1, always None) ]))
+        (pair bool int))
+    (fun ((m, n, k), (pad_a, pad_b, gap_c), (beta_zero, place), (specials, seed))
+       ->
+      (* [place = None] puts C in the gap between A's columns: with
+         [ldc = lda] and at least [m] rows of padding, C shares no element
+         with A but lies inside A's byte range. Otherwise a negative pad
+         overlaps A's columns. *)
+      let lda =
+        if place = None then (2 * max 1 m) + abs pad_a
+        else max 1 (max 1 m + pad_a)
       in
-      let c_size = extent n ldc m in
-      let a_size = max (extent k lda m) (if c_is_a then c_size else 0) in
+      let ldb = max 1 k + pad_b in
+      (* a gap over 1024 floats puts C's columns on different pages, and
+         over 2048 leaves whole pages between them unwritten; a negative
+         one overlaps C's columns, so a store changes a later column's
+         prior value *)
+      let ldc = if place = None then lda else max 1 (max 1 m + gap_c) in
+      let extent runs ld rows =
+        if runs <= 0 || rows <= 0 then 0 else 4 * (((runs - 1) * ld) + rows)
+      in
+      (* the gap starts at A's row m *)
+      let place = Option.value place ~default:(On_a m) in
+      let sizes =
+        placed_sizes place ~a_size:(extent k lda m) ~b_size:(extent n ldb k)
+          ~c_size:(extent n ldc m)
+      in
       let alpha = 1.5 and beta = if beta_zero then 0.0 else -0.75 in
       let run f mem = function
         | [ a; b; c ] ->
             f mem ~m ~n ~k ~alpha ~a ~lda ~b ~ldb ~beta
-              ~c:(if c_is_a then a else c) ~ldc
+              ~c:(placed_c place a b c) ~ldc
         | _ -> assert false
       in
-      same_as_reference ~seed
-        [ a_size; extent n ldb k; c_size ]
-        ~loop:(run M.sgemm) ~reference:(run Ref.sgemm))
+      same_as_reference
+        ~word:(if specials then special_f32 else wide_f32)
+        ~seed sizes ~loop:(run M.sgemm) ~reference:(run Ref.sgemm))
 
 let prop_histogram_reference =
   QCheck.Test.make ~count:100 ~name:"histogram256 loop == per-element reference"
@@ -676,6 +746,87 @@ let test_kernel_launch_allocation () =
     [ ("matrixMul 64x64 / 128x128", matmul 64, matmul 128);
       ("histogram256 64 KiB / 1 MiB", histogram 65536, histogram (1 lsl 20)) ]
 
+(* Each arena owns its GEMM mirror, so two domains running GEMMs on two
+   arenas at once compute what each computes alone. Each round feeds the
+   last sgemm result back into the next matrixMul, so a mirror shared
+   between the domains would corrupt every later round. *)
+let test_gemm_domains () =
+  let n = 64 and rounds = 8 in
+  let arena seed =
+    let m = M.create ~capacity:(1 lsl 20) in
+    let rng = Random.State.make [| seed |] in
+    let matrix () =
+      let p = M.alloc m (4 * n * n) in
+      let b = Bytes.create (4 * n * n) in
+      for i = 0 to (n * n) - 1 do
+        let v = Float.of_int (Random.State.int rng 17 - 8) /. 8.0 in
+        Bytes.set_int32_le b (4 * i) (Int32.bits_of_float v)
+      done;
+      M.write m p b;
+      p
+    in
+    let a = matrix () in
+    let b = matrix () in
+    let c = matrix () in
+    let d = matrix () in
+    (m, a, b, c, d)
+  in
+  let run (m, a, b, c, d) =
+    List.init rounds (fun _ ->
+        M.matrix_mul m ~c:d ~a ~b:c ~ha:n ~wa:n ~wb:n;
+        M.sgemm m ~m:n ~n ~k:n ~alpha:(1.0 /. 512.0) ~a:b ~lda:n ~b:d ~ldb:n
+          ~beta:0.5 ~c ~ldc:n;
+        M.read m c (4 * n * n))
+  in
+  let alone = List.map (fun seed -> run (arena seed)) [ 1; 2 ] in
+  let started = Atomic.make 0 in
+  let together =
+    List.map
+      (fun seed ->
+        let arena = arena seed in
+        Domain.spawn (fun () ->
+            Atomic.incr started;
+            while Atomic.get started < 2 do
+              Domain.cpu_relax ()
+            done;
+            run arena))
+      [ 1; 2 ]
+    |> List.map Domain.join
+  in
+  List.iteri
+    (fun d (alone, together) ->
+      List.iteri
+        (fun r (x, y) ->
+          check Alcotest.bool
+            (Printf.sprintf "domain %d round %d" d r)
+            true (Bytes.equal x y))
+        (List.combine alone together))
+    (List.combine alone together)
+
+(* The GEMM mirror grows to the high-water mark and no further: after a
+   128x128 matrixMul and sgemm the heap reachable from the arena (its
+   bytes live in a Bigarray, off the heap) is one f64 per element of the
+   widest mirrored operand, plus one row or column, plus the allocator's
+   few words; a smaller launch after them allocates no new mirror. *)
+let test_gemm_scratch_bound () =
+  let m = M.create ~capacity:(1 lsl 20) in
+  let n = 128 in
+  let a = M.alloc m (4 * n * n) and b = M.alloc m (4 * n * n) in
+  let c = M.alloc m (4 * n * n) in
+  let words () = Obj.reachable_words (Obj.repr m) in
+  let fixed = words () in
+  M.matrix_mul m ~c ~a ~b ~ha:n ~wa:n ~wb:n;
+  M.sgemm m ~m:n ~n ~k:n ~alpha:1.0 ~a ~lda:n ~b ~ldb:n ~beta:1.0 ~c ~ldc:n;
+  let grown = words () in
+  check Alcotest.bool
+    (Printf.sprintf "%d words before, %d after" fixed grown)
+    true
+    (fixed <= 256 && grown <= (n * n) + n + 1 + 256);
+  M.matrix_mul m ~c ~a ~b ~ha:16 ~wa:16 ~wb:16;
+  M.sgemm m ~m:16 ~n:16 ~k:16 ~alpha:1.0 ~a ~lda:16 ~b ~ldb:16 ~beta:1.0 ~c
+    ~ldc:16;
+  check Alcotest.int "after 16x16" grown (words ())
+
 let suite =
   [
     Alcotest.test_case "device catalog" `Quick test_device_catalog;
@@ -714,6 +865,10 @@ let suite =
         test_kernel_rejects_ranges_outside_memory;
       Alcotest.test_case "kernel launch allocation is size-independent" `Quick
         test_kernel_launch_allocation;
+      Alcotest.test_case "GEMM on two domains == one domain" `Quick
+        test_gemm_domains;
+      Alcotest.test_case "GEMM mirror bounded by its widest operand" `Quick
+        test_gemm_scratch_bound;
     ]
   @ List.map QCheck_alcotest.to_alcotest
       [
