@@ -118,9 +118,6 @@ let claim_within ~max_record_size ~sofar len =
   if len > max_record_size || sofar + len > max_record_size then
     raise (Oversized { claimed = sofar + len; limit = max_record_size })
 
-let check_claim ?(max_record_size = default_max_record_size) ~sofar len =
-  claim_within ~max_record_size ~sofar len
-
 type source = Of_string of string | Of_buffer of Buffer.t
 
 let source_length = function
@@ -207,7 +204,9 @@ module Inbox = struct
       fragment_got = 0; last = false; parts = []; sofar = 0; records = [];
       refused = None }
 
-  let close_fragment t =
+  (* The fragment is complete. If it ends its record, the record is
+     returned; otherwise it is kept with the earlier ones and "" is. *)
+  let finish_fragment t =
     let fragment = Bytes.unsafe_to_string t.fragment in
     t.fragment <- Bytes.empty;
     t.header_got <- 0;
@@ -217,19 +216,26 @@ module Inbox = struct
         | [] -> fragment
         | parts -> String.concat "" (List.rev (fragment :: parts))
       in
-      t.records <- record :: t.records;
       t.parts <- [];
-      t.sofar <- 0
+      t.sofar <- 0;
+      record
     end
     else begin
       t.parts <- fragment :: t.parts;
-      t.sofar <- t.sofar + String.length fragment
+      t.sofar <- t.sofar + String.length fragment;
+      ""
     end
+
+  let close_fragment t =
+    let record = finish_fragment t in
+    if t.last then t.records <- record :: t.records
 
   let open_fragment t =
     let w = header_word_of_bytes t.header in
     let len = fragment_length w in
-    match check_claim ~sofar:t.sofar len with
+    match
+      claim_within ~max_record_size:default_max_record_size ~sofar:t.sofar len
+    with
     | () ->
         t.fragment <- Bytes.create len;
         t.fragment_got <- 0;
@@ -270,6 +276,37 @@ module Inbox = struct
         t.records <- [];
         t.refused <- None;
         raise e
+
+  (* A fragment being read has [header_got = 4] and a buffer of its
+     claimed, nonzero size: a fragment of size 0 is finished as soon as it
+     is opened. So [header_got = 4] with an empty buffer is a header whose
+     claim was refused. *)
+  let rec next t recv src =
+    if t.header_got < 4 then begin
+      t.header_got <-
+        t.header_got + recv src t.header t.header_got (4 - t.header_got);
+      if t.header_got = 4 then accept t recv src else None
+    end
+    else if Bytes.length t.fragment = 0 then accept t recv src
+    else fill t recv src
+
+  and accept t recv src =
+    let w = header_word_of_bytes t.header in
+    let len = fragment_length w in
+    claim_within ~max_record_size:default_max_record_size ~sofar:t.sofar len;
+    t.fragment <- Bytes.create len;
+    t.fragment_got <- 0;
+    t.last <- is_last w;
+    fill t recv src
+
+  and fill t recv src =
+    let need = Bytes.length t.fragment - t.fragment_got in
+    if need > 0 then
+      t.fragment_got <- t.fragment_got + recv src t.fragment t.fragment_got need;
+    if t.fragment_got < Bytes.length t.fragment then None
+    else
+      let record = finish_fragment t in
+      if t.last then Some record else next t recv src
 end
 
 module Outbox = struct

@@ -42,15 +42,11 @@ val default_max_record_size : int
 
 exception Oversized of { claimed : int; limit : int }
 (** A fragment header claimed a size that would take the record past
-    [max_record_size]. Raised from the header alone, {e before} any buffer
-    for the claimed bytes is allocated, so an adversarial length field
-    cannot reserve unbounded memory. *)
-
-val check_claim : ?max_record_size:int -> sofar:int -> int -> unit
-(** [check_claim ~sofar len] raises {!Oversized} if a fragment header
-    claiming [len] bytes would take a record already holding [sofar] bytes
-    past [max_record_size] (default 1 GiB, as for {!read}). The rule every
-    reassembler applies to a header before allocating for it. *)
+    [max_record_size] ({!default_max_record_size} unless a reader takes
+    another): [claimed] is the record's size with that fragment. Raised
+    from the header alone, {e before} any buffer for the claimed bytes is
+    allocated, so an adversarial length field cannot reserve unbounded
+    memory. Every reassembler below applies this rule to each header. *)
 
 (** {1 Records already in memory}
 
@@ -63,7 +59,7 @@ val record_end : ?max_record_size:int -> source -> int -> int
 (** [record_end src pos] is the offset just past the last fragment of the
     record whose first header starts at [pos], or [-1] if [src] ends
     before that record does (its tail is still to come). Each header's
-    claim is checked as for {!check_claim} when it is reached, so an
+    claim is checked as {!Oversized} describes when it is reached, so an
     oversized one raises {!Oversized} before anything is copied. *)
 
 val payload : source -> int -> stop:int -> string
@@ -88,16 +84,33 @@ module Inbox : sig
 
   val add : t -> string -> int -> int -> unit
   (** [add t s off len] takes [len] written bytes of [s] from [off]. A
-      fragment header is checked as {!check_claim} checks it, by default,
-      as soon as its fourth byte arrives; its payload is then copied once,
-      into a buffer of exactly the claimed size. After a refused header,
-      whatever is written is dropped until {!take}. *)
+      fragment header's claim is checked against the default limit, as
+      {!Oversized} describes, as soon as its fourth byte arrives; its
+      payload is then copied once, into a buffer of exactly the claimed
+      size. After a refused header, whatever is written is dropped until
+      {!take}. *)
 
   val take : t -> string list
   (** The records completed since the last [take], in order, forgotten
       here; a record whose tail is still to come stays. If a header was
       refused meanwhile, raises {!Oversized} instead and forgets everything
       written up to now, the unfinished record included. *)
+
+  val next : t -> ('src -> bytes -> int -> int -> int) -> 'src -> string option
+  (** [next t recv src] reads the bytes of a stream out of [src] itself:
+      [recv src buf off len] moves up to [len] of them into [buf] at [off]
+      and returns how many, 0 when [src] has none (as
+      [Tcpstack.Endpoint.recv_into] does). Headers are read into the
+      inbox's 4-byte scratch and each fragment straight into a buffer of
+      exactly its claimed size. Returns the first record completed, as
+      soon as it is, or [None] once [src] runs out first; a later call
+      goes on from there.
+
+      A header's claim is checked against the default limit, as
+      {!Oversized} describes, before anything is allocated for it. A
+      refused claim raises {!Oversized} and stays: every later call raises
+      it again. An inbox is fed either through [next] or through {!add}
+      and {!take}, not both. *)
 end
 
 module Outbox : sig
@@ -150,8 +163,8 @@ type cursor
 
 val open_record : Transport.t -> cursor
 (** Read the first fragment header of the next record. Every header is
-    bounded as {!check_claim} bounds it by default (1 GiB) when it is read,
-    so {!Oversized} comes from the same header {!read} would raise it on.
+    bounded by the default limit (1 GiB) when it is read, so {!Oversized}
+    comes from the same header {!read} would raise it on.
     Raises {!Transport.Closed} if the stream ends. *)
 
 val take : cursor -> bytes -> int -> int -> int
@@ -169,11 +182,6 @@ val encode_header : last:bool -> int -> string
 
 val decode_header : string -> bool * int
 (** [decode_header s] is [(last, length)]; [s] must be 4 bytes. *)
-
-val decode_header_bytes : bytes -> bool * int
-(** Like {!decode_header} over the first 4 bytes of a reusable staging
-    buffer — the allocation-free path used with
-    [Transport.hdr_scratch]. *)
 
 val add_wire : ?fragment_size:int -> Buffer.t -> string -> unit
 (** Append the bytes {!to_wire} returns to a buffer, with no intermediate

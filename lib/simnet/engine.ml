@@ -21,6 +21,12 @@ let advance t d =
   if not (fits clock) then out_of_range "Engine.advance";
   t.clock <- clock
 
+let advance_ns t d =
+  if d < 0 then invalid_arg "Engine.advance_ns: negative";
+  let clock = now_ns t + d in
+  if clock < d then out_of_range "Engine.advance_ns";
+  t.clock <- Int64.of_int clock
+
 let advance_to t instant =
   if Time.compare instant t.clock > 0 then begin
     if not (fits instant) then out_of_range "Engine.advance_to";

@@ -20,6 +20,9 @@ val advance : t -> Time.t -> unit
 (** Move the clock forward by a duration (never backwards; negative
     durations raise [Invalid_argument]). *)
 
+val advance_ns : t -> int -> unit
+(** [advance] by plain nanoseconds: the only allocation is the new clock. *)
+
 val advance_to : t -> Time.t -> unit
 (** Move the clock to an absolute instant (no-op when in the past). *)
 

@@ -22,7 +22,7 @@ module Link = Simnet.Link
      segments of one guest frame into a single rx unit.
    - [scatter_gather]: without it the device cannot follow the guest's
      slice list, so transmit pays an extra 0.5-copy staging pass (the
-     payload is physically flattened).
+     payload is physically flattened when the frame spans slices).
    - [mrg_rxbuf]: interrupt batches are 4x larger.
 
    Costs mirror {!Simnet.Netcost}'s closed-form sender/receiver terms
@@ -151,14 +151,18 @@ let guest_tx t d (f : Frame.t) =
     end
   in
   d.cur.tx_free <- fmax (now_ns t) d.cur.tx_free +. cost;
-  (* without scatter-gather the device needs contiguous staging: the
-     flatten is performed, not just charged *)
+  (* without scatter-gather the device needs contiguous staging: it is
+     charged for every frame, and the flatten is performed when the frame
+     spans slices. A payload of one slice is contiguous already and passes
+     through; it then aliases the sender's queued bytes until delivery,
+     which the retransmit queue outlives. *)
   if (not d.feat_tx.Offload.scatter_gather) && n > 0 then begin
     t.staging_copies <- t.staging_copies + 1;
     Obs.Recorder.incr t.obs "net.staging_copy";
-    { f with
-      Frame.payload = Xdr.Iovec.of_string (Xdr.Iovec.concat f.Frame.payload)
-    }
+    match f.Frame.payload with
+    | [ _ ] -> f
+    | payload ->
+        { f with Frame.payload = Xdr.Iovec.of_string (Xdr.Iovec.concat payload) }
   end
   else f
 

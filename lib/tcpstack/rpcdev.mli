@@ -89,9 +89,19 @@ val feed : t -> bytes -> unit
     parsed/steered per the negotiated features and queued. Charges device
     or host-software costs on the engine as a side effect. *)
 
+val feed_sub : t -> bytes -> int -> int -> unit
+(** [feed_sub t buf off len] is {!feed} over [len] bytes of [buf] from
+    [off], so a reader can hand over a reused buffer. Raises
+    [Invalid_argument] if [off]/[len] do not fit [buf]. *)
+
 val drain : t -> entry list
 (** Dequeue all pending entries, round-robin across steering queues in
     creation order (deterministic). *)
+
+val drain_iter : t -> (entry -> unit) -> unit
+(** [drain_iter t f] dequeues the entries in {!drain}'s order and hands
+    each to [f] as it is dequeued, building no list. If [f] raises, the
+    entries not yet handed over stay queued. *)
 
 val pending : t -> int
 val set_ident : t -> string -> unit

@@ -13,7 +13,7 @@
     has not written yet waits in the channel for the rest, so a client
     reading for its reply meanwhile gets {!Oncrpc.Transport.Timeout} after
     [rto]. A fragment header claiming more than a record may hold (see
-    {!Oncrpc.Record.check_claim}) makes the read raise
+    {!Oncrpc.Record.Oversized}) makes the read raise
     {!Oncrpc.Record.Oversized} before anything is copied, and drops the
     bytes in flight: the stream cannot be framed past it.
 

@@ -25,12 +25,13 @@ module EP = Tcpstack.Endpoint
    as header slices plus views of it (a doorbell batch is the exception,
    see [reply_out]).
 
-   On receive, neither side keeps a buffer of its own. The client
-   transport's [recv] and the server's record parser both read straight
-   out of their endpoint ([Endpoint.recv_into]); the parser lands each
-   fragment in a buffer of its header-claimed size, bounded by
-   {!Oncrpc.Record.check_claim}, and joins fragments only when a record
-   has more than one. *)
+   On receive, the client transport's [recv] and the server's record
+   reassembly ({!Oncrpc.Record.Inbox.next}) both read straight out of
+   their endpoint ([Endpoint.recv_into]); the inbox lands each fragment in
+   a buffer of its header-claimed size, refusing an oversized claim first,
+   and joins fragments only when a record has more than one. With the RPC
+   engine, each rx burst is read into a scratch the channel owns and
+   reuses, and the engine reassembles from there. *)
 
 type stats = {
   messages : int;  (** request records dispatched at the server *)
@@ -62,18 +63,16 @@ type t = {
      one rx burst leave as one submit *)
   reply_batch : Buffer.t;
   mutable transport : Oncrpc.Transport.t;
-  (* server-side incremental record-marking parser (RFC 5531 §11), reading
-     straight out of the server endpoint: each fragment lands in a buffer
-     of exactly its header-claimed size, so reassembly over the whole run
-     is O(bytes) with one copy per byte (two for multi-fragment records) *)
-  hdr : Bytes.t;
-  mutable hdr_pos : int;
-  mutable in_frag : bool;
-  mutable frag : Bytes.t;
-  mutable frag_pos : int;
-  mutable frag_last : bool;
-  mutable frags : Bytes.t list;  (* completed fragments, newest first *)
-  mutable frags_len : int;
+  (* server-side record reassembly (RFC 5531 §11) without the engine,
+     reading straight out of the server endpoint: each fragment lands in a
+     buffer of exactly its header-claimed size, so reassembly over the
+     whole run is O(bytes) with one copy per byte (two for multi-fragment
+     records) *)
+  inbox : Oncrpc.Record.Inbox.t;
+  (* what the engine is handed of each rx burst. It belongs to the
+     channel, not to the module: channels run on several domains at once
+     (lib/par), and a shared scratch would mix their bursts. *)
+  mutable rx : Bytes.t;
   mutable messages : int;
   mutable bytes_to_server : int;
   mutable bytes_from_server : int;
@@ -137,79 +136,51 @@ let flush_replies t =
     EP.send_string t.server_ep wire
   end
 
-(* Pull whatever the server endpoint holds through the record parser;
-   complete records go to the dispatch function and replies back onto the
-   server endpoint. A fragment header's claim is bounded before its buffer
-   is allocated. *)
+(* Pull whatever the server endpoint holds through the record parser and
+   dispatch each record as it completes; replies go back onto the server
+   endpoint. A fragment header's claim is bounded before its buffer is
+   allocated. If a dispatch raises, the bytes after its record stay in the
+   endpoint. *)
 let feed_server t =
   let ep = t.server_ep in
   while EP.recv_length ep > 0 do
-    if not t.in_frag then begin
-      t.hdr_pos <- t.hdr_pos + EP.recv_into ep t.hdr t.hdr_pos (4 - t.hdr_pos);
-      if t.hdr_pos = 4 then begin
-        let last, n = Oncrpc.Record.decode_header_bytes t.hdr in
-        Oncrpc.Record.check_claim ~sofar:t.frags_len n;
-        t.hdr_pos <- 0;
-        t.in_frag <- true;
-        t.frag <- Bytes.create n;
-        t.frag_pos <- 0;
-        t.frag_last <- last
-      end
-    end;
-    if t.in_frag then begin
-      let need = Bytes.length t.frag - t.frag_pos in
-      t.frag_pos <- t.frag_pos + EP.recv_into ep t.frag t.frag_pos need;
-      if t.frag_pos = Bytes.length t.frag then begin
-        let frag = t.frag in
-        t.in_frag <- false;
-        t.frag <- Bytes.empty;
-        if not t.frag_last then begin
-          t.frags <- frag :: t.frags;
-          t.frags_len <- t.frags_len + Bytes.length frag
-        end
-        else begin
-          let request =
-            match t.frags with
-            | [] -> Bytes.unsafe_to_string frag
-            | frags ->
-                String.concat ""
-                  (List.rev_map Bytes.unsafe_to_string (frag :: frags))
-          in
-          t.frags <- [];
-          t.frags_len <- 0;
-          t.messages <- t.messages + 1;
-          let t0 = Engine.now t.engine in
-          let reply = t.dispatch request in
-          t.dispatched_ns <-
-            Time.add t.dispatched_ns (Time.sub (Engine.now t.engine) t0);
-          reply_out t reply
-        end
-      end
-    end
+    match Oncrpc.Record.Inbox.next t.inbox EP.recv_into ep with
+    | None -> ()
+    | Some request ->
+        t.messages <- t.messages + 1;
+        let t0 = Engine.now t.engine in
+        let reply = t.dispatch request in
+        t.dispatched_ns <-
+          Time.add t.dispatched_ns (Time.sub (Engine.now t.engine) t0);
+        reply_out t reply
   done
+
+let serve_entry t (e : Tcpstack.Rpcdev.entry) =
+  t.messages <- t.messages + 1;
+  let reply =
+    match (e.Tcpstack.Rpcdev.parse, t.dispatch_parsed) with
+    | Some (Ok p), Some f -> f ~ident:e.Tcpstack.Rpcdev.ident p e.record
+    | _ ->
+        (* no parse negotiated, a device punt, or no fast-path
+           dispatcher installed: full software dispatch *)
+        t.dispatch e.Tcpstack.Rpcdev.record
+  in
+  reply_out t reply
 
 (* Server rx through the RPC engine: the device (or its host-software
    fallback, per negotiated bits) frames, parses and steers; the host
-   dispatches each drained entry. The whole burst — device charges
-   included — counts as dispatched time, so the recv wait span cannot
-   double-count rpcdev spans against net.wait. *)
-let feed_server_rpc t rdev chunk =
+   dispatches each drained entry. The burst is read into the channel's
+   scratch, so no buffer is allocated for it. The whole burst — device
+   charges included — counts as dispatched time, so the recv wait span
+   cannot double-count rpcdev spans against net.wait. *)
+let feed_server_rpc t rdev =
   let t0 = Engine.now t.engine in
-  Tcpstack.Rpcdev.feed rdev chunk;
-  let entries = Tcpstack.Rpcdev.drain rdev in
-  List.iter
-    (fun (e : Tcpstack.Rpcdev.entry) ->
-      t.messages <- t.messages + 1;
-      let reply =
-        match (e.Tcpstack.Rpcdev.parse, t.dispatch_parsed) with
-        | Some (Ok p), Some f -> f ~ident:e.Tcpstack.Rpcdev.ident p e.record
-        | _ ->
-            (* no parse negotiated, a device punt, or no fast-path
-               dispatcher installed: full software dispatch *)
-            t.dispatch e.Tcpstack.Rpcdev.record
-      in
-      reply_out t reply)
-    entries;
+  let n = EP.recv_length t.server_ep in
+  if n > Bytes.length t.rx then
+    t.rx <- Bytes.create (max n (2 * Bytes.length t.rx));
+  let n = EP.recv_into t.server_ep t.rx 0 n in
+  Tcpstack.Rpcdev.feed_sub rdev t.rx 0 n;
+  Tcpstack.Rpcdev.drain_iter rdev (serve_entry t);
   t.dispatched_ns <-
     Time.add t.dispatched_ns (Time.sub (Engine.now t.engine) t0);
   flush_replies t
@@ -219,7 +190,7 @@ let feed_server_rpc t rdev chunk =
 let drain t =
   if EP.recv_length t.server_ep > 0 then
     match t.rpcdev with
-    | Some rdev -> feed_server_rpc t rdev (EP.recv t.server_ep)
+    | Some rdev -> feed_server_rpc t rdev
     | None -> feed_server t
 
 let default_rto = Time.us 200
@@ -275,8 +246,7 @@ let create ~engine ~client ?(server = Config.server_profile)
           ~recv:(fun _ _ _ -> 0)
           ~close:(fun () -> ())
           ();
-      hdr = Bytes.create 4; hdr_pos = 0; in_frag = false; frag = Bytes.empty;
-      frag_pos = 0; frag_last = false; frags = []; frags_len = 0;
+      inbox = Oncrpc.Record.Inbox.create (); rx = Bytes.empty;
       messages = 0; bytes_to_server = 0; bytes_from_server = 0;
       network_ns = 0; timeouts = 0;
       obs = Obs.Recorder.null; dispatched_ns = Time.zero }

@@ -693,6 +693,227 @@ let test_trace_nesting () =
   | Some _ -> ()
   | None -> Alcotest.fail "expected batch-occupancy histogram"
 
+(* --- the per-record path: parser, steering and allocation --- *)
+
+(* [Rpcdev.parse_call_header] as it was written before it lost its
+   closures, kept as the reference: same checks, same order, same
+   results and error payloads. *)
+let reference_parse_call_header s : (Rpcdev.parsed, Rpcdev.reject) result =
+  let len = String.length s in
+  let u32 off = Int32.to_int (String.get_int32_be s off) land 0xFFFFFFFF in
+  let need n = if len < n then Error (Rpcdev.Truncated len) else Ok () in
+  let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e in
+  let* () = need 8 in
+  let xid = String.get_int32_be s 0 in
+  let mtype = String.get_int32_be s 4 in
+  if mtype <> 0l then Error (Rpcdev.Not_a_call mtype)
+  else
+    let* () = need 12 in
+    let rpcvers = u32 8 in
+    if rpcvers <> 2 then Error (Rpcdev.Bad_rpc_version rpcvers)
+    else
+      let* () = need 24 in
+      let prog = u32 12 and vers = u32 16 and proc = u32 20 in
+      let auth which off =
+        let* () = need (off + 8) in
+        let blen = u32 (off + 4) in
+        if blen > 400 then
+          Error (Rpcdev.Bad_auth (Printf.sprintf "%s body %d > %d" which blen 400))
+        else
+          let padded = (blen + 3) land lnot 3 in
+          let* () = need (off + 8 + padded) in
+          let rec pad_ok i =
+            i >= padded || (s.[off + 8 + i] = '\000' && pad_ok (i + 1))
+          in
+          if not (pad_ok blen) then
+            Error (Rpcdev.Bad_auth (which ^ " has nonzero pad bytes"))
+          else Ok (off + 8 + padded)
+      in
+      let* off = auth "cred" 24 in
+      let* body_off = auth "verf" off in
+      Ok { Rpcdev.xid; prog; vers; proc; body_off }
+
+(* u32 words that sit on the parser's boundaries *)
+let gen_edge_word =
+  QCheck.Gen.(
+    oneof
+      [ oneofl [ 0; 1; 2; 3; 4; 5; 399; 400; 401; 0x7FFFFFFF; 0x80000000;
+                 0xFFFFFFFF ];
+        map (fun x -> x land 0xFFFFFFFF) int ])
+
+(* A call record, then some of it overwritten: whole header words with
+   edge values (msg_type, rpcvers, the auth lengths), or single bytes
+   (the pads). Or words alone. *)
+let gen_header =
+  QCheck.Gen.(
+    let patched =
+      map2
+        (fun record patches ->
+          let b = Bytes.of_string record in
+          List.iter
+            (fun (word, pos, v, byte) ->
+              if word then begin
+                let pos = pos land lnot 3 in
+                if pos + 4 <= Bytes.length b then
+                  Bytes.set_int32_be b pos (Int32.of_int v)
+              end
+              else if Bytes.length b > 0 then
+                Bytes.set b (pos mod Bytes.length b) (Char.chr byte))
+            patches;
+          Bytes.unsafe_to_string b)
+        gen_call_record
+        (list_size (int_range 0 3)
+           (quad bool (int_range 0 60) gen_edge_word (int_bound 255)))
+    in
+    let words =
+      map
+        (fun ws ->
+          let b = Bytes.create (4 * List.length ws) in
+          List.iteri (fun i w -> Bytes.set_int32_be b (4 * i) (Int32.of_int w)) ws;
+          Bytes.unsafe_to_string b)
+        (list_size (int_range 0 20) gen_edge_word)
+    in
+    frequency [ (3, patched); (1, words) ])
+
+let prop_parse_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"device parse == reference parser, every truncation"
+    (QCheck.make ~print:String.escaped gen_header)
+    (fun header ->
+      let ok = ref true in
+      for cut = 0 to min (String.length header) 1000 do
+        let s = String.sub header 0 cut in
+        if Rpcdev.parse_call_header s <> reference_parse_call_header s then
+          ok := false
+      done;
+      !ok)
+
+(* Steering against a plain model: one FIFO per (proc, ident) key, keys
+   in creation order, drained round-robin; a call the device does not
+   steer goes to (-1, ident). *)
+type steer_op = Call of int * bool (* proc, malformed *) | Ident of string | Drain
+
+let gen_steer =
+  QCheck.Gen.(
+    pair (int_bound 2)
+      (list_size (int_range 0 80)
+         (frequency
+            [ (8, map2 (fun p bad -> Call (p, bad)) (int_bound 3)
+                    (frequency [ (5, return false); (1, return true) ]));
+              (2, map (fun i -> Ident i) (oneofl [ ""; "a"; "b"; "c" ]));
+              (1, return Drain) ])))
+
+let print_steer (features, ops) =
+  Printf.sprintf "features=%d [%s]" features
+    (String.concat "; "
+       (List.map
+          (function
+            | Call (p, bad) -> Printf.sprintf "call %d%s" p (if bad then "!" else "")
+            | Ident i -> Printf.sprintf "ident %S" i
+            | Drain -> "drain")
+          ops))
+
+let prop_steering_matches_model =
+  QCheck.Test.make ~count:300 ~name:"rpcdev steering == Hashtbl model"
+    (QCheck.make ~print:print_steer gen_steer)
+    (fun (features, ops) ->
+      let features =
+        match features with
+        | 0 -> O.rpc_all O.none
+        | 1 -> { O.none with O.rpc_framing = true; rpc_parse = true }
+        | _ -> O.none
+      in
+      let steer = (Rpcdev.effective features).O.rpc_steer in
+      let dev =
+        Rpcdev.create ~engine:(Engine.create ()) ~profile:native_profile
+          ~features ()
+      in
+      let queues = Hashtbl.create 8 and order = ref [] in
+      let depth = ref 0 and steered = ref 0 and ident = ref "" in
+      let model_drain () =
+        let out = ref [] and progress = ref true in
+        while !progress do
+          progress := false;
+          List.iter
+            (fun key ->
+              let q = Hashtbl.find queues key in
+              if not (Queue.is_empty q) then begin
+                out := (Queue.pop q, snd key) :: !out;
+                progress := true
+              end)
+            (List.rev !order)
+        done;
+        List.rev !out
+      in
+      let device_drain () =
+        List.map
+          (fun e ->
+            (Int32.to_int (String.get_int32_be e.Rpcdev.record 0), e.Rpcdev.ident))
+          (Rpcdev.drain dev)
+      in
+      let xid = ref 0 and same = ref true in
+      List.iter
+        (function
+          | Call (proc, bad) ->
+              incr xid;
+              let record = Bytes.of_string (encode_call ~proc ~xid:(Int32.of_int !xid) "x") in
+              if bad then Bytes.set_int32_be record 8 3l;
+              feed_record dev (Bytes.unsafe_to_string record);
+              let key = if steer && not bad then (proc, !ident) else (-1, !ident) in
+              if steer && not bad then incr steered;
+              let q =
+                match Hashtbl.find_opt queues key with
+                | Some q -> q
+                | None ->
+                    let q = Queue.create () in
+                    Hashtbl.add queues key q;
+                    order := key :: !order;
+                    q
+              in
+              Queue.push !xid q;
+              depth := max !depth (Queue.length q)
+          | Ident i ->
+              ident := i;
+              Rpcdev.set_ident dev i
+          | Drain -> if device_drain () <> model_drain () then same := false)
+        ops;
+      let s = Rpcdev.stats dev in
+      !same
+      && device_drain () = model_drain ()
+      && s.Rpcdev.queues = List.length !order
+      && s.max_queue_depth = !depth
+      && s.steered = !steered)
+
+(* Each record through a Device_full engine allocates what it delivers:
+   its string, its parse descriptor and its queue entry. Counted in minor
+   words per record over feed and drain, after a warm-up batch has
+   filled the pool and created the queue. *)
+let test_rpcdev_record_allocation () =
+  let pool = Oncrpc.Pool.create () in
+  let dev =
+    Rpcdev.create ~engine:(Engine.create ()) ~profile:native_profile
+      ~features:(Unikernel.Rpcbench.device_of_mode Unikernel.Rpcbench.Device_full)
+      ~alloc:(Oncrpc.Pool.acquire pool) ~free:(Oncrpc.Pool.release pool)
+      ~ident:"tenant-0" ()
+  in
+  let n = 256 in
+  let wire =
+    Bytes.of_string
+      (String.concat ""
+         (List.init n (fun i ->
+              Oncrpc.Record.to_wire
+                (encode_call ~xid:(Int32.of_int i) (String.make 64 'a')))))
+  in
+  Rpcdev.feed dev wire;
+  ignore (Rpcdev.drain dev);
+  let w0 = Gc.minor_words () in
+  Rpcdev.feed dev wire;
+  let entries = Rpcdev.drain dev in
+  let per_record = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check int) "every record delivered" n (List.length entries);
+  if per_record > 100. then
+    Alcotest.failf "%.1f minor words per record > 100" per_record
+
 let suite =
   [
     Alcotest.test_case "parse: typed rejects" `Quick test_parse_rejects;
@@ -723,3 +944,9 @@ let suite =
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ parse_equiv_valid; parse_truncated; parse_equiv_corrupt ]
+  @ [
+      QCheck_alcotest.to_alcotest prop_parse_matches_reference;
+      QCheck_alcotest.to_alcotest prop_steering_matches_model;
+      Alcotest.test_case "rpcdev: allocation per record" `Quick
+        test_rpcdev_record_allocation;
+    ]

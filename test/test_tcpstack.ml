@@ -1113,6 +1113,243 @@ let test_per_segment_allocation () =
     Alcotest.failf "%.1f minor words per wire segment, bound %.1f" per_segment
       per_segment_words_bound
 
+(* Hermit has no scatter-gather, so its device stages every frame flat.
+   A frame whose payload is one slice is contiguous already and is passed
+   through; only frames that span slices are flattened. A 4 MiB upload
+   goes out as a single string, so its frames are single slices. The whole
+   call (client, channel and server) then allocates the payload three
+   times in major-heap words: the client's staging copy, the server's
+   1 MiB fragments, and their join into one record. It was four times
+   while every frame was copied. Staging is still charged and counted for
+   every frame. *)
+let test_no_sg_transmit_copies () =
+  let len = 4 lsl 20 in
+  let payload_words = float_of_int (len / (Sys.word_size / 8)) in
+  let payloads words = Float.to_int (Float.round (words /. payload_words)) in
+  let ch, client, _ = cricket_over_tcp () in
+  let payload = Apps.Workload.xorshift_bytes ~seed:4 len in
+  let dst = Cricket.Client.malloc client len in
+  let upload () =
+    let staged = (Unikernel.Tcpchannel.netdev_stats ch).Tcpstack.Netdev.staging_copies in
+    let w0 = major_words () in
+    Cricket.Client.memcpy_h2d client ~dst payload;
+    let words = major_words () -. w0 in
+    let staged =
+      (Unikernel.Tcpchannel.netdev_stats ch).Tcpstack.Netdev.staging_copies
+      - staged
+    in
+    (payloads words, staged)
+  in
+  ignore (upload ());
+  let h2d, staged = upload () in
+  check Alcotest.int "4 MiB h2d payloads" 3 h2d;
+  check Alcotest.bool "every frame staged" true (staged > 0);
+  let back = Cricket.Client.memcpy_d2h client ~src:dst ~len in
+  check Alcotest.bool "payload back intact" true (Bytes.equal back payload)
+
+(* --- Tcpchannel's software receive path against its old parser --- *)
+
+(* What the channel reads from: its server endpoint, standing in as bytes
+   that arrive in chunks and are read at most [cap] at a time. *)
+type source = { data : Buffer.t; mutable pos : int; cap : int }
+
+let source_length s = Buffer.length s.data - s.pos
+
+let source_recv_into s buf off len =
+  let n = min (min len s.cap) (source_length s) in
+  Buffer.blit s.data s.pos buf off n;
+  s.pos <- s.pos + n;
+  n
+
+(* The parser Tcpchannel had before it used [Record.Inbox], kept as the
+   reference: a header is read into [hdr], its claim bounded at 1 GiB per
+   record, and each fragment read into a buffer of its claimed size. *)
+type old_parser = {
+  hdr : Bytes.t;
+  mutable hdr_pos : int;
+  mutable in_frag : bool;
+  mutable frag : Bytes.t;
+  mutable frag_pos : int;
+  mutable frag_last : bool;
+  mutable frags : Bytes.t list;
+  mutable frags_len : int;
+}
+
+let old_parser () =
+  { hdr = Bytes.create 4; hdr_pos = 0; in_frag = false; frag = Bytes.empty;
+    frag_pos = 0; frag_last = false; frags = []; frags_len = 0 }
+
+let old_feed t src dispatch =
+  while source_length src > 0 do
+    if not t.in_frag then begin
+      t.hdr_pos <- t.hdr_pos + source_recv_into src t.hdr t.hdr_pos (4 - t.hdr_pos);
+      if t.hdr_pos = 4 then begin
+        let w = Int32.to_int (Bytes.get_int32_be t.hdr 0) land 0xFFFFFFFF in
+        let last = w land 0x80000000 <> 0 and n = w land 0x7FFFFFFF in
+        let limit = 1 lsl 30 in
+        if n > limit || t.frags_len + n > limit then
+          raise (Oncrpc.Record.Oversized { claimed = t.frags_len + n; limit });
+        t.hdr_pos <- 0;
+        t.in_frag <- true;
+        t.frag <- Bytes.create n;
+        t.frag_pos <- 0;
+        t.frag_last <- last
+      end
+    end;
+    if t.in_frag then begin
+      let need = Bytes.length t.frag - t.frag_pos in
+      t.frag_pos <- t.frag_pos + source_recv_into src t.frag t.frag_pos need;
+      if t.frag_pos = Bytes.length t.frag then begin
+        let frag = t.frag in
+        t.in_frag <- false;
+        t.frag <- Bytes.empty;
+        if not t.frag_last then begin
+          t.frags <- frag :: t.frags;
+          t.frags_len <- t.frags_len + Bytes.length frag
+        end
+        else begin
+          let request =
+            match t.frags with
+            | [] -> Bytes.unsafe_to_string frag
+            | frags ->
+                String.concat ""
+                  (List.rev_map Bytes.unsafe_to_string (frag :: frags))
+          in
+          t.frags <- [];
+          t.frags_len <- 0;
+          dispatch request
+        end
+      end
+    end
+  done
+
+(* The loop Tcpchannel's software path runs after each engine step. *)
+let inbox_feed inbox src dispatch =
+  while source_length src > 0 do
+    match Oncrpc.Record.Inbox.next inbox source_recv_into src with
+    | Some request -> dispatch request
+    | None -> ()
+  done
+
+type rx_piece =
+  | Record of int list * int  (* fragment sizes (last one last), seed *)
+  | Claim of int * int  (* a prefix fragment of n bytes, then a header of m *)
+
+type rx_scenario = {
+  pieces : rx_piece list;
+  cuts : int list;  (* arrival sizes, cycled *)
+  cap : int;  (* most bytes one read moves *)
+  raise_every : int;  (* the nth, 2nth, ... dispatch raises; 0: none *)
+}
+
+let rx_wire pieces =
+  let b = Buffer.create 4096 in
+  let header ~last n =
+    Buffer.add_int32_be b (Int32.of_int (if last then n lor 0x80000000 else n))
+  in
+  List.iter
+    (function
+      | Record (sizes, seed) ->
+          let count = List.length sizes in
+          List.iteri
+            (fun i n ->
+              header ~last:(i = count - 1) n;
+              Buffer.add_string b
+                (String.init n (fun k -> Char.chr ((seed + (i * 7) + k) land 255))))
+            sizes
+      | Claim (n, m) ->
+          if n > 0 then begin
+            header ~last:false n;
+            Buffer.add_string b (String.make n 'p')
+          end;
+          header ~last:true m)
+    pieces;
+  Buffer.contents b
+
+let gen_rx_scenario =
+  let open QCheck.Gen in
+  let frag =
+    frequency
+      [ (1, return 0); (6, int_range 1 40); (3, int_range 41 3000);
+        (1, int_range 3001 70_000) ]
+  in
+  let record = map2 (fun sizes seed -> Record (sizes, seed)) (list_size (int_range 1 4) frag) nat in
+  let claim =
+    oneof
+      [ map (fun m -> Claim (0, m)) (int_range ((1 lsl 30) + 1) 0x7FFFFFFF);
+        map (fun n -> Claim (n, (1 lsl 30) - n + 1)) (int_range 1 64) ]
+  in
+  let piece = frequency [ (12, record); (1, claim) ] in
+  map4
+    (fun pieces cuts cap raise_every -> { pieces; cuts; cap; raise_every })
+    (list_size (int_range 0 12) piece)
+    (list_size (int_range 1 6)
+       (frequency [ (3, int_range 1 7); (3, int_range 8 600); (1, int_range 601 100_000) ]))
+    (frequency [ (1, int_range 1 5); (1, int_range 6 300); (2, return max_int) ])
+    (frequency [ (3, return 0); (1, int_range 1 4) ])
+
+let print_rx_scenario s =
+  Printf.sprintf "pieces=[%s] cuts=[%s] cap=%d raise_every=%d"
+    (String.concat "; "
+       (List.map
+          (function
+            | Record (sizes, seed) ->
+                Printf.sprintf "record %s/%d"
+                  (String.concat "," (List.map string_of_int sizes)) seed
+            | Claim (n, m) -> Printf.sprintf "claim %d then %d" n m)
+          s.pieces))
+    (String.concat "," (List.map string_of_int s.cuts))
+    s.cap s.raise_every
+
+(* Feed the scenario's wire bytes chunk by chunk, running [feed] after
+   each arrival and once more at the end, as the channel drains its
+   endpoint after each engine step. Each feed logs the records it
+   dispatched and the exception that ended it, if any. *)
+let run_rx feed s =
+  let wire = rx_wire s.pieces in
+  let src = { data = Buffer.create 4096; pos = 0; cap = s.cap } in
+  let dispatches = ref 0 in
+  let log = ref [] in
+  let step () =
+    let got = ref [] in
+    let dispatch r =
+      incr dispatches;
+      got := r :: !got;
+      if s.raise_every > 0 && !dispatches mod s.raise_every = 0 then
+        failwith "dispatch"
+    in
+    let outcome =
+      match feed src dispatch with
+      | () -> "ok"
+      | exception e -> Printexc.to_string e
+    in
+    log := (List.rev !got, outcome, source_length src) :: !log
+  in
+  let rec go off cuts =
+    if off < String.length wire then begin
+      let cut, cuts =
+        match cuts with c :: rest -> (c, rest) | [] -> (List.hd s.cuts, List.tl s.cuts)
+      in
+      (* at most about 400 arrivals, however small the cuts *)
+      let cut = max cut (String.length wire / 400) in
+      let n = min cut (String.length wire - off) in
+      Buffer.add_substring src.data wire off n;
+      step ();
+      go (off + n) cuts
+    end
+  in
+  go 0 s.cuts;
+  step ();
+  List.rev !log
+
+let prop_inbox_reader_matches_old_parser =
+  QCheck.Test.make ~count:300
+    ~name:"tcpchannel rx: Record.Inbox reader == old parser"
+    (QCheck.make ~print:print_rx_scenario gen_rx_scenario)
+    (fun s ->
+      let old = old_parser () and inbox = Oncrpc.Record.Inbox.create () in
+      run_rx (old_feed old) s = run_rx (inbox_feed inbox) s)
+
 let suite =
   [
     Alcotest.test_case "checksum RFC1071 vector" `Quick
@@ -1186,4 +1423,7 @@ let suite =
         test_per_segment_allocation;
       Alcotest.test_case "d2h segmentation after spurious RTOs" `Quick
         test_d2h_segmentation;
+      Alcotest.test_case "no-SG transmit copies only frames spanning slices"
+        `Quick test_no_sg_transmit_copies;
+      QCheck_alcotest.to_alcotest prop_inbox_reader_matches_old_parser;
     ]
