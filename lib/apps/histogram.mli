@@ -18,3 +18,6 @@ val paper : params
 (** 64 MiB, 40 000 iterations (≈ 80 033 API calls, as reported). *)
 
 val run : ?verify:bool -> params -> Unikernel.Runner.env -> unit
+
+val reference_histogram : bytes -> int array
+(** The host-side check: how often each of the 256 byte values occurs. *)

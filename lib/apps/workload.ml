@@ -12,17 +12,20 @@ let f32_array b =
 
 let fill_constant n v = Array.make n v
 
+(* One xorshift step per byte, the low byte of each state kept; a plain
+   loop, so the state stays in a register. *)
 let xorshift_bytes ~seed n =
+  let b = Bytes.create n in
   let state = ref (if seed = 0 then 0x9e3779b9 else seed land 0x3fffffff) in
-  let next () =
+  for i = 0 to n - 1 do
     let x = !state in
     let x = x lxor (x lsl 13) land 0x3fffffff in
     let x = x lxor (x lsr 17) in
     let x = x lxor (x lsl 5) land 0x3fffffff in
     state := x;
-    x
-  in
-  Bytes.init n (fun _ -> Char.chr (next () land 0xff))
+    Bytes.unsafe_set b i (Char.unsafe_chr (x land 0xff))
+  done;
+  b
 
 let standard_module_names =
   [

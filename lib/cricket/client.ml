@@ -166,6 +166,15 @@ let take_checkpoint t r =
   r.checkpoints <- r.checkpoints + 1;
   Queue.clear r.journal
 
+(* Whether a call made now is journaled: recovery is armed and the
+   session is neither replaying nor lost. Stubs build a redo closure only
+   then, so a session without recovery allocates nothing for the
+   journal. *)
+let journaling t =
+  match t.recovery with
+  | Some r -> not (r.recovering || r.lost)
+  | None -> false
+
 (* Append a replayable closure for a call that mutates server state. Runs
    after the call succeeded (sync) or its record was sent (one-way): replay
    rebuilds all state from the checkpoint, so a call that executed before
@@ -182,6 +191,23 @@ let journal t redo =
          crash mid-replay) would double-apply the journal. *)
       if (not r.has_checkpoint) || Queue.length r.journal >= r.checkpoint_every
       then take_checkpoint t r
+
+(* Run a state-mutating call and journal it. When the session does not
+   journal, a stub calls its closed [issue] function in tail position
+   instead: no closure is built, and no frame of the stub holds its
+   arguments while the call runs. (A bulk upload whose payload stayed on
+   the stack for the call's length changed when the major GC freed the
+   round trip's other buffers, and raised the heap peak by a payload.) *)
+let journaled t redo =
+  redo ();
+  journal t redo
+
+(* Journal a call that returned server handle [old]: its replay maps
+   [old] to the handle the server gives this time. *)
+let journal_handle t old reissue =
+  match t.recovery with
+  | None -> ()
+  | Some r -> journal t (fun () -> set_remap r ~old ~fresh:(reissue ()))
 
 let recover t =
   match t.recovery with
@@ -252,9 +278,8 @@ let checkpoints_taken t =
 let get_device_count t = check_int (P.rpc_cudaGetDeviceCount t.rpc ())
 
 let set_device t i =
-  let issue () = check_void (P.rpc_cudaSetDevice t.rpc i) in
-  issue ();
-  journal t issue
+  let issue t i = check_void (P.rpc_cudaSetDevice t.rpc i) in
+  if journaling t then journaled t (fun () -> issue t i) else issue t i
 
 let get_device t = check_int (P.rpc_cudaGetDevice t.rpc ())
 
@@ -285,30 +310,28 @@ let get_device_properties t i =
 let device_synchronize t = check_void (P.rpc_cudaDeviceSynchronize t.rpc ())
 
 let device_reset t =
-  let issue () = check_void (P.rpc_cudaDeviceReset t.rpc ()) in
-  issue ();
-  journal t issue
+  let issue t = check_void (P.rpc_cudaDeviceReset t.rpc ()) in
+  if journaling t then journaled t (fun () -> issue t) else issue t
 
 (* --- memory --- *)
 
 let malloc t size =
-  let issue () = check_u64 (P.rpc_cudaMalloc t.rpc (Int64.of_int size)) in
-  let ptr = issue () in
-  (match t.recovery with
-  | None -> ()
-  | Some r -> journal t (fun () -> set_remap r ~old:ptr ~fresh:(issue ())));
+  let issue t size = check_u64 (P.rpc_cudaMalloc t.rpc (Int64.of_int size)) in
+  let ptr = issue t size in
+  if journaling t then journal_handle t ptr (fun () -> issue t size);
   ptr
 
 let free t ptr =
-  let issue () = check_void (P.rpc_cudaFree t.rpc (tr t ptr)) in
-  issue ();
-  journal t issue
+  let issue t ptr = check_void (P.rpc_cudaFree t.rpc (tr t ptr)) in
+  if journaling t then journaled t (fun () -> issue t ptr) else issue t ptr
 
 let memcpy_h2d t ~dst data =
   t.memcpy_up <- t.memcpy_up + Bytes.length data;
-  let issue () = check_void (P.rpc_cudaMemcpyHtoD t.rpc (tr t dst) data) in
-  issue ();
-  journal t issue
+  let issue t dst data =
+    check_void (P.rpc_cudaMemcpyHtoD t.rpc (tr t dst) data)
+  in
+  if journaling t then journaled t (fun () -> issue t dst data)
+  else issue t dst data
 
 (* A mem_result decoded by hand: the error is checked, then the payload is
    copied out of the reply once. *)
@@ -332,19 +355,19 @@ let memcpy_d2h t ~src ~len =
       Xdr.Encode.uint64 enc (Int64.of_int len))
 
 let memcpy_d2d t ~dst ~src ~len =
-  let issue () =
+  let issue t dst src len =
     check_void
       (P.rpc_cudaMemcpyDtoD t.rpc (tr t dst) (tr t src) (Int64.of_int len))
   in
-  issue ();
-  journal t issue
+  if journaling t then journaled t (fun () -> issue t dst src len)
+  else issue t dst src len
 
 let memset t ~ptr ~value ~len =
-  let issue () =
+  let issue t ptr value len =
     check_void (P.rpc_cudaMemset t.rpc (tr t ptr) value (Int64.of_int len))
   in
-  issue ();
-  journal t issue
+  if journaling t then journaled t (fun () -> issue t ptr value len)
+  else issue t ptr value len
 
 let mem_get_info t =
   let r = P.rpc_cudaMemGetInfo t.rpc () in
@@ -359,19 +382,19 @@ let mem_get_info t =
 
 let memcpy_h2d_async t ~dst ~stream data =
   t.memcpy_up <- t.memcpy_up + Bytes.length data;
-  let issue () =
+  let issue t dst stream data =
     P.rpc_cudaMemcpyHtoDAsync t.rpc (tr t dst) data (tr t stream)
   in
-  issue ();
-  journal t issue
+  if journaling t then journaled t (fun () -> issue t dst stream data)
+  else issue t dst stream data
 
 let memset_async t ~ptr ~value ~len ~stream =
-  let issue () =
+  let issue t ptr value len stream =
     P.rpc_cudaMemsetAsync t.rpc (tr t ptr) value (Int64.of_int len)
       (tr t stream)
   in
-  issue ();
-  journal t issue
+  if journaling t then journaled t (fun () -> issue t ptr value len stream)
+  else issue t ptr value len stream
 
 let memcpy_d2h_stream t ~src ~len ~stream =
   t.memcpy_down <- t.memcpy_down + len;
@@ -383,40 +406,34 @@ let memcpy_d2h_stream t ~src ~len ~stream =
 (* --- streams and events --- *)
 
 let stream_create t =
-  let issue () = check_u64 (P.rpc_cudaStreamCreate t.rpc ()) in
-  let h = issue () in
-  (match t.recovery with
-  | None -> ()
-  | Some r -> journal t (fun () -> set_remap r ~old:h ~fresh:(issue ())));
+  let issue t = check_u64 (P.rpc_cudaStreamCreate t.rpc ()) in
+  let h = issue t in
+  if journaling t then journal_handle t h (fun () -> issue t);
   h
 
 let stream_destroy t h =
-  let issue () = check_void (P.rpc_cudaStreamDestroy t.rpc (tr t h)) in
-  issue ();
-  journal t issue
+  let issue t h = check_void (P.rpc_cudaStreamDestroy t.rpc (tr t h)) in
+  if journaling t then journaled t (fun () -> issue t h) else issue t h
 
 let stream_synchronize t h =
   check_void (P.rpc_cudaStreamSynchronize t.rpc (tr t h))
 
 let event_create t =
-  let issue () = check_u64 (P.rpc_cudaEventCreate t.rpc ()) in
-  let h = issue () in
-  (match t.recovery with
-  | None -> ()
-  | Some r -> journal t (fun () -> set_remap r ~old:h ~fresh:(issue ())));
+  let issue t = check_u64 (P.rpc_cudaEventCreate t.rpc ()) in
+  let h = issue t in
+  if journaling t then journal_handle t h (fun () -> issue t);
   h
 
 let event_destroy t h =
-  let issue () = check_void (P.rpc_cudaEventDestroy t.rpc (tr t h)) in
-  issue ();
-  journal t issue
+  let issue t h = check_void (P.rpc_cudaEventDestroy t.rpc (tr t h)) in
+  if journaling t then journaled t (fun () -> issue t h) else issue t h
 
 let event_record t ~event ~stream =
-  let issue () =
+  let issue t event stream =
     check_void (P.rpc_cudaEventRecord t.rpc (tr t event) (tr t stream))
   in
-  issue ();
-  journal t issue
+  if journaling t then journaled t (fun () -> issue t event stream)
+  else issue t event stream
 
 let event_synchronize t h =
   check_void (P.rpc_cudaEventSynchronize t.rpc (tr t h))
@@ -425,18 +442,18 @@ let event_elapsed_ms t ~start ~stop =
   check_float (P.rpc_cudaEventElapsedTime t.rpc (tr t start) (tr t stop))
 
 let stream_wait_event t ~stream ~event =
-  let issue () =
+  let issue t stream event =
     P.rpc_cudaStreamWaitEvent t.rpc (tr t stream) (tr t event)
   in
-  issue ();
-  journal t issue
+  if journaling t then journaled t (fun () -> issue t stream event)
+  else issue t stream event
 
 let event_record_async t ~event ~stream =
-  let issue () =
+  let issue t event stream =
     P.rpc_cudaEventRecordAsync t.rpc (tr t event) (tr t stream)
   in
-  issue ();
-  journal t issue
+  if journaling t then journaled t (fun () -> issue t event stream)
+  else issue t event stream
 
 (* --- modules and launches --- *)
 
@@ -466,15 +483,12 @@ let module_load t data =
   match parse_module_metadata data with
   | None -> raise (Cudasim.Error.Cuda_error Cudasim.Error.Invalid_value)
   | Some image ->
-      let issue () =
+      let issue t data =
         check_u64 (P.rpc_cuModuleLoadData t.rpc (Bytes.of_string data))
       in
-      let handle = issue () in
+      let handle = issue t data in
       Hashtbl.replace t.modules handle image;
-      (match t.recovery with
-      | None -> ()
-      | Some r ->
-          journal t (fun () -> set_remap r ~old:handle ~fresh:(issue ())));
+      if journaling t then journal_handle t handle (fun () -> issue t data);
       handle
 
 let module_load_file t path =
@@ -487,9 +501,9 @@ let module_load_file t path =
   module_load t data
 
 let module_unload t handle =
-  let issue () = check_void (P.rpc_cuModuleUnload t.rpc (tr t handle)) in
-  issue ();
-  journal t issue;
+  let issue t handle = check_void (P.rpc_cuModuleUnload t.rpc (tr t handle)) in
+  if journaling t then journaled t (fun () -> issue t handle)
+  else issue t handle;
   Hashtbl.remove t.modules handle
 
 let get_function t ~modul ~name =
@@ -501,28 +515,24 @@ let get_function t ~modul ~name =
         | None -> raise (Cudasim.Error.Cuda_error Cudasim.Error.Not_found)
         | Some info -> info)
   in
-  let issue () =
+  let issue t modul name =
     check_u64 (P.rpc_cuModuleGetFunction t.rpc (tr t modul) name)
   in
-  let handle = issue () in
-  (match t.recovery with
-  | None -> ()
-  | Some r -> journal t (fun () -> set_remap r ~old:handle ~fresh:(issue ())));
+  let handle = issue t modul name in
+  if journaling t then journal_handle t handle (fun () -> issue t modul name);
   { handle; info }
 
 let get_global t ~modul ~name =
-  let issue () =
+  let issue t modul name =
     let r = P.rpc_cuModuleGetGlobal t.rpc (tr t modul) name in
     check r.Proto.err;
     (r.Proto.ptr, Int64.to_int r.Proto.size)
   in
-  let ptr, size = issue () in
-  (match t.recovery with
-  | None -> ()
-  | Some r ->
-      (* read-only, but the returned device pointer is a handle the app
-         will pass back — keep its remap fresh across replays *)
-      journal t (fun () -> set_remap r ~old:ptr ~fresh:(fst (issue ()))));
+  let ptr, size = issue t modul name in
+  (* read-only, but the returned device pointer is a handle the app will
+     pass back — keep its remap fresh across replays *)
+  if journaling t then
+    journal_handle t ptr (fun () -> fst (issue t modul name));
   (ptr, size)
 
 let tr_args t args =
@@ -536,70 +546,65 @@ let tr_args t args =
           | a -> a)
         args
 
+(* The wire form of a launch: its configuration and its packed
+   arguments, handles translated for the server. *)
+let launch_config t func ~grid ~block ~shared_mem ~stream =
+  {
+    Proto.function_handle = tr t func.handle;
+    grid_x = grid.x;
+    grid_y = grid.y;
+    grid_z = grid.z;
+    block_x = block.x;
+    block_y = block.y;
+    block_z = block.z;
+    shared_mem_bytes = shared_mem;
+    stream = tr t stream;
+  }
+
+let launch_params t func args =
+  match Cubin.Image.pack_args func.info (tr_args t args) with
+  | Error _ -> raise (Cudasim.Error.Cuda_error Cudasim.Error.Invalid_value)
+  | Ok params -> params
+
 let launch t func ~grid ~block ?(shared_mem = 0) ?(stream = 0L) args =
   if t.launch_extra_ns > 0 then t.charge t.launch_extra_ns;
-  let issue () =
-    match Cubin.Image.pack_args func.info (tr_args t args) with
-    | Error _ -> raise (Cudasim.Error.Cuda_error Cudasim.Error.Invalid_value)
-    | Ok params ->
-        check_void
-          (P.rpc_cuLaunchKernel t.rpc
-             {
-               Proto.function_handle = tr t func.handle;
-               grid_x = grid.x;
-               grid_y = grid.y;
-               grid_z = grid.z;
-               block_x = block.x;
-               block_y = block.y;
-               block_z = block.z;
-               shared_mem_bytes = shared_mem;
-               stream = tr t stream;
-             }
-             params)
+  let issue t func grid block shared_mem stream args =
+    let params = launch_params t func args in
+    check_void
+      (P.rpc_cuLaunchKernel t.rpc
+         (launch_config t func ~grid ~block ~shared_mem ~stream)
+         params)
   in
-  issue ();
-  journal t issue
+  if journaling t then
+    journaled t (fun () -> issue t func grid block shared_mem stream args)
+  else issue t func grid block shared_mem stream args
 
 let launch_async t func ~grid ~block ?(shared_mem = 0) ~stream args =
   if t.launch_extra_ns > 0 then t.charge t.launch_extra_ns;
-  let issue () =
-    match Cubin.Image.pack_args func.info (tr_args t args) with
-    | Error _ -> raise (Cudasim.Error.Cuda_error Cudasim.Error.Invalid_value)
-    | Ok params ->
-        P.rpc_cuLaunchKernelAsync t.rpc
-          {
-            Proto.function_handle = tr t func.handle;
-            grid_x = grid.x;
-            grid_y = grid.y;
-            grid_z = grid.z;
-            block_x = block.x;
-            block_y = block.y;
-            block_z = block.z;
-            shared_mem_bytes = shared_mem;
-            stream = tr t stream;
-          }
-          params
+  let issue t func grid block shared_mem stream args =
+    let params = launch_params t func args in
+    P.rpc_cuLaunchKernelAsync t.rpc
+      (launch_config t func ~grid ~block ~shared_mem ~stream)
+      params
   in
-  issue ();
-  journal t issue
+  if journaling t then
+    journaled t (fun () -> issue t func grid block shared_mem stream args)
+  else issue t func grid block shared_mem stream args
 
 (* --- cuBLAS / cuSOLVER --- *)
 
 let cublas_create t =
-  let issue () = check_u64 (P.rpc_cublasCreate t.rpc ()) in
-  let h = issue () in
-  (match t.recovery with
-  | None -> ()
-  | Some r -> journal t (fun () -> set_remap r ~old:h ~fresh:(issue ())));
+  let issue t = check_u64 (P.rpc_cublasCreate t.rpc ()) in
+  let h = issue t in
+  if journaling t then journal_handle t h (fun () -> issue t);
   h
 
 let cublas_destroy t h =
-  let issue () = check_void (P.rpc_cublasDestroy t.rpc (tr t h)) in
-  issue ();
-  journal t issue
+  let issue t h = check_void (P.rpc_cublasDestroy t.rpc (tr t h)) in
+  if journaling t then journaled t (fun () -> issue t h) else issue t h
 
 let cublas_sgemm t ~handle ~m ~n ~k ~alpha ~a ~lda ~b ~ldb ~beta ~c ~ldc =
-  let issue () =
+  let issue t handle m n k alpha a lda b ldb beta c ldc =
     check_void
       (P.rpc_cublasSgemm t.rpc
          {
@@ -617,11 +622,12 @@ let cublas_sgemm t ~handle ~m ~n ~k ~alpha ~a ~lda ~b ~ldb ~beta ~c ~ldc =
            ldc;
          })
   in
-  issue ();
-  journal t issue
+  if journaling t then
+    journaled t (fun () -> issue t handle m n k alpha a lda b ldb beta c ldc)
+  else issue t handle m n k alpha a lda b ldb beta c ldc
 
 let cublas_sgemv t ~handle ~m ~n ~alpha ~a ~lda ~x ~incx ~beta ~y ~incy =
-  let issue () =
+  let issue t handle m n alpha a lda x incx beta y incy =
     check_void
       (P.rpc_cublasSgemv t.rpc
          {
@@ -638,8 +644,9 @@ let cublas_sgemv t ~handle ~m ~n ~alpha ~a ~lda ~x ~incx ~beta ~y ~incy =
            incy;
          })
   in
-  issue ();
-  journal t issue
+  if journaling t then
+    journaled t (fun () -> issue t handle m n alpha a lda x incx beta y incy)
+  else issue t handle m n alpha a lda x incx beta y incy
 
 let cublas_sdot t ~handle ~n ~x ~incx ~y ~incy =
   check_float
@@ -647,30 +654,27 @@ let cublas_sdot t ~handle ~n ~x ~incx ~y ~incy =
        { Proto.handle = tr t handle; n; x = tr t x; incx; y = tr t y; incy })
 
 let cublas_sscal t ~handle ~n ~alpha ~x ~incx =
-  let issue () =
+  let issue t handle n alpha x incx =
     check_void
       (P.rpc_cublasSscal t.rpc
          { Proto.handle = tr t handle; n; alpha; x = tr t x; incx })
   in
-  issue ();
-  journal t issue
+  if journaling t then journaled t (fun () -> issue t handle n alpha x incx)
+  else issue t handle n alpha x incx
 
 let cublas_snrm2 t ~handle ~n ~x ~incx =
   check_float
     (P.rpc_cublasSnrm2 t.rpc { Proto.handle = tr t handle; n; x = tr t x; incx })
 
 let cusolver_create t =
-  let issue () = check_u64 (P.rpc_cusolverDnCreate t.rpc ()) in
-  let h = issue () in
-  (match t.recovery with
-  | None -> ()
-  | Some r -> journal t (fun () -> set_remap r ~old:h ~fresh:(issue ())));
+  let issue t = check_u64 (P.rpc_cusolverDnCreate t.rpc ()) in
+  let h = issue t in
+  if journaling t then journal_handle t h (fun () -> issue t);
   h
 
 let cusolver_destroy t h =
-  let issue () = check_void (P.rpc_cusolverDnDestroy t.rpc (tr t h)) in
-  issue ();
-  journal t issue
+  let issue t h = check_void (P.rpc_cusolverDnDestroy t.rpc (tr t h)) in
+  if journaling t then journaled t (fun () -> issue t h) else issue t h
 
 let cusolver_sgetrf_buffer_size t ~handle ~m ~n ~a ~lda =
   check_int
@@ -678,7 +682,7 @@ let cusolver_sgetrf_buffer_size t ~handle ~m ~n ~a ~lda =
        { Proto.handle = tr t handle; m; n; a = tr t a; lda })
 
 let cusolver_sgetrf t ~handle ~m ~n ~a ~lda ~workspace ~ipiv =
-  let issue () =
+  let issue t handle m n a lda workspace ipiv =
     check_int
       (P.rpc_cusolverDnSgetrf t.rpc
          {
@@ -691,12 +695,13 @@ let cusolver_sgetrf t ~handle ~m ~n ~a ~lda ~workspace ~ipiv =
            ipiv = tr t ipiv;
          })
   in
-  let info = issue () in
-  journal t (fun () -> ignore (issue ()));
+  let info = issue t handle m n a lda workspace ipiv in
+  if journaling t then
+    journal t (fun () -> ignore (issue t handle m n a lda workspace ipiv));
   info
 
 let cusolver_sgetrs t ~handle ~n ~nrhs ~a ~lda ~ipiv ~b ~ldb =
-  let issue () =
+  let issue t handle n nrhs a lda ipiv b ldb =
     check_int
       (P.rpc_cusolverDnSgetrs t.rpc
          {
@@ -710,8 +715,9 @@ let cusolver_sgetrs t ~handle ~n ~nrhs ~a ~lda ~ipiv ~b ~ldb =
            ldb;
          })
   in
-  let info = issue () in
-  journal t (fun () -> ignore (issue ()));
+  let info = issue t handle n nrhs a lda ipiv b ldb in
+  if journaling t then
+    journal t (fun () -> ignore (issue t handle n nrhs a lda ipiv b ldb));
   info
 
 (* --- checkpoint / restart --- *)

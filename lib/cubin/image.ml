@@ -226,6 +226,36 @@ let param_buffer_size info =
       align offset size + size)
     0 info.params
 
+(* Lay out argument [i] and the ones after it from [offset], one per
+   parameter of [params]; the index of the first argument whose type does
+   not match its parameter, or -1. *)
+let rec pack_from buf args i offset params =
+  match params with
+  | [] -> -1
+  | p :: params ->
+      let size = Gpusim.Kernels.param_size p in
+      let offset = align offset size in
+      let matches =
+        match (p, args.(i)) with
+        | Gpusim.Kernels.P_i32, Gpusim.Kernels.I32 v ->
+            Bytes.set_int32_le buf offset v;
+            true
+        | Gpusim.Kernels.P_f32, Gpusim.Kernels.F32 v ->
+            Bytes.set_int32_le buf offset (Int32.bits_of_float v);
+            true
+        | Gpusim.Kernels.P_i64, Gpusim.Kernels.I64 v ->
+            Bytes.set_int64_le buf offset v;
+            true
+        | Gpusim.Kernels.P_f64, Gpusim.Kernels.F64 v ->
+            Bytes.set_int64_le buf offset (Int64.bits_of_float v);
+            true
+        | Gpusim.Kernels.P_ptr, Gpusim.Kernels.Ptr v ->
+            Bytes.set_int64_le buf offset (Int64.of_int v);
+            true
+        | _ -> false
+      in
+      if matches then pack_from buf args (i + 1) (offset + size) params else i
+
 let pack_args info args =
   if Array.length args <> List.length info.params then
     Error
@@ -233,34 +263,34 @@ let pack_args info args =
          (List.length info.params) (Array.length args))
   else begin
     let buf = Bytes.make (param_buffer_size info) '\000' in
-    let exception Mismatch of string in
-    try
-      let _ =
-        List.fold_left
-          (fun (i, offset) p ->
-            let size = Gpusim.Kernels.param_size p in
-            let offset = align offset size in
-            (match (p, args.(i)) with
-            | Gpusim.Kernels.P_i32, Gpusim.Kernels.I32 v ->
-                Bytes.set_int32_le buf offset v
-            | Gpusim.Kernels.P_f32, Gpusim.Kernels.F32 v ->
-                Bytes.set_int32_le buf offset (Int32.bits_of_float v)
-            | Gpusim.Kernels.P_i64, Gpusim.Kernels.I64 v ->
-                Bytes.set_int64_le buf offset v
-            | Gpusim.Kernels.P_f64, Gpusim.Kernels.F64 v ->
-                Bytes.set_int64_le buf offset (Int64.bits_of_float v)
-            | Gpusim.Kernels.P_ptr, Gpusim.Kernels.Ptr v ->
-                Bytes.set_int64_le buf offset (Int64.of_int v)
-            | _ ->
-                raise
-                  (Mismatch
-                     (Printf.sprintf "%s: arg %d type mismatch" info.name i)));
-            (i + 1, offset + size))
-          (0, 0) info.params
-      in
-      Ok buf
-    with Mismatch m -> Error m
+    match pack_from buf args 0 0 info.params with
+    | -1 -> Ok buf
+    | i -> Error (Printf.sprintf "%s: arg %d type mismatch" info.name i)
   end
+
+(* Read argument [i] and the ones after it into [args] from [offset], one
+   per parameter of [params]. *)
+let rec unpack_from buf args i offset params =
+  match params with
+  | [] -> ()
+  | p :: params ->
+      let size = Gpusim.Kernels.param_size p in
+      let offset = align offset size in
+      args.(i) <-
+        (match p with
+        | Gpusim.Kernels.P_i32 ->
+            Gpusim.Kernels.I32 (Bytes.get_int32_le buf offset)
+        | Gpusim.Kernels.P_f32 ->
+            Gpusim.Kernels.F32
+              (Int32.float_of_bits (Bytes.get_int32_le buf offset))
+        | Gpusim.Kernels.P_i64 ->
+            Gpusim.Kernels.I64 (Bytes.get_int64_le buf offset)
+        | Gpusim.Kernels.P_f64 ->
+            Gpusim.Kernels.F64
+              (Int64.float_of_bits (Bytes.get_int64_le buf offset))
+        | Gpusim.Kernels.P_ptr ->
+            Gpusim.Kernels.Ptr (Int64.to_int (Bytes.get_int64_le buf offset)));
+      unpack_from buf args (i + 1) (offset + size) params
 
 let unpack_args info buf =
   let expected = param_buffer_size info in
@@ -270,28 +300,8 @@ let unpack_args info buf =
          (Bytes.length buf) expected)
   else begin
     let args =
-      List.fold_left
-        (fun (acc, offset) p ->
-          let size = Gpusim.Kernels.param_size p in
-          let offset = align offset size in
-          let arg =
-            match p with
-            | Gpusim.Kernels.P_i32 ->
-                Gpusim.Kernels.I32 (Bytes.get_int32_le buf offset)
-            | Gpusim.Kernels.P_f32 ->
-                Gpusim.Kernels.F32
-                  (Int32.float_of_bits (Bytes.get_int32_le buf offset))
-            | Gpusim.Kernels.P_i64 ->
-                Gpusim.Kernels.I64 (Bytes.get_int64_le buf offset)
-            | Gpusim.Kernels.P_f64 ->
-                Gpusim.Kernels.F64
-                  (Int64.float_of_bits (Bytes.get_int64_le buf offset))
-            | Gpusim.Kernels.P_ptr ->
-                Gpusim.Kernels.Ptr (Int64.to_int (Bytes.get_int64_le buf offset))
-          in
-          (arg :: acc, offset + size))
-        ([], 0) info.params
-      |> fst |> List.rev |> Array.of_list
+      Array.make (List.length info.params) (Gpusim.Kernels.I32 0l)
     in
+    unpack_from buf args 0 0 info.params;
     Ok args
   end

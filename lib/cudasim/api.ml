@@ -391,13 +391,13 @@ let launch_kernel ctx config ~params =
           in
           let gpu = Context.gpu ctx in
           let kernel = entry.Context.kernel in
-          let kernel =
-            if Context.functional ctx then kernel
-            else { kernel with Gpusim.Kernels.execute = (fun _ _ -> ()) }
-          in
+          let stream = Int64.to_int config.stream in
           match
-            Gpusim.Gpu.launch gpu ~now:(now ctx)
-              ~stream:(Int64.to_int config.stream) kernel launch
+            if Context.functional ctx then
+              Gpusim.Gpu.launch gpu ~now:(now ctx) ~stream kernel launch
+            else
+              Gpusim.Gpu.launch gpu ~now:(now ctx) ~stream ~execute:false
+                kernel launch
           with
           | (_ : Time.t) -> Error.Success
           | exception Not_found -> Error.Invalid_handle

@@ -95,7 +95,8 @@ let membw_cost t bytes =
   Time.of_float_ns
     (Float.of_int bytes /. t.device.Device.memory_bandwidth *. 1e9)
 
-let launch t ~now ?(stream = default_stream) kernel launch_params =
+let launch t ~now ?(stream = default_stream) ?(execute = true) kernel
+    launch_params =
   let s = stream_ref t stream in
   let cost_ns = kernel.Kernels.cost t.device launch_params in
   let cost =
@@ -103,7 +104,7 @@ let launch t ~now ?(stream = default_stream) kernel launch_params =
       (Time.ns t.device.Device.launch_overhead_ns)
       (Time.of_float_ns cost_ns)
   in
-  kernel.Kernels.execute t.memory launch_params;
+  if execute then kernel.Kernels.execute t.memory launch_params;
   let finish =
     Stream.enqueue s ~now ~seq:(next_seq t)
       ~op:(Stream.Kernel_launch kernel.Kernels.name)

@@ -96,9 +96,12 @@ val memset :
 (** {1 Kernel execution} *)
 
 val launch :
-  t -> now:Time.t -> ?stream:int -> Kernels.t -> Kernels.launch -> Time.t
+  t -> now:Time.t -> ?stream:int -> ?execute:bool -> Kernels.t ->
+  Kernels.launch -> Time.t
 (** Enqueue and (eagerly) execute. Returns the stream's new completion
-    time. Raises [Not_found] for an unknown stream,
+    time. With [~execute:false] the launch is timed and enqueued but the
+    kernel's implementation does not run (a timing-only context). Raises
+    [Not_found] for an unknown stream,
     {!Kernels.Bad_args} for malformed arguments and {!Memory.Error} for a
     pointer argument whose range lies outside device memory; a launch that
     raises enqueues nothing. *)

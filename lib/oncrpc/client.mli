@@ -22,7 +22,21 @@
 
     Per-client counters record the number of calls and the exact argument /
     result payload bytes — these are the statistics the paper reports per
-    application (e.g. matrixMul ≈ 100 041 calls, 1.95 MiB transferred). *)
+    application (e.g. matrixMul ≈ 100 041 calls, 1.95 MiB transferred).
+
+    {b Buffers.} A call allocates its request, its reply and its decoded
+    results, and nothing per call besides. The request is encoded in an
+    encoder lent by a spare that every client shares
+    ({!Xdr.Encode.take}); the encoder goes back before the first send, so
+    what is sent — and resent on a retry — never aliases it. A request
+    without bulk views that fits one fragment leaves as one fresh string,
+    record mark included, through the transport's [send]; any other
+    request keeps the vectored {!Record.writev} path, its views aliasing
+    the caller's buffers until the call returns. Because the spare is
+    taken with one atomic exchange, clients on other systhreads or
+    domains, and the calls a {!set_on_reconnect} hook issues between two
+    attempts of a failing call, each encode in an encoder of their own,
+    and a retransmission is byte-identical to its first send. *)
 
 type error =
   | Call_rejected of Message.rejected

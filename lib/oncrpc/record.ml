@@ -76,6 +76,16 @@ let wirev ?(fragment_size = default_fragment_size) iov =
 
 let writev ?fragment_size t iov = Transport.writev t (wirev ?fragment_size iov)
 
+let framed ~fragment_size enc =
+  let len = Xdr.Encode.length enc in
+  if Xdr.Encode.is_flat enc && len <= fragment_size then begin
+    let b = Bytes.create (4 + len) in
+    Bytes.set_int32_be b 0 (Int32.of_int (len lor last_fragment_bit));
+    Xdr.Encode.blit enc b 4;
+    Bytes.unsafe_to_string b
+  end
+  else ""
+
 let write ?fragment_size t msg = writev ?fragment_size t (Xdr.Iovec.of_string msg)
 
 let rec add_fragments buf ~fragment_size msg off =
@@ -435,8 +445,8 @@ let read_body ~max_record_size ~pool t ~last ~len =
 let read ?(max_record_size = default_max_record_size) ?(pool = Pool.default) t =
   let hdr = t.Transport.hdr_scratch in
   Transport.recv_exact t hdr 0 4;
-  let last, len = decode_header_bytes hdr in
-  read_body ~max_record_size ~pool t ~last ~len
+  let w = header_word_of_bytes hdr in
+  read_body ~max_record_size ~pool t ~last:(is_last w) ~len:(fragment_length w)
 
 type cursor = {
   transport : Transport.t;

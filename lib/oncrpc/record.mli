@@ -37,6 +37,12 @@ val wirev : ?fragment_size:int -> Xdr.Iovec.t -> Xdr.Iovec.t
 (** The wire image {!writev} would send, as an iovec sharing the payload's
     storage (headers are the only fresh allocations). *)
 
+val framed : fragment_size:int -> Xdr.Encode.t -> string
+(** The record {!writev} would send for the encoder's message, as one
+    fresh string — its record mark, then its bytes — when the message is
+    flat ({!Xdr.Encode.is_flat}) and fits one fragment of [fragment_size]
+    bytes; [""] otherwise. *)
+
 val default_max_record_size : int
 (** The record size readers accept by default: 1 GiB. *)
 

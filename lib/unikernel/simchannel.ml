@@ -51,9 +51,9 @@ let set_obs t obs = t.obs <- obs
 (* Advance virtual time inside a ["net"]-layer span. The advances are the
    only places this channel spends virtual time, so the layer total is
    exactly the modelled network time. *)
-let net_advance t name d =
+let net_advance t name ns =
   let sp = Obs.Recorder.span_begin t.obs ~layer:"net" name in
-  Engine.advance t.engine d;
+  Engine.advance_ns t.engine ns;
   Obs.Recorder.span_end t.obs sp
 
 (* Both buffers are reused from exchange to exchange; one that a bulk
@@ -102,7 +102,7 @@ let deliver_reply t reply =
         Oncrpc.Record.add_wire t.inbox reply;
         Oncrpc.Record.add_wire t.inbox reply
     | Fault.Delay d ->
-        net_advance t "net.delay" d;
+        net_advance t "net.delay" (Int64.to_int d);
         Oncrpc.Record.add_wire t.inbox reply
 
 let dispatch_record t record =
@@ -122,7 +122,7 @@ let dispatch_record t record =
       deliver_reply t (t.dispatch record)
   | Fault.Delay d ->
       check_crash t;
-      net_advance t "net.delay" d;
+      net_advance t "net.delay" (Int64.to_int d);
       deliver_reply t (t.dispatch record)
 
 (* Dispatch every complete record of the outbox in place, in order; the
@@ -148,7 +148,7 @@ let exchange t =
     Simnet.Netcost.one_way_ns ~sender:t.client ~receiver:t.server ~link:t.link
       request_len
   in
-  net_advance t "net.request" (Time.ns request_ns);
+  net_advance t "net.request" request_ns;
   recycle t.inbox;
   t.inbox_pos <- 0;
   (* The server's CUDA work advances the shared clock via its clock
@@ -180,7 +180,7 @@ let exchange t =
     Simnet.Netcost.one_way_ns ~sender:t.server ~receiver:t.client ~link:t.link
       reply_len
   in
-  net_advance t "net.reply" (Time.ns reply_ns);
+  net_advance t "net.reply" reply_ns;
   t.messages <- t.messages + 1;
   t.bytes_to_server <- t.bytes_to_server + request_len;
   t.bytes_from_server <- t.bytes_from_server + reply_len;
@@ -259,7 +259,7 @@ let create ~engine ~client ?(server = Config.server_profile)
          record (or its reply) was dropped. Model the retransmission
          timeout — the virtual time a real client would wait before
          concluding loss — and report it. *)
-      net_advance t "net.rto" t.rto;
+      net_advance t "net.rto" (Int64.to_int t.rto);
       Obs.Recorder.incr t.obs "net.rto";
       t.timeouts <- t.timeouts + 1;
       raise Oncrpc.Transport.Timeout

@@ -13,8 +13,8 @@
     the message has been sent or flattened — trivially satisfied by the RPC
     stack, which encodes and sends synchronously within one call.
 
-    Encoders are cheap to create and are intended to be used once per
-    message. All [?max] arguments enforce protocol-declared size limits and
+    An encoder holds one message at a time; a per-message path borrows one
+    from a {!spare} instead of creating it. All [?max] arguments enforce protocol-declared size limits and
     raise {!Types.Error} ([Size_exceeded]) when violated. *)
 
 type t
@@ -45,6 +45,37 @@ val to_iovec : t -> Iovec.t
 
 val reset : t -> unit
 (** Clear the encoder for reuse. *)
+
+val is_flat : t -> bool
+(** Every byte encoded so far is in the encoder's own buffer: no slice
+    view and no deferred {!opaque_fill}. *)
+
+val blit : t -> bytes -> int -> unit
+(** [blit t b off] copies the message of a flat encoder to
+    [b.[off .. off + length t)]. Raises [Invalid_argument] if the encoder
+    is not flat. *)
+
+(** {1 Spare encoders}
+
+    A spare lends one encoder at a time, so a per-message path can encode
+    without creating an encoder. [take] gives the lent encoder to exactly
+    one taker, on any domain or thread; while it is out, [take] returns a
+    fresh encoder instead, so a nested message (one encoded while another
+    is still being built) never shares bytes with its outer one. The
+    taker must have copied out everything it keeps — {!to_string},
+    {!to_bytes}, {!blit} and {!to_iovec} all do — before {!give_back}. *)
+
+type spare
+
+val spare : initial_size:int -> spare
+(** A spare whose encoders start with [initial_size] bytes of buffer. *)
+
+val take : spare -> t
+(** The lent encoder, empty, or a fresh one if it is out. *)
+
+val give_back : spare -> t -> unit
+(** Clear [t] and lend it from the spare again. A buffer that grew past
+    the spare's size is released. *)
 
 (** {1 Primitive types} *)
 

@@ -25,6 +25,40 @@ let test_xorshift_deterministic () =
   Bytes.iter (fun ch -> seen.(Char.code ch) <- true) big;
   check Alcotest.bool "covers byte range" true (Array.for_all Fun.id seen)
 
+(* The generator and the reference histogram as they were first written,
+   one closure call per byte: the loops must reproduce them exactly. *)
+let closure_xorshift_bytes ~seed n =
+  let state = ref (if seed = 0 then 0x9e3779b9 else seed land 0x3fffffff) in
+  let next () =
+    let x = !state in
+    let x = x lxor (x lsl 13) land 0x3fffffff in
+    let x = x lxor (x lsr 17) in
+    let x = x lxor (x lsl 5) land 0x3fffffff in
+    state := x;
+    x
+  in
+  Bytes.init n (fun _ -> Char.chr (next () land 0xff))
+
+let closure_histogram data =
+  let counts = Array.make 256 0 in
+  Bytes.iter (fun c -> counts.(Char.code c) <- counts.(Char.code c) + 1) data;
+  counts
+
+let test_loops_match_closures () =
+  List.iter
+    (fun seed ->
+      let lengths = List.init 4100 Fun.id @ [ 1 lsl 20 ] in
+      List.iter
+        (fun n ->
+          let got = Apps.Workload.xorshift_bytes ~seed n in
+          let want = closure_xorshift_bytes ~seed n in
+          if not (Bytes.equal got want) then
+            Alcotest.failf "xorshift_bytes ~seed:%d %d differs" seed n;
+          if Apps.Histogram.reference_histogram got <> closure_histogram want
+          then Alcotest.failf "reference_histogram (seed %d, %d bytes)" seed n)
+        lengths)
+    [ 0; 1; 42; max_int ]
+
 let test_approx_equal () =
   check Alcotest.bool "close" true (Apps.Workload.approx_equal 1.0 1.00005);
   check Alcotest.bool "far" false (Apps.Workload.approx_equal 1.0 1.1);
@@ -139,6 +173,8 @@ let suite =
     Alcotest.test_case "f32 bytes roundtrip" `Quick test_f32_roundtrip;
     Alcotest.test_case "xorshift determinism" `Quick
       test_xorshift_deterministic;
+    Alcotest.test_case "xorshift and histogram loops match closures" `Quick
+      test_loops_match_closures;
     Alcotest.test_case "approx_equal" `Quick test_approx_equal;
     Alcotest.test_case "matrixMul catches corruption" `Quick
       test_matrix_mul_detects_corruption;

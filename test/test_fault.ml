@@ -310,6 +310,80 @@ let test_late_duplicate_reply_discarded () =
   let r2 = Oncrpc.Client.call client ~proc:1 (fun enc -> E.int enc 7) D.int in
   check Alcotest.int "stale reply skipped, fresh reply matched" 70 r2
 
+(* Requests are built in lent encoders while session recovery's reconnect
+   hook issues restore and replay calls on the same client between two
+   attempts of the failing call. Every copy of an xid the server sees —
+   retransmissions after drops, after the crash, duplicated records — must
+   be that xid's first request, byte for byte. *)
+let test_retransmissions_survive_replay () =
+  let ckpt_file = Filename.temp_file "cricket-replay" ".ckpt" in
+  let engine = Simnet.Engine.create () in
+  let live =
+    ref
+      (Cricket.Server.create ~checkpoint_dir:(Filename.dirname ckpt_file)
+         ~clock:(Cudasim.Context.engine_clock engine) ())
+  in
+  let first = Hashtbl.create 256 and copies = ref 0 and differ = ref 0 in
+  let dispatch request =
+    let xid = String.sub request 0 4 in
+    (match Hashtbl.find_opt first xid with
+    | None -> Hashtbl.add first xid request
+    | Some r ->
+        incr copies;
+        if not (String.equal r request) then incr differ);
+    Cricket.Server.dispatch !live request
+  in
+  let plan =
+    {
+      Simnet.Fault.none with
+      Simnet.Fault.seed = 5;
+      drop_rate = 0.03;
+      duplicate_rate = 0.02;
+      crashes = [ { Simnet.Fault.after_records = 120; down_for = Time.ms 1 } ];
+    }
+  in
+  let channel =
+    Unikernel.Simchannel.create ~engine ~client:cfg.Unikernel.Config.profile
+      ~fault:(Simnet.Fault.make plan)
+      ~on_crash:(fun ~down_for:_ -> live := Cricket.Server.respawn !live)
+      ~dispatch ()
+  in
+  let client =
+    Cricket.Client.create ~transport:(Unikernel.Simchannel.transport channel) ()
+  in
+  Cricket.Client.enable_recovery ~checkpoint_every:16
+    ~checkpoint_name:(Filename.basename ckpt_file) client
+    ~now:(fun () -> Simnet.Engine.now engine)
+    ~sleep:(fun ns -> Simnet.Engine.advance engine ns)
+    ~reconnect:(fun () -> Unikernel.Simchannel.reconnect channel)
+    ();
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove ckpt_file with Sys_error _ -> ())
+    (fun () ->
+      let modul = Apps.Workload.load_standard_module client in
+      let fill =
+        Apps.Workload.get_kernel client ~modul Gpusim.Kernels.fill_name
+      in
+      let dim = { Cricket.Client.x = 1; y = 1; z = 1 } in
+      let block = { Cricket.Client.x = 64; y = 1; z = 1 } in
+      for i = 1 to 60 do
+        let ptr = Cricket.Client.malloc client 4096 in
+        Cricket.Client.memset client ~ptr ~value:i ~len:4096;
+        Cricket.Client.launch client fill ~grid:dim ~block
+          [| Gpusim.Kernels.Ptr (Int64.to_int ptr);
+             Gpusim.Kernels.F32 (float_of_int i); Gpusim.Kernels.I32 64l |];
+        let back = Cricket.Client.memcpy_d2h client ~src:ptr ~len:16 in
+        check Alcotest.(float 0.0) "kernel result" (float_of_int i)
+          (Int32.float_of_bits (Bytes.get_int32_le back 0));
+        Cricket.Client.free client ptr
+      done);
+  let stats = Unikernel.Simchannel.stats channel in
+  check Alcotest.int "the crash fired" 1 stats.Unikernel.Simchannel.crashes;
+  check Alcotest.bool "recovery replayed journaled calls" true
+    (Cricket.Client.replayed_calls client > 0);
+  check Alcotest.bool "xids were sent again" true (!copies > 0);
+  check Alcotest.int "every copy is byte-identical to the first" 0 !differ
+
 let suite =
   [
     Alcotest.test_case "matrixMul survives 1% drops + crash" `Quick
@@ -328,4 +402,6 @@ let suite =
       test_retransmit_reuses_xid;
     Alcotest.test_case "late duplicate reply discarded" `Quick
       test_late_duplicate_reply_discarded;
+    Alcotest.test_case "retransmissions byte-identical across replay" `Quick
+      test_retransmissions_survive_replay;
   ]
