@@ -34,7 +34,7 @@ let transport_of_dispatch dispatch =
   let dispatch_all () =
     if not !written then raise Oncrpc.Transport.Closed;
     written := false;
-    match List.iter serve (Inbox.take inbox) with
+    match Inbox.take inbox serve with
     | () -> ()
     | exception e ->
         Outbox.clear outbox;

@@ -1,3 +1,9 @@
+(* Every length here is an int: the polymorphic [Stdlib.min] and [max]
+   would make each framing step a call into the runtime's generic
+   compare. *)
+let min (a : int) b = if a <= b then a else b
+let max (a : int) b = if a >= b then a else b
+
 let default_fragment_size = 1 lsl 20
 let max_fragment_size = 0x7fffffff
 let last_fragment_bit = 0x80000000
@@ -109,6 +115,9 @@ let to_wire ?(fragment_size = default_fragment_size) msg =
       Buffer.add_substring buf msg off len);
   Buffer.contents buf
 
+let wire_length len =
+  len + (4 * max 1 ((len + default_fragment_size - 1) / default_fragment_size))
+
 let default_max_record_size = 1 lsl 30
 
 exception Oversized of { claimed : int; limit : int }
@@ -128,74 +137,12 @@ let claim_within ~max_record_size ~sofar len =
   if len > max_record_size || sofar + len > max_record_size then
     raise (Oversized { claimed = sofar + len; limit = max_record_size })
 
-type source = Of_string of string | Of_buffer of Buffer.t
-
-let source_length = function
-  | Of_string s -> String.length s
-  | Of_buffer b -> Buffer.length b
-
-let source_char src i =
-  match src with Of_string s -> String.get s i | Of_buffer b -> Buffer.nth b i
-
-let header_at src pos =
-  header_word (source_char src pos)
-    (source_char src (pos + 1))
-    (source_char src (pos + 2))
-    (source_char src (pos + 3))
-
-let rec find_end ~max_record_size src pos ~sofar =
-  if source_length src - pos < 4 then -1
-  else begin
-    let w = header_at src pos in
-    let len = fragment_length w in
-    claim_within ~max_record_size ~sofar len;
-    let next = pos + 4 + len in
-    if next > source_length src then -1
-    else if is_last w then next
-    else find_end ~max_record_size src next ~sofar:(sofar + len)
-  end
-
-let record_end ?(max_record_size = default_max_record_size) src pos =
-  find_end ~max_record_size src pos ~sofar:0
-
-let rec payload_length src pos ~stop acc =
-  if pos >= stop then acc
-  else begin
-    let len = fragment_length (header_at src pos) in
-    payload_length src (pos + 4 + len) ~stop (acc + len)
-  end
-
-let blit_source src pos dst off len =
-  match src with
-  | Of_string s -> Bytes.blit_string s pos dst off len
-  | Of_buffer b -> Buffer.blit b pos dst off len
-
-let rec gather src pos dst off =
-  let w = header_at src pos in
-  let len = fragment_length w in
-  blit_source src (pos + 4) dst off len;
-  if not (is_last w) then gather src (pos + 4 + len) dst (off + len)
-
-(* A single-fragment record is copied out once; the fragments of a longer
-   one are blitted into one exactly-sized string. *)
-let payload src pos ~stop =
-  let w = header_at src pos in
-  if is_last w then
-    match src with
-    | Of_string s -> String.sub s (pos + 4) (fragment_length w)
-    | Of_buffer b -> Buffer.sub b (pos + 4) (fragment_length w)
-  else begin
-    let dst = Bytes.create (payload_length src pos ~stop 0) in
-    gather src pos dst 0;
-    Bytes.unsafe_to_string dst
-  end
-
-(* A record-level loopback needs no byte stream in either direction. What
-   the client writes is parsed as it arrives: each header is checked before
-   its fragment's buffer exists, and each payload byte is copied once, into
-   a buffer of exactly the claimed size. Replies go out through a cursor
-   that makes each header in a 4-byte scratch and blits payload bytes from
-   the reply straight into the reader's buffer. *)
+(* A peer in the same process needs no byte stream in either direction.
+   What the client writes is parsed as it arrives: each header is checked
+   before its fragment's buffer exists, and each payload byte is copied
+   once, into a buffer of exactly the claimed size. Replies go out through
+   a cursor that makes each header in a 4-byte scratch and blits payload
+   bytes from the reply straight into the reader's buffer. *)
 module Inbox = struct
   type t = {
     header : bytes;  (* the fragment header being read *)
@@ -205,14 +152,15 @@ module Inbox = struct
     mutable last : bool;  (* the fragment ends its record *)
     mutable parts : string list;  (* earlier fragments, newest first *)
     mutable sofar : int;  (* their bytes *)
-    mutable records : string list;  (* complete records, newest first *)
+    mutable records : string array;  (* complete records, oldest first *)
+    mutable count : int;  (* how many of [records] are complete records *)
     mutable refused : exn option;  (* an [Oversized] header claim *)
   }
 
   let create () =
     { header = Bytes.create 4; header_got = 0; fragment = Bytes.empty;
-      fragment_got = 0; last = false; parts = []; sofar = 0; records = [];
-      refused = None }
+      fragment_got = 0; last = false; parts = []; sofar = 0;
+      records = Array.make 4 ""; count = 0; refused = None }
 
   (* The fragment is complete. If it ends its record, the record is
      returned; otherwise it is kept with the earlier ones and "" is. *)
@@ -221,14 +169,12 @@ module Inbox = struct
     t.fragment <- Bytes.empty;
     t.header_got <- 0;
     if t.last then begin
-      let record =
-        match t.parts with
-        | [] -> fragment
-        | parts -> String.concat "" (List.rev (fragment :: parts))
-      in
-      t.parts <- [];
-      t.sofar <- 0;
-      record
+      match t.parts with
+      | [] -> fragment
+      | parts ->
+          t.parts <- [];
+          t.sofar <- 0;
+          String.concat "" (List.rev (fragment :: parts))
     end
     else begin
       t.parts <- fragment :: t.parts;
@@ -236,9 +182,22 @@ module Inbox = struct
       ""
     end
 
+  let keep t record =
+    if t.count = Array.length t.records then begin
+      let grown = Array.make (2 * t.count) "" in
+      Array.blit t.records 0 grown 0 t.count;
+      t.records <- grown
+    end;
+    t.records.(t.count) <- record;
+    t.count <- t.count + 1
+
   let close_fragment t =
     let record = finish_fragment t in
-    if t.last then t.records <- record :: t.records
+    if t.last then keep t record
+
+  let forget_records t =
+    Array.fill t.records 0 t.count "";
+    t.count <- 0
 
   let open_fragment t =
     let w = header_word_of_bytes t.header in
@@ -253,9 +212,31 @@ module Inbox = struct
         if len = 0 then close_fragment t
     | exception (Oversized _ as e) -> t.refused <- Some e
 
+  (* The length of the single-fragment record that starts a write of
+     [len] bytes at [off] and ends inside it, or -1. *)
+  let whole_at t s off len =
+    match t.parts with
+    | _ :: _ -> -1
+    | [] ->
+        if t.header_got > 0 || len < 4 then -1
+        else
+          let w = header_word s.[off] s.[off + 1] s.[off + 2] s.[off + 3] in
+          let flen = fragment_length w in
+          if is_last w && flen <= len - 4 && flen <= default_max_record_size
+          then flen
+          else -1
+
+  (* A write that carries a whole single-fragment record, the usual call,
+     copies it out in one step, without the header scratch or a fragment
+     buffer. *)
   let rec add t s off len =
-    if len > 0 && t.refused = None then
-      if t.header_got < 4 then begin
+    if len > 0 && Option.is_none t.refused then
+      let flen = whole_at t s off len in
+      if flen >= 0 then begin
+        keep t (String.sub s (off + 4) flen);
+        add t s (off + 4 + flen) (len - 4 - flen)
+      end
+      else if t.header_got < 4 then begin
         let n = min len (4 - t.header_got) in
         Bytes.blit_string s off t.header t.header_got n;
         t.header_got <- t.header_got + n;
@@ -270,20 +251,30 @@ module Inbox = struct
         add t s (off + n) (len - n)
       end
 
-  let take t =
+  (* Each record is let go as it is served, so a bulk record is not kept
+     alive by the inbox once its handler is done with it. *)
+  let rec serve t f i =
+    if i < t.count then begin
+      let record = t.records.(i) in
+      t.records.(i) <- "";
+      f record;
+      serve t f (i + 1)
+    end
+
+  let take t f =
     match t.refused with
-    | None ->
-        let records =
-          match t.records with ([] | [ _ ]) as one -> one | many -> List.rev many
-        in
-        t.records <- [];
-        records
+    | None -> (
+        match serve t f 0 with
+        | () -> t.count <- 0
+        | exception e ->
+            forget_records t;
+            raise e)
     | Some e ->
         t.header_got <- 0;
         t.fragment <- Bytes.empty;
         t.parts <- [];
         t.sofar <- 0;
-        t.records <- [];
+        forget_records t;
         t.refused <- None;
         raise e
 
@@ -351,10 +342,6 @@ module Outbox = struct
      where a read stopped says which header or payload byte is next. *)
   let fragment = default_fragment_size
 
-  let wire_length msg =
-    let len = String.length msg in
-    len + (4 * max 1 ((len + fragment - 1) / fragment))
-
   let rec read t buf off len got =
     if len = 0 || not t.busy then got
     else begin
@@ -378,8 +365,11 @@ module Outbox = struct
         end
       in
       t.served <- t.served + n;
-      if t.served = wire_length msg then begin
-        if Queue.is_empty t.messages then clear t
+      if t.served = wire_length (String.length msg) then begin
+        if Queue.is_empty t.messages then begin
+          t.current <- "";
+          t.busy <- false
+        end
         else begin
           t.current <- Queue.take t.messages;
           t.served <- 0

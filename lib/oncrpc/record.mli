@@ -43,6 +43,11 @@ val framed : fragment_size:int -> Xdr.Encode.t -> string
     flat ({!Xdr.Encode.is_flat}) and fits one fragment of [fragment_size]
     bytes; [""] otherwise. *)
 
+val wire_length : int -> int
+(** [wire_length n] is the size of the record {!to_wire} makes of an
+    [n]-byte message at the default fragment size: the message and one
+    4-byte header per fragment. *)
+
 val default_max_record_size : int
 (** The record size readers accept by default: 1 GiB. *)
 
@@ -54,29 +59,10 @@ exception Oversized of { claimed : int; limit : int }
     allocated, so an adversarial length field cannot reserve unbounded
     memory. Every reassembler below applies this rule to each header. *)
 
-(** {1 Records already in memory}
+(** {1 Records crossing to a peer in the same process}
 
-    Channels that model the wire in memory hold what a client wrote as a
-    string or a buffer, and walk its records in place. *)
-
-type source = Of_string of string | Of_buffer of Buffer.t
-
-val record_end : ?max_record_size:int -> source -> int -> int
-(** [record_end src pos] is the offset just past the last fragment of the
-    record whose first header starts at [pos], or [-1] if [src] ends
-    before that record does (its tail is still to come). Each header's
-    claim is checked as {!Oversized} describes when it is reached, so an
-    oversized one raises {!Oversized} before anything is copied. *)
-
-val payload : source -> int -> stop:int -> string
-(** [payload src pos ~stop] is the message carried by the complete record
-    from [pos] to [stop = record_end src pos]: a single fragment's payload
-    copied out once, or every fragment's payload joined into one
-    exactly-sized string. *)
-
-(** {1 Records crossing an in-process loopback}
-
-    A peer in the same process takes what a client writes record by record
+    A peer in the same process — the loopback, or a channel that models
+    the wire in virtual time — takes what a client writes record by record
     and answers with whole messages, so neither direction needs a byte
     stream: an {!Inbox} reassembles records as their bytes are written, and
     an {!Outbox} frames replies as they are read. *)
@@ -84,7 +70,8 @@ val payload : source -> int -> stop:int -> string
 module Inbox : sig
   type t
   (** Records being reassembled from written wire bytes. Between records
-      it holds nothing but a 4-byte header. *)
+      it holds a 4-byte header and the emptied slots completed records
+      wait in until {!take}. *)
 
   val create : unit -> t
 
@@ -96,11 +83,15 @@ module Inbox : sig
       size. After a refused header, whatever is written is dropped until
       {!take}. *)
 
-  val take : t -> string list
-  (** The records completed since the last [take], in order, forgotten
-      here; a record whose tail is still to come stays. If a header was
-      refused meanwhile, raises {!Oversized} instead and forgets everything
-      written up to now, the unfinished record included. *)
+  val take : t -> (string -> unit) -> unit
+  (** [take t f] applies [f] to each record completed since the last
+      [take], in order, and forgets it here; a record whose tail is still
+      to come stays. Nothing is allocated per record. If [f] raises, the
+      records after that one are forgotten too and the exception goes on.
+      If a header was refused meanwhile, raises {!Oversized} instead,
+      before [f] sees any record, and forgets everything written up to
+      now: the records completed ahead of the refused header and the
+      unfinished one. *)
 
   val next : t -> ('src -> bytes -> int -> int -> int) -> 'src -> string option
   (** [next t recv src] reads the bytes of a stream out of [src] itself:

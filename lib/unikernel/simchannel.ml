@@ -1,6 +1,8 @@
 module Time = Simnet.Time
 module Engine = Simnet.Engine
 module Fault = Simnet.Fault
+module Inbox = Oncrpc.Record.Inbox
+module Outbox = Oncrpc.Record.Outbox
 
 type stats = {
   messages : int;
@@ -12,16 +14,13 @@ type stats = {
   reconnects : int;
 }
 
-let default_rto = Time.ns 200_000 (* 200 us: jumbo-frame LAN RTT plus slack *)
+let rto = Time.ns 200_000 (* 200 us: jumbo-frame LAN RTT plus slack *)
 
 type t = {
   engine : Engine.t;
   client : Simnet.Hostprofile.t;
-  server : Simnet.Hostprofile.t;
-  link : Simnet.Link.t;
   dispatch : string -> string;
   fault : Fault.t option;
-  rto : Time.t;
   on_crash : down_for:Time.t -> unit;
   (* the counters behind [stats], bumped in place *)
   mutable messages : int;
@@ -32,15 +31,15 @@ type t = {
   mutable crashes : int;
   mutable reconnects : int;
   mutable transport : Oncrpc.Transport.t;
-  outbox : Buffer.t;
-      (* request bytes not yet dispatched: what the client wrote since the
-         last exchange, behind the incomplete record an exchange left *)
-  requests : Oncrpc.Record.source;  (* the outbox, walked in place *)
-  mutable held : int;
-      (* leading outbox bytes of that incomplete record, already charged
-         and counted when they crossed the link *)
-  inbox : Buffer.t;  (* the framed replies of the last exchange *)
-  mutable inbox_pos : int;
+  mutable requests : Inbox.t;
+      (* what the client wrote, reassembled into records as it arrives; a
+         record whose tail is still to come waits here *)
+  mutable pending : int;
+      (* request bytes written since the last exchange: each crosses the
+         link, and is charged and counted, once *)
+  mutable serve : string -> unit;  (* [dispatch_record t], built once *)
+  replies : Outbox.t;  (* the replies of the last exchange *)
+  mutable reply_bytes : int;  (* their wire bytes *)
   mutable connected : bool;
   mutable down_until : Time.t;  (* absolute virtual time; restart instant *)
   mutable obs : Obs.Recorder.t;
@@ -56,10 +55,6 @@ let net_advance t name ns =
   Engine.advance_ns t.engine ns;
   Obs.Recorder.span_end t.obs sp
 
-(* Both buffers are reused from exchange to exchange; one that a bulk
-   transfer grew gives its memory back. *)
-let recycle b = if Buffer.length b > 1 lsl 20 then Buffer.reset b else Buffer.clear b
-
 (* The scheduled crash fires between records: the server process dies, so
    everything in flight — the rest of this request stream and any replies
    already produced — is lost, and the connection is gone until the
@@ -67,10 +62,9 @@ let recycle b = if Buffer.length b > 1 lsl 20 then Buffer.reset b else Buffer.cl
 exception Crashed
 
 let drop_in_flight t =
-  recycle t.outbox;
-  t.held <- 0;
-  recycle t.inbox;
-  t.inbox_pos <- 0
+  t.requests <- Inbox.create ();
+  t.pending <- 0;
+  Outbox.clear t.replies
 
 let crash t ~down_for =
   t.connected <- false;
@@ -93,17 +87,21 @@ let decide t =
   | None -> Fault.Pass
   | Some f -> Fault.decide ~now:(Engine.now t.engine) f
 
+let push_reply t reply =
+  t.reply_bytes <- t.reply_bytes + Oncrpc.Record.wire_length (String.length reply);
+  Outbox.push t.replies reply
+
 let deliver_reply t reply =
   if String.length reply > 0 (* "" is a one-way call: no reply record *) then
     match decide t with
     | Fault.Drop | Fault.Corrupt -> () (* lost / discarded on receipt *)
-    | Fault.Pass -> Oncrpc.Record.add_wire t.inbox reply
+    | Fault.Pass -> push_reply t reply
     | Fault.Duplicate ->
-        Oncrpc.Record.add_wire t.inbox reply;
-        Oncrpc.Record.add_wire t.inbox reply
+        push_reply t reply;
+        push_reply t reply
     | Fault.Delay d ->
         net_advance t "net.delay" (Int64.to_int d);
-        Oncrpc.Record.add_wire t.inbox reply
+        push_reply t reply
 
 let dispatch_record t record =
   match decide t with
@@ -125,60 +123,36 @@ let dispatch_record t record =
       net_advance t "net.delay" (Int64.to_int d);
       deliver_reply t (t.dispatch record)
 
-(* Dispatch every complete record of the outbox in place, in order; the
-   offset of the first byte not consumed is returned. Each header's claim
-   is bounded before its record is copied out, as every reassembler
-   does. *)
-let rec dispatch_records t pos =
-  match Oncrpc.Record.record_end t.requests pos with
-  | -1 -> pos
-  | stop ->
-      dispatch_record t (Oncrpc.Record.payload t.requests pos ~stop);
-      dispatch_records t stop
-
 (* One request/reply exchange over the simulated link: charge the request's
    one-way time, run every complete record through the fault plan and the
    server dispatch, run each reply record through the plan too, charge the
-   reply's one-way time. Surviving reply bytes land in the inbox; a record
-   whose tail the client has not written yet stays in the outbox. *)
+   reply's one-way time. Surviving replies wait in [replies]; a record
+   whose tail the client has not written yet stays in [requests]. *)
 let exchange t =
-  let request_len = Buffer.length t.outbox - t.held in
+  let request_len = t.pending in
+  t.pending <- 0;
   (* request: client -> GPU node *)
   let request_ns =
-    Simnet.Netcost.one_way_ns ~sender:t.client ~receiver:t.server ~link:t.link
-      request_len
+    Simnet.Netcost.one_way_ns ~sender:t.client ~receiver:Config.server_profile
+      ~link:Config.link request_len
   in
   net_advance t "net.request" request_ns;
-  recycle t.inbox;
-  t.inbox_pos <- 0;
+  t.reply_bytes <- 0;
   (* The server's CUDA work advances the shared clock via its clock
      hooks. An exchange that fails — a header claiming more than a record
      may hold, after which nothing can be framed, a crash, a request the
      server cannot parse — loses what it carried: no record of it is ever
      dispatched again. *)
-  let consumed =
-    match dispatch_records t 0 with
-    | n -> n
-    | exception e ->
-        drop_in_flight t;
-        raise e
-  in
-  let total = Buffer.length t.outbox in
-  if consumed = total then begin
-    recycle t.outbox;
-    t.held <- 0
-  end
-  else begin
-    let tail = Buffer.sub t.outbox consumed (total - consumed) in
-    Buffer.clear t.outbox;
-    Buffer.add_string t.outbox tail;
-    t.held <- String.length tail
-  end;
+  (match Inbox.take t.requests t.serve with
+  | () -> ()
+  | exception e ->
+      drop_in_flight t;
+      raise e);
   (* reply: GPU node -> client *)
-  let reply_len = Buffer.length t.inbox in
+  let reply_len = t.reply_bytes in
   let reply_ns =
-    Simnet.Netcost.one_way_ns ~sender:t.server ~receiver:t.client ~link:t.link
-      reply_len
+    Simnet.Netcost.one_way_ns ~sender:Config.server_profile ~receiver:t.client
+      ~link:Config.link reply_len
   in
   net_advance t "net.reply" reply_ns;
   t.messages <- t.messages + 1;
@@ -186,25 +160,39 @@ let exchange t =
   t.bytes_from_server <- t.bytes_from_server + reply_len;
   t.network_ns <- t.network_ns + request_ns + reply_ns
 
-let rec add_slices b = function
-  | [] -> ()
-  | s :: rest ->
-      Buffer.add_substring b s.Xdr.Iovec.base s.Xdr.Iovec.off s.Xdr.Iovec.len;
-      add_slices b rest
+let write t s off len =
+  if not t.connected then raise Oncrpc.Transport.Closed;
+  t.pending <- t.pending + len;
+  Inbox.add t.requests s off len
 
-let create ~engine ~client ?(server = Config.server_profile)
-    ?(link = Config.link) ?fault ?(rto = default_rto)
-    ?(on_crash = fun ~down_for:_ -> ()) ~dispatch () =
-  let outbox = Buffer.create 1024 in
+let rec recv t buf off len =
+  if not t.connected then raise Oncrpc.Transport.Closed;
+  if not (Outbox.is_empty t.replies) then Outbox.read t.replies buf off len
+  else if t.pending > 0 then begin
+    (match exchange t with
+    | () -> ()
+    | exception Crashed -> raise Oncrpc.Transport.Closed);
+    recv t buf off len
+  end
+  else begin
+    (* The client awaits a reply but nothing is in flight any more: the
+       record (or its reply) was dropped. Model the retransmission
+       timeout — the virtual time a real client would wait before
+       concluding loss — and report it. *)
+    net_advance t "net.rto" (Int64.to_int rto);
+    Obs.Recorder.incr t.obs "net.rto";
+    t.timeouts <- t.timeouts + 1;
+    raise Oncrpc.Transport.Timeout
+  end
+
+let create ~engine ~client ?fault ?(on_crash = fun ~down_for:_ -> ()) ~dispatch
+    () =
   let t =
     {
       engine;
       client;
-      server;
-      link;
       dispatch;
       fault;
-      rto;
       on_crash;
       messages = 0;
       bytes_to_server = 0;
@@ -213,60 +201,27 @@ let create ~engine ~client ?(server = Config.server_profile)
       timeouts = 0;
       crashes = 0;
       reconnects = 0;
-      transport =
-        Oncrpc.Transport.make
-          ~send:(fun _ _ _ -> ())
-          ~recv:(fun _ _ _ -> 0)
-          ~close:(fun () -> ())
-          ();
-      outbox;
-      requests = Oncrpc.Record.Of_buffer outbox;
-      held = 0;
-      inbox = Buffer.create 1024;
-      inbox_pos = 0;
+      transport = Oncrpc.Transport.make ~send:(fun _ _ _ -> ())
+          ~recv:(fun _ _ _ -> 0) ~close:(fun () -> ()) ();
+      requests = Inbox.create ();
+      pending = 0;
+      serve = ignore;
+      replies = Outbox.create ();
+      reply_bytes = 0;
       connected = true;
       down_until = Time.zero;
       obs = Obs.Recorder.null;
     }
   in
-  let send buf off len =
-    if not t.connected then raise Oncrpc.Transport.Closed;
-    Buffer.add_subbytes t.outbox buf off len
-  in
-  (* Gather write into the outbox: the one staging copy the simulated
-     link performs, straight from the caller's payload views. *)
-  let sendv iov =
-    if not t.connected then raise Oncrpc.Transport.Closed;
-    add_slices t.outbox iov
-  in
-  let rec recv buf off len =
-    if not t.connected then raise Oncrpc.Transport.Closed;
-    let available = Buffer.length t.inbox - t.inbox_pos in
-    if available > 0 then begin
-      let n = min len available in
-      Buffer.blit t.inbox t.inbox_pos buf off n;
-      t.inbox_pos <- t.inbox_pos + n;
-      n
-    end
-    else if Buffer.length t.outbox > t.held then begin
-      (match exchange t with
-      | () -> ()
-      | exception Crashed -> raise Oncrpc.Transport.Closed);
-      recv buf off len
-    end
-    else begin
-      (* The client awaits a reply but nothing is in flight any more: the
-         record (or its reply) was dropped. Model the retransmission
-         timeout — the virtual time a real client would wait before
-         concluding loss — and report it. *)
-      net_advance t "net.rto" (Int64.to_int t.rto);
-      Obs.Recorder.incr t.obs "net.rto";
-      t.timeouts <- t.timeouts + 1;
-      raise Oncrpc.Transport.Timeout
-    end
-  in
+  t.serve <- (fun record -> dispatch_record t record);
+  let send buf off len = write t (Bytes.unsafe_to_string buf) off len in
+  (* Gather write into the inbox: the one copy the simulated link
+     performs, straight from the caller's payload views into each
+     fragment's exactly-sized buffer. *)
+  let write_slice s = write t s.Xdr.Iovec.base s.Xdr.Iovec.off s.Xdr.Iovec.len in
+  let sendv iov = List.iter write_slice iov in
   t.transport <-
-    Oncrpc.Transport.make ~sendv ~send ~recv ~close:(fun () -> ()) ();
+    Oncrpc.Transport.make ~sendv ~send ~recv:(recv t) ~close:(fun () -> ()) ();
   t
 
 let transport t = t.transport

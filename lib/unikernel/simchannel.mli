@@ -9,18 +9,24 @@
     hooks), charges the reply's one-way time, and hands the reply bytes
     back. Wall-clock-free: all time is the engine's virtual clock.
 
-    Only complete records are dispatched. A record whose tail the client
-    has not written yet waits in the channel for the rest, so a client
-    reading for its reply meanwhile gets {!Oncrpc.Transport.Timeout} after
-    [rto]. A fragment header claiming more than a record may hold (see
-    {!Oncrpc.Record.Oversized}) makes the read raise
-    {!Oncrpc.Record.Oversized} before anything is copied, and drops the
-    bytes in flight: the stream cannot be framed past it.
+    Requests are reassembled by an {!Oncrpc.Record.Inbox} as they are
+    written, and replies are framed by an {!Oncrpc.Record.Outbox} as they
+    are read, as {!Cricket.Local} does; only the pricing and the fault plan
+    are this channel's own. Only complete records are dispatched. A record
+    whose tail the client has not written yet waits in the channel for the
+    rest, so a client reading for its reply meanwhile gets
+    {!Oncrpc.Transport.Timeout} after the retransmission timeout (200 µs).
+    A fragment header claiming more than a record may hold (see
+    {!Oncrpc.Record.Oversized}) is refused before anything is allocated
+    for it; the next read raises {!Oncrpc.Record.Oversized} before any
+    record of that exchange is dispatched, and drops the bytes in flight
+    — the records completed ahead of the refused header included: the
+    stream cannot be framed past it.
 
     {b Fault injection.} With a {!Simnet.Fault} plan installed the channel
     consults it once per RPC record in each direction. A dropped or
     corrupted record manifests to the client as {!Oncrpc.Transport.Timeout}
-    after the modelled retransmission timeout [rto] — the receiver's
+    after the modelled retransmission timeout — the receiver's
     integrity check discards corrupt records, so both are loss. Duplicated
     request records reach the server twice (exercising its
     duplicate-request cache); duplicated replies exercise the client's
@@ -45,20 +51,17 @@ type t
 val create :
   engine:Simnet.Engine.t ->
   client:Simnet.Hostprofile.t ->
-  ?server:Simnet.Hostprofile.t ->
-  ?link:Simnet.Link.t ->
   ?fault:Simnet.Fault.t ->
-  ?rto:Simnet.Time.t ->
   ?on_crash:(down_for:Simnet.Time.t -> unit) ->
   dispatch:(string -> string) ->
   unit ->
   t
-(** [server] defaults to {!Config.server_profile}, [link] to
-    {!Config.link}; [rto] (default 200 µs) is the virtual time charged
-    before a lost record surfaces as {!Oncrpc.Transport.Timeout}.
-    [on_crash] runs at the instant a scheduled crash fires, before the
-    crash surfaces to the client — respawn the server there and route
-    [dispatch] through a reference if recovery should succeed. *)
+(** A channel from [client] to the GPU node, a {!Config.server_profile}
+    host, over a {!Config.link}. 200 µs of virtual time are charged before
+    a lost record surfaces as {!Oncrpc.Transport.Timeout}. [on_crash] runs
+    at the instant a scheduled crash fires, before the crash surfaces to
+    the client — respawn the server there and route [dispatch] through a
+    reference if recovery should succeed. *)
 
 val transport : t -> Oncrpc.Transport.t
 

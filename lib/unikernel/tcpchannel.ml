@@ -195,10 +195,10 @@ let drain t =
 
 let default_rto = Time.us 200
 
-let create ~engine ~client ?(server = Config.server_profile)
-    ?(link = Config.link) ?fault ?device ?(rto = default_rto) ?rpc
+let create ~engine ~client ?fault ?device ?(rto = default_rto) ?rpc
     ?(ident = "") ?dispatch_parsed
     ?(doorbell_policy = Oncrpc.Doorbell.default_policy) ~dispatch () =
+  let server = Config.server_profile and link = Config.link in
   (* RPC-engine negotiation: the device offer intersected with what the
      client guest's driver shim acknowledges, then dependency-clamped.
      No [rpc] offer means no engine at all — the legacy byte-stream path,

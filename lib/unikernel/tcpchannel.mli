@@ -32,8 +32,6 @@ val default_rto : Simnet.Time.t
 val create :
   engine:Simnet.Engine.t ->
   client:Simnet.Hostprofile.t ->
-  ?server:Simnet.Hostprofile.t ->
-  ?link:Simnet.Link.t ->
   ?fault:Simnet.Fault.t ->
   ?device:Simnet.Offload.t ->
   ?rto:Simnet.Time.t ->
@@ -45,10 +43,10 @@ val create :
   dispatch:(string -> string) ->
   unit ->
   t
-(** Create both endpoints, negotiate offloads against [device] (default
-    {!Simnet.Offload.all}) and run the three-way handshake to completion
-    in virtual time. [server] defaults to {!Config.server_profile},
-    [link] to {!Config.link}.
+(** Create both endpoints — [client] and a {!Config.server_profile}
+    GPU node, over a {!Config.link} — negotiate offloads against [device]
+    (default {!Simnet.Offload.all}) and run the three-way handshake to
+    completion in virtual time.
 
     [rpc] offers the RPC-engine feature bits (see {!Tcpstack.Rpcdev});
     they are negotiated against the client profile's acknowledged bits and

@@ -956,20 +956,11 @@ let prop_download_read_through =
    dispatches them and frames the replies into one string. The reference
    the record-level [Cricket.Local.transport_of_dispatch] must match. *)
 let stream_transport_of_dispatch dispatch =
-  let records_of_stream stream =
-    let src = Oncrpc.Record.Of_string stream in
-    let rec loop pos acc =
-      match Oncrpc.Record.record_end src pos with
-      | -1 -> (List.rev acc, pos)
-      | stop -> loop stop (Oncrpc.Record.payload src pos ~stop :: acc)
-    in
-    loop 0 []
-  in
   let held = ref "" in
   Oncrpc.Transport.loopback ~peer:(fun request ->
       let stream = if !held = "" then request else !held ^ request in
       held := "";
-      let records, stop = records_of_stream stream in
+      let records, stop = Record_walk.records stream in
       if stop < String.length stream then
         held := String.sub stream stop (String.length stream - stop);
       records
@@ -1132,30 +1123,34 @@ let prop_loopback_matches_stream =
 
 let major_words () = (Gc.quick_stat ()).Gc.major_words
 
-(* Round trips over [Cricket.Local], counted in payload-sized blocks of
-   major-heap words after a warm-up round trip. Uploading, a record of one
-   fragment is copied once, into its exactly-sized buffer, and a longer one
-   once more to join its fragments; downloading, the server builds its
-   reply once and the client allocates the buffer it returns, while the
-   loopback serves the reply straight into the client's reads. *)
+(* Round trips over a channel, counted in payload-sized blocks of
+   major-heap words after a warm-up round trip: [(h2d, d2h)]. *)
+let round_trip_payloads client len =
+  let payload_words = float_of_int (len / (Sys.word_size / 8)) in
+  let payloads words = Float.to_int (Float.round (words /. payload_words)) in
+  let payload = Apps.Workload.xorshift_bytes ~seed:5 len in
+  let dst = C.malloc client len in
+  let round_trip () =
+    let w0 = major_words () in
+    C.memcpy_h2d client ~dst payload;
+    let w1 = major_words () in
+    let back = C.memcpy_d2h client ~src:dst ~len in
+    let w2 = major_words () in
+    check Alcotest.bool "payload back intact" true (Bytes.equal back payload);
+    (payloads (w1 -. w0), payloads (w2 -. w1))
+  in
+  ignore (round_trip ());
+  round_trip ()
+
+(* Over [Cricket.Local]: uploading, a record of one fragment is copied
+   once, into its exactly-sized buffer, and a longer one once more to join
+   its fragments; downloading, the server builds its reply once and the
+   client allocates the buffer it returns, while the loopback serves the
+   reply straight into the client's reads. *)
 let test_local_round_trip_allocations () =
   let round_trips len =
     let _, _, client = make_pair () in
-    let payload_words = float_of_int (len / (Sys.word_size / 8)) in
-    let payloads words = Float.to_int (Float.round (words /. payload_words)) in
-    let payload = Apps.Workload.xorshift_bytes ~seed:5 len in
-    let dst = C.malloc client len in
-    let round_trip () =
-      let w0 = major_words () in
-      C.memcpy_h2d client ~dst payload;
-      let w1 = major_words () in
-      let back = C.memcpy_d2h client ~src:dst ~len in
-      let w2 = major_words () in
-      check Alcotest.bool "payload back intact" true (Bytes.equal back payload);
-      (payloads (w1 -. w0), payloads (w2 -. w1))
-    in
-    ignore (round_trip ());
-    round_trip ()
+    round_trip_payloads client len
   in
   let h2d, d2h = round_trips (512 lsl 10) in
   check Alcotest.bool (Printf.sprintf "512 KiB h2d: %d <= 1" h2d) true (h2d <= 1);
@@ -1163,6 +1158,28 @@ let test_local_round_trip_allocations () =
   let h2d, d2h = round_trips (4 lsl 20) in
   check Alcotest.bool (Printf.sprintf "4 MiB h2d: %d <= 2" h2d) true (h2d <= 2);
   check Alcotest.bool (Printf.sprintf "4 MiB d2h: %d <= 2" d2h) true (d2h <= 2)
+
+(* Over [Unikernel.Simchannel], which frames through the same inbox and
+   outbox as the loopback: a multi-fragment upload costs what it costs
+   there, and a round trip no more than two uploads. *)
+let test_simchannel_round_trip_allocations () =
+  let engine = Simnet.Engine.create () in
+  let server =
+    Cricket.Server.create ~memory_capacity:(1 lsl 26)
+      ~clock:(Cudasim.Context.engine_clock engine) ()
+  in
+  let channel =
+    Unikernel.Simchannel.create ~engine
+      ~client:Unikernel.Config.hermit.Unikernel.Config.profile
+      ~dispatch:(Cricket.Server.dispatch server) ()
+  in
+  let client = C.create ~transport:(Unikernel.Simchannel.transport channel) () in
+  let h2d, d2h = round_trip_payloads client (4 lsl 20) in
+  check Alcotest.bool (Printf.sprintf "4 MiB h2d: %d <= 2" h2d) true (h2d <= 2);
+  check Alcotest.bool
+    (Printf.sprintf "4 MiB round trip: %d <= 4" (h2d + d2h))
+    true
+    (h2d + d2h <= 4)
 
 let suite =
   [
@@ -1210,4 +1227,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_loopback_matches_stream;
       Alcotest.test_case "loopback payload copies" `Quick
         test_local_round_trip_allocations;
+      Alcotest.test_case "simchannel payload copies" `Quick
+        test_simchannel_round_trip_allocations;
     ]

@@ -165,9 +165,11 @@ let prop_add_wire_identity =
       Oncrpc.Record.add_wire ~fragment_size b msg;
       Buffer.contents b = prefix ^ Oncrpc.Record.to_wire ~fragment_size msg)
 
-(* Walking a stream of records in place, from a string or a buffer, finds
-   the messages [to_wire] framed; cut anywhere, the stream yields the
-   records before the cut and stops where the cut one starts. *)
+(* Walking a stream of records finds the messages [to_wire] framed; cut
+   anywhere, the stream yields the records before the cut. [read_opt] over
+   an in-memory transport stops where the cut one starts; an [Inbox] fed
+   the stream up to the cut hands out the same records, and the rest once
+   the rest is written. *)
 let prop_walk_records =
   QCheck.Test.make ~count:200 ~name:"record walk finds what to_wire framed"
     QCheck.(
@@ -177,53 +179,37 @@ let prop_walk_records =
     (fun (msgs, fragment_size) ->
       let wires = List.map (Oncrpc.Record.to_wire ~fragment_size) msgs in
       let stream = String.concat "" wires in
-      let starts =
-        List.rev
-          (snd
+      let ends =
+        List.tl
+          (List.rev
              (List.fold_left
-                (fun (off, acc) w -> (off + String.length w, off :: acc))
-                (0, []) wires))
+                (fun acc w -> (List.hd acc + String.length w) :: acc)
+                [ 0 ] wires))
       in
-      let walk src =
-        let rec loop pos acc =
-          match Oncrpc.Record.record_end src pos with
-          | -1 -> (List.rev acc, pos)
-          | stop -> loop stop (Oncrpc.Record.payload src pos ~stop :: acc)
-        in
-        loop 0 []
+      let take inbox =
+        let got = ref [] in
+        Oncrpc.Record.Inbox.take inbox (fun r -> got := r :: !got);
+        List.rev !got
       in
-      let sources s =
-        let b = Buffer.create 4 in
-        Buffer.add_string b s;
-        [ Oncrpc.Record.Of_string s; Oncrpc.Record.Of_buffer b ]
-      in
-      List.for_all (fun src -> walk src = (msgs, String.length stream))
-        (sources stream)
-      && List.for_all
-           (fun cut ->
-             let complete =
-               List.filteri
-                 (fun i _ ->
-                   List.nth starts i + String.length (List.nth wires i) <= cut)
-                 msgs
-             in
-             let resume =
-               List.fold_left
-                 (fun r (s, w) -> if s + String.length w <= cut then s + String.length w else r)
-                 0 (List.combine starts wires)
-             in
-             List.for_all
-               (fun src -> walk src = (complete, resume))
-               (sources (String.sub stream 0 cut)))
-           (List.init (String.length stream) Fun.id))
+      List.for_all
+        (fun cut ->
+          let complete = List.filteri (fun i _ -> List.nth ends i <= cut) msgs in
+          let resume = List.fold_left (fun r e -> if e <= cut then e else r) 0 ends in
+          let inbox = Oncrpc.Record.Inbox.create () in
+          Oncrpc.Record.Inbox.add inbox stream 0 cut;
+          let before = take inbox in
+          Oncrpc.Record.Inbox.add inbox stream cut (String.length stream - cut);
+          Record_walk.records (String.sub stream 0 cut) = (complete, resume)
+          && before = complete
+          && before @ take inbox = msgs)
+        (List.init (String.length stream + 1) Fun.id))
 
 let test_walk_oversized () =
   (* each header's claim is checked when it is reached, before the rest
-     of the record is in *)
+     of the record is in: by a reader with its own limit, and by an inbox
+     against the default one *)
   let claim hdr =
-    match
-      Oncrpc.Record.record_end ~max_record_size:64 (Oncrpc.Record.Of_string hdr) 0
-    with
+    match Record_walk.records ~max_record_size:64 hdr with
     | _ -> Alcotest.fail "expected Oversized"
     | exception Oncrpc.Record.Oversized { claimed; limit } -> (claimed, limit)
   in
@@ -233,10 +219,23 @@ let test_walk_oversized () =
     (claim
        (Oncrpc.Record.encode_header ~last:false 40 ^ String.make 40 'x'
        ^ Oncrpc.Record.encode_header ~last:true 30));
-  check Alcotest.int "protocol maximum" (-1)
-    (Oncrpc.Record.record_end
-       (Oncrpc.Record.Of_string (Oncrpc.Record.encode_header ~last:true 64 ^ "abc"))
-       0)
+  check Alcotest.(pair (list string) int) "at the limit, tail to come" ([], 0)
+    (Record_walk.records ~max_record_size:64
+       (Oncrpc.Record.encode_header ~last:true 64 ^ "abc"));
+  let limit = Oncrpc.Record.default_max_record_size in
+  let inbox_claim wire =
+    let inbox = Oncrpc.Record.Inbox.create () in
+    Oncrpc.Record.Inbox.add inbox wire 0 (String.length wire);
+    match Oncrpc.Record.Inbox.take inbox ignore with
+    | () -> Alcotest.fail "expected Oversized"
+    | exception Oncrpc.Record.Oversized { claimed; limit } -> (claimed, limit)
+  in
+  check Alcotest.(pair int int) "inbox: one header" (limit + 1, limit)
+    (inbox_claim (Oncrpc.Record.encode_header ~last:true (limit + 1)));
+  check Alcotest.(pair int int) "inbox: accumulated" (limit + 30, limit)
+    (inbox_claim
+       (Oncrpc.Record.encode_header ~last:false 40 ^ String.make 40 'x'
+       ^ Oncrpc.Record.encode_header ~last:true (limit - 10)))
 
 let test_writev_zero_copy_tx () =
   (* A large payload encoded as RPC arguments must reach the transport as

@@ -134,6 +134,276 @@ let test_simchannel_partial_records () =
   Oncrpc.Record.write tr "next";
   check Alcotest.string "after the refusal" "reply:next" (Oncrpc.Record.read tr)
 
+(* --- the record-level channel against the byte-buffer one --- *)
+
+type sim_call = {
+  len : int;
+  kind : [ `Reply | `Oneway | `Raise ];
+  fragment_size : int option;
+}
+
+type sim_step = Write of { len : int; vectored : bool } | Read of int
+
+(* A record's first byte says what the server does with it; the empty
+   record is answered. *)
+let sim_marker = function `Reply -> 'r' | `Oneway -> 'o' | `Raise -> '!'
+
+let sim_dispatch log record =
+  log := record :: !log;
+  if record = "" then "empty"
+  else
+    match record.[0] with
+    | 'o' -> ""
+    | '!' -> failwith "dispatch refused"
+    | _ -> "<" ^ record
+
+let sim_wire i { len; kind; fragment_size } =
+  Oncrpc.Record.to_wire ?fragment_size
+    (String.init len (fun j ->
+         if j = 0 then sim_marker kind else Char.chr ((j * 31 + i) land 0xff)))
+
+let gen_sim_plan =
+  let open QCheck.Gen in
+  let rate = frequency [ (2, return 0.0); (1, float_range 0.0 0.3) ] in
+  let* seed = int_bound 10_000 in
+  let* drop_rate = rate in
+  let* duplicate_rate = rate in
+  let* corrupt_rate = rate in
+  let* delay_rate = rate in
+  let* delay = map Time.us (int_range 1 50) in
+  let* crashes =
+    frequency
+      [ (3, return []);
+        ( 1,
+          map2
+            (fun after_records down_for ->
+              [ { Simnet.Fault.after_records; down_for = Time.us down_for } ])
+            (int_range 1 12) (int_range 1 500) ) ]
+  in
+  frequency
+    [ (1, return None);
+      ( 3,
+        return
+          (Some
+             { Simnet.Fault.none with seed; drop_rate; duplicate_rate;
+               corrupt_rate; delay_rate; delay; crashes }) ) ]
+
+(* Empty, one-way and raising records, multi-fragment ones at small
+   fragment sizes, and now and then one past a default fragment, whose
+   reply takes two; written in cuts anywhere and a few bytes after record
+   starts (header tails), read in chunks of any size. *)
+let gen_sim_scenario =
+  let open QCheck.Gen in
+  let call =
+    let* len =
+      frequency
+        [ (2, return 0); (8, int_range 1 64); (4, int_range 0 3000);
+          (1, int_range ((1 lsl 20) - 5) ((1 lsl 20) + 5)) ]
+    in
+    let* kind =
+      frequency [ (6, return `Reply); (2, return `Oneway); (1, return `Raise) ]
+    in
+    let* fragment_size =
+      if len > 1 lsl 19 then
+        frequency [ (1, return None); (1, map Option.some (int_range 100_000 1_000_000)) ]
+      else frequency [ (1, return None); (2, map Option.some (int_range 1 100)) ]
+    in
+    return { len; kind; fragment_size }
+  in
+  let* plan = gen_sim_plan in
+  let* calls = list_size (int_range 1 8) call in
+  let lens = List.mapi (fun i c -> String.length (sim_wire i c)) calls in
+  let total = List.fold_left ( + ) 0 lens in
+  let starts =
+    List.rev (List.fold_left (fun acc l -> (List.hd acc + l) :: acc) [ 0 ] lens)
+  in
+  let* anywhere = list_size (int_range 0 12) (int_range 0 total) in
+  let* near =
+    flatten_l
+      (List.map
+         (fun s ->
+           map2 (fun keep d -> if keep then [ min total (s + d) ] else [])
+             bool (int_range 1 3))
+         starts)
+  in
+  let cuts = List.sort_uniq compare ((total :: anywhere) @ List.concat near) in
+  let read_len =
+    frequency [ (3, int_range 1 3); (1, return 4); (3, int_range 1 100_000) ]
+  in
+  let* steps =
+    flatten_l
+      (snd
+         (List.fold_left
+            (fun (pos, acc) cut ->
+              let write =
+                map (fun vectored -> [ Write { len = cut - pos; vectored } ]) bool
+              in
+              let reads =
+                frequency
+                  [ (1, return []);
+                    (2, list_size (int_range 1 3) (map (fun n -> Read n) read_len)) ]
+              in
+              (cut, acc @ [ write; reads ]))
+            (0, []) cuts))
+  in
+  return (plan, calls, List.concat steps)
+
+let print_sim_scenario (plan, calls, steps) =
+  let call { len; kind; fragment_size } =
+    Printf.sprintf "%d%s%s" len
+      (match kind with `Reply -> "" | `Oneway -> " one-way" | `Raise -> " raising")
+      (match fragment_size with None -> "" | Some f -> Printf.sprintf " /%d" f)
+  in
+  let step = function
+    | Write { len; vectored } -> Printf.sprintf "w%d%s" len (if vectored then "v" else "")
+    | Read n -> Printf.sprintf "r%d" n
+  in
+  let plan =
+    match plan with
+    | None -> "no faults"
+    | Some p ->
+        Printf.sprintf "seed %d drop %.2f dup %.2f corrupt %.2f delay %.2f%s"
+          p.Simnet.Fault.seed p.drop_rate p.duplicate_rate p.corrupt_rate
+          p.delay_rate
+          (match p.crashes with
+          | [ c ] -> Printf.sprintf " crash after %d" c.Simnet.Fault.after_records
+          | _ -> "")
+  in
+  plan ^ " | " ^ String.concat ", " (List.map call calls) ^ " | "
+  ^ String.concat " " (List.map step steps)
+
+type sim_channel = {
+  transport : Oncrpc.Transport.t;
+  reconnect : unit -> Oncrpc.Transport.t;
+  sim_stats : unit -> Unikernel.Simchannel.stats * Simnet.Fault.stats option;
+}
+
+let record_level ~engine ~client ?fault ~dispatch () =
+  let ch = Unikernel.Simchannel.create ~engine ~client ?fault ~dispatch () in
+  { transport = Unikernel.Simchannel.transport ch;
+    reconnect = (fun () -> Unikernel.Simchannel.reconnect ch);
+    sim_stats =
+      (fun () ->
+        (Unikernel.Simchannel.stats ch, Unikernel.Simchannel.fault_stats ch)) }
+
+let byte_buffer ~engine ~client ?fault ~dispatch () =
+  let ch = Simchannel_ref.create ~engine ~client ?fault ~dispatch () in
+  { transport = Simchannel_ref.transport ch;
+    reconnect = (fun () -> Simchannel_ref.reconnect ch);
+    sim_stats =
+      (fun () -> (Simchannel_ref.stats ch, Simchannel_ref.fault_stats ch)) }
+
+(* What one channel makes of a scenario: the records dispatched, in order;
+   what every write and read came to, reads draining the channel at the
+   end included; the stats; and the engine clock. A read that finds the
+   connection closed by a crash reconnects, backing off 100 µs while the
+   server restarts. *)
+let run_sim make (plan, calls, steps) =
+  let engine = Simnet.Engine.create () in
+  let log = ref [] in
+  let ch =
+    make ~engine ~client:Unikernel.Config.hermit.Unikernel.Config.profile
+      ?fault:(Option.map Simnet.Fault.make plan)
+      ~dispatch:(sim_dispatch log) ()
+  in
+  let tr = ch.transport in
+  let rec recover () =
+    match ch.reconnect () with
+    | _ -> ()
+    | exception Oncrpc.Transport.Closed ->
+        Simnet.Engine.advance engine (Time.us 100);
+        recover ()
+  in
+  let outcome f =
+    match f () with
+    | v -> Ok v
+    | exception Oncrpc.Transport.Closed ->
+        recover ();
+        Error "Closed"
+    | exception e -> Error (Printexc.to_string e)
+  in
+  let read n =
+    outcome (fun () ->
+        let buf = Bytes.create n in
+        let got = tr.Oncrpc.Transport.recv buf 0 n in
+        Bytes.sub_string buf 0 got)
+  in
+  let stream = String.concat "" (List.mapi sim_wire calls) in
+  let pos = ref 0 in
+  let results =
+    List.map
+      (function
+        | Write { len; vectored } ->
+            let chunk = String.sub stream !pos len in
+            pos := !pos + len;
+            outcome (fun () ->
+                if vectored && len > 1 then
+                  Oncrpc.Transport.writev tr
+                    [ Xdr.Iovec.slice ~off:0 ~len:(len / 2) chunk;
+                      Xdr.Iovec.slice ~off:(len / 2) ~len:(len - (len / 2)) chunk ]
+                else Oncrpc.Transport.send_string tr chunk;
+                "")
+        | Read n -> read n)
+      steps
+  in
+  let rec drain acc =
+    match read 65_536 with Error _ as r -> List.rev (r :: acc) | r -> drain (r :: acc)
+  in
+  (List.rev !log, results @ drain [], ch.sim_stats (), Simnet.Engine.now engine)
+
+let prop_simchannel_matches_reference =
+  QCheck.Test.make ~count:120
+    ~name:"record-level simchannel == byte-buffer simchannel"
+    (QCheck.make ~print:print_sim_scenario gen_sim_scenario)
+    (fun scenario -> run_sim record_level scenario = run_sim byte_buffer scenario)
+
+(* The one place the two part: a header claiming more than a record may
+   hold, behind complete records written with it. The byte-buffer channel
+   walked up to the header, so it served the records ahead of it and then
+   dropped their replies; the record-level one refuses the exchange before
+   it dispatches anything. Either way the client gets the same
+   [Oversized], the same virtual time passes, no exchange is counted and
+   the next record goes through. *)
+let test_simchannel_oversized_exchange () =
+  let run make =
+    let engine = Simnet.Engine.create () in
+    let log = ref [] in
+    let ch =
+      make ~engine ~client:Unikernel.Config.hermit.Unikernel.Config.profile
+        ?fault:None ~dispatch:(sim_dispatch log) ()
+    in
+    let tr = ch.transport in
+    Oncrpc.Transport.send_string tr
+      (Oncrpc.Record.to_wire "r1" ^ Oncrpc.Record.to_wire "r2"
+      ^ Oncrpc.Record.encode_header ~last:true
+          (Oncrpc.Record.default_max_record_size + 1));
+    let refused =
+      match Oncrpc.Record.read tr with
+      | _ -> "no exception"
+      | exception e -> Printexc.to_string e
+    in
+    let served = List.rev !log in
+    let stats, _ = ch.sim_stats () in
+    let clock = Simnet.Engine.now engine in
+    Oncrpc.Record.write tr "rnext";
+    let next = Oncrpc.Record.read tr in
+    (refused, served, stats, clock, next)
+  in
+  let refused, served, stats, clock, next = run record_level in
+  let refused', served', stats', clock', next' = run byte_buffer in
+  check Alcotest.string "same exception" refused' refused;
+  check Alcotest.bool "Oversized" true
+    (String.length refused > 24
+    && String.sub refused 0 24 = "Oncrpc.Record.Oversized:");
+  check (Alcotest.list Alcotest.string) "record-level: nothing served" [] served;
+  check (Alcotest.list Alcotest.string) "byte-buffer: records ahead served"
+    [ "r1"; "r2" ] served';
+  check Alcotest.bool "same stats" true (stats = stats');
+  check Alcotest.int "no exchange counted" 0 stats.Unikernel.Simchannel.messages;
+  check Alcotest.int64 "same virtual time" clock' clock;
+  check Alcotest.string "next record" "<rnext" next;
+  check Alcotest.string "next record, byte-buffer" next' next
+
 (* Figure 6 calls over the cost-model channel allocate a fixed number of
    words each, however many are made: the at-most-once cache, the reply
    encoder, the record walk and the stream queue all stay flat. The bounds
@@ -514,4 +784,7 @@ let suite =
       test_simchannel_partial_records;
     Alcotest.test_case "small-call allocation is per-call constant" `Quick
       test_small_call_allocation;
+    QCheck_alcotest.to_alcotest prop_simchannel_matches_reference;
+    Alcotest.test_case "simchannel oversized exchange" `Quick
+      test_simchannel_oversized_exchange;
   ]
