@@ -134,20 +134,6 @@ let test_netcost =
            (Simnet.Netcost.one_way_time ~sender:native ~receiver:native
               ~link:Simnet.Link.ethernet_100g (1 lsl 20))))
 
-let test_sched =
-  let jobs =
-    List.init 100 (fun i ->
-        {
-          Cricket.Sched.client = Printf.sprintf "c%d" (i mod 8);
-          arrival = Simnet.Time.us (i * 13);
-          duration = Simnet.Time.us 100;
-          priority = i mod 3;
-        })
-  in
-  Test.make ~name:"substrate/scheduler-100-jobs"
-    (Staged.stage (fun () ->
-         ignore (Cricket.Sched.schedule Cricket.Sched.Round_robin jobs)))
-
 (* --- scatter-gather datapath group ---
 
    Measures the zero-copy tx path against the seed Buffer-based one at
@@ -403,7 +389,7 @@ let test_par_pool =
 let all_tests =
   [
     test_table1; test_fig5a; test_fig5b; test_fig5c; test_fig6; test_fig7;
-    test_xdr; test_record; test_lzss; test_netcost; test_sched;
+    test_xdr; test_record; test_lzss; test_netcost;
     test_tenancy_admission; test_tenancy_drr;
     test_par_chan; test_par_merge; test_par_digest; test_par_pool;
   ]

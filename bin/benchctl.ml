@@ -4,54 +4,11 @@
 
 open Cmdliner
 
-(* Minimal JSON emission for bench artifacts (BENCH_*.json): enough for
-   flat objects/arrays of numbers and strings, no library needed. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let j_str s = "\"" ^ json_escape s ^ "\""
-let j_int n = string_of_int n
-
-let j_float f =
-  if Float.is_finite f then Printf.sprintf "%.6g" f else j_str "nan"
-
-let j_list items = "[" ^ String.concat "," items ^ "]"
-
-let j_obj fields =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> j_str k ^ ":" ^ v) fields)
-  ^ "}"
-
-let write_json path json =
-  let oc = open_out path in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.eprintf "wrote %s\n%!" path
-
 let domains_arg =
   Arg.(value & opt int 1
        & info [ "domains" ] ~docv:"N"
            ~doc:"OCaml domains to execute shards/scenarios on. Never \
                  changes stdout bytes, only wall-clock time.")
-
-let json_arg =
-  Arg.(value & opt (some string) None
-       & info [ "json" ] ~docv:"PATH"
-           ~doc:"Also write a machine-readable result summary (including \
-                 wall-clock throughput) to PATH.")
 
 let config_conv =
   let parse s =
@@ -521,7 +478,7 @@ let tenants_cmd =
         ("priority", Cricket.Sched.Priority) ]
   in
   let run smoke uniform tenants items seed policy mean_gap_us
-      per_tenant_window global_window high_water shards domains json_out =
+      per_tenant_window global_window high_water shards domains =
     let base = if smoke then Tenancy.Loadgen.smoke else Tenancy.Loadgen.default in
     let override v = function Some x -> x | None -> v in
     let params =
@@ -556,8 +513,8 @@ let tenants_cmd =
       }
     in
     (* Time each policy separately so calls/sec is per policy. Wall-clock
-       goes to stderr and the JSON file only: stdout must stay
-       byte-identical across --domains counts (CI diffs it). *)
+       goes to stderr only: stdout must stay byte-identical across
+       --domains counts (a golden diffs it). *)
     let timed =
       List.map
         (fun p ->
@@ -576,45 +533,7 @@ let tenants_cmd =
         Printf.eprintf "wall: %-8s domains=%d %8.3f s %12.0f calls/s\n%!"
           (Cricket.Sched.policy_to_string r.Tenancy.Loadgen.policy)
           params.Tenancy.Loadgen.domains wall (throughput r wall))
-      timed;
-    match json_out with
-    | None -> ()
-    | Some path ->
-        let policy_obj ((r : Tenancy.Loadgen.report), wall) =
-          j_obj
-            [
-              ("policy",
-               j_str (Cricket.Sched.policy_to_string r.Tenancy.Loadgen.policy));
-              ("completed", j_int r.Tenancy.Loadgen.completed);
-              ("rejected_quota", j_int r.Tenancy.Loadgen.rejected_quota);
-              ("rejected_overload", j_int r.Tenancy.Loadgen.rejected_overload);
-              ("rejected_expired", j_int r.Tenancy.Loadgen.rejected_expired);
-              ("errors", j_int r.Tenancy.Loadgen.errors);
-              ("makespan_ms", j_float r.Tenancy.Loadgen.makespan_ms);
-              ("p50_us",
-               j_float r.Tenancy.Loadgen.latency.Tenancy.Loadgen.p50_us);
-              ("p99_us",
-               j_float r.Tenancy.Loadgen.latency.Tenancy.Loadgen.p99_us);
-              ("jain", j_float r.Tenancy.Loadgen.jain);
-              ("events", j_int r.Tenancy.Loadgen.events);
-              ("digest",
-               j_str (Printf.sprintf "%016Lx" r.Tenancy.Loadgen.digest));
-              ("wall_s", j_float wall);
-              ("calls_per_sec", j_float (throughput r wall));
-            ]
-        in
-        write_json path
-          (j_obj
-             [
-               ("bench", j_str "tenants");
-               ("tenants", j_int params.Tenancy.Loadgen.tenants);
-               ("items_per_tenant",
-                j_int params.Tenancy.Loadgen.items_per_tenant);
-               ("seed", j_int params.Tenancy.Loadgen.seed);
-               ("shards", j_int params.Tenancy.Loadgen.shards);
-               ("domains", j_int params.Tenancy.Loadgen.domains);
-               ("policies", j_list (List.map policy_obj timed));
-             ])
+      timed
   in
   Cmd.v
     (Cmd.info "tenants"
@@ -652,12 +571,12 @@ let tenants_cmd =
              & info [ "shards" ] ~docv:"N"
                  ~doc:"Logical serving shards (part of the workload \
                        definition; changing it changes the report).")
-      $ domains_arg $ json_arg)
+      $ domains_arg)
 
 (* --- migrate --- *)
 
 let migrate_cmd =
-  let run smoke seed buf_kib batches dirty_kib budget_us domains json_out =
+  let run smoke seed buf_kib batches dirty_kib budget_us domains =
     let module MH = Migrate.Harness in
     let module ME = Migrate.Engine in
     let buf_kib =
@@ -695,8 +614,7 @@ let migrate_cmd =
       "pause us" "downtime ok" "state";
     (* Every sweep point is an independent simulation: run them across
        domains, then print rows in job order — stdout stays byte-identical
-       for any --domains (CI diffs it). Wall-clock goes only to the JSON
-       artifact. *)
+       for any --domains (a golden diffs it). *)
     let sweep_jobs =
       List.concat_map
         (fun (cfg : Unikernel.Config.t) ->
@@ -706,9 +624,7 @@ let migrate_cmd =
     let sweep =
       Par.Pool.map ~domains
         (fun ((cfg : Unikernel.Config.t), dirty) ->
-          let t0 = Unix.gettimeofday () in
           let r = MH.run (params cfg dirty None) in
-          let wall = Unix.gettimeofday () -. t0 in
           match r.MH.outcome with
           | MH.Completed rep ->
               let kib n = float_of_int n /. 1024. in
@@ -722,49 +638,24 @@ let migrate_cmd =
               let downtime_ok =
                 Simnet.Time.compare rep.ME.pause rep.ME.pause_budget <= 0
               in
-              ( Printf.sprintf
-                  "%-10s %8d KiB %6d %9.1f %10.1f %10.1f %5.1f%% %9.1f %11s  %s\n"
-                  cfg.Unikernel.Config.name dirty
-                  (List.length rep.ME.rounds)
-                  (kib rep.ME.base_bytes)
-                  (kib (rep.ME.total_bytes - rep.ME.base_bytes))
-                  (kib rep.ME.full_total_bytes)
-                  saved pause_us
-                  (if downtime_ok then "yes" else "NO")
-                  (if r.MH.digest_ok then "digest ok" else "DIGEST MISMATCH"),
-                j_obj
-                  [
-                    ("profile", j_str cfg.Unikernel.Config.name);
-                    ("dirty_kib", j_int dirty);
-                    ("outcome", j_str "completed");
-                    ("rounds", j_int (List.length rep.ME.rounds));
-                    ("base_kib", j_float (kib rep.ME.base_bytes));
-                    ("delta_kib",
-                     j_float (kib (rep.ME.total_bytes - rep.ME.base_bytes)));
-                    ("full_kib", j_float (kib rep.ME.full_total_bytes));
-                    ("saved_pct", j_float saved);
-                    ("pause_us", j_float pause_us);
-                    ("downtime_ok", if downtime_ok then "true" else "false");
-                    ("digest_ok", if r.MH.digest_ok then "true" else "false");
-                    ("wall_s", j_float wall);
-                  ] )
+              Printf.sprintf
+                "%-10s %8d KiB %6d %9.1f %10.1f %10.1f %5.1f%% %9.1f %11s  %s\n"
+                cfg.Unikernel.Config.name dirty
+                (List.length rep.ME.rounds)
+                (kib rep.ME.base_bytes)
+                (kib (rep.ME.total_bytes - rep.ME.base_bytes))
+                (kib rep.ME.full_total_bytes)
+                saved pause_us
+                (if downtime_ok then "yes" else "NO")
+                (if r.MH.digest_ok then "digest ok" else "DIGEST MISMATCH")
           | MH.Aborted { phase; reason } ->
-              ( Printf.sprintf "%-10s %8d KiB  aborted at %s: %s\n"
-                  cfg.Unikernel.Config.name dirty
-                  (ME.phase_to_string phase)
-                  reason,
-                j_obj
-                  [
-                    ("profile", j_str cfg.Unikernel.Config.name);
-                    ("dirty_kib", j_int dirty);
-                    ("outcome", j_str "aborted");
-                    ("phase", j_str (ME.phase_to_string phase));
-                    ("reason", j_str reason);
-                    ("wall_s", j_float wall);
-                  ] ))
+              Printf.sprintf "%-10s %8d KiB  aborted at %s: %s\n"
+                cfg.Unikernel.Config.name dirty
+                (ME.phase_to_string phase)
+                reason)
         sweep_jobs
     in
-    List.iter (fun (row, _) -> print_string row) sweep;
+    List.iter print_string sweep;
     (* Adversarial plans against the migration channel. Every scenario must
        end in one of exactly two states: session handed off (destination
        serving) or clean rollback (source serving) — never half-moved. *)
@@ -795,11 +686,9 @@ let migrate_cmd =
     let chaos =
       Par.Pool.map ~domains
         (fun (name, plan) ->
-          let t0 = Unix.gettimeofday () in
           let r =
             MH.run (params Unikernel.Config.rust_native chaos_dirty (Some plan))
           in
-          let wall = Unix.gettimeofday () -. t0 in
           let injected =
             match r.MH.fault_stats with
             | Some s -> Simnet.Fault.injected s + s.Simnet.Fault.crashes_fired
@@ -830,35 +719,12 @@ let migrate_cmd =
                 then "lease on src"
                 else "LEASE LEAK"
           in
-          ( Printf.sprintf "  %-42s %3d faults  %-38s %-12s %s\n" name injected
-              state authority
-              (if r.MH.digest_ok then "digest ok" else "DIGEST MISMATCH"),
-            j_obj
-              [
-                ("scenario", j_str name);
-                ("faults", j_int injected);
-                ("state", j_str state);
-                ("authority", j_str authority);
-                ("digest_ok", if r.MH.digest_ok then "true" else "false");
-                ("wall_s", j_float wall);
-              ] ))
+          Printf.sprintf "  %-42s %3d faults  %-38s %-12s %s\n" name injected
+            state authority
+            (if r.MH.digest_ok then "digest ok" else "DIGEST MISMATCH"))
         scenarios
     in
-    List.iter (fun (row, _) -> print_string row) chaos;
-    match json_out with
-    | None -> ()
-    | Some path ->
-        write_json path
-          (j_obj
-             [
-               ("bench", j_str "migrate");
-               ("seed", j_int seed);
-               ("domains", j_int domains);
-               ("buf_kib", j_int buf_kib);
-               ("batches", j_int batches);
-               ("sweep", j_list (List.map snd sweep));
-               ("chaos", j_list (List.map snd chaos));
-             ])
+    List.iter print_string chaos
   in
   Cmd.v
     (Cmd.info "migrate"
@@ -890,12 +756,12 @@ let migrate_cmd =
              & info [ "pause-budget-us" ] ~docv:"US"
                  ~doc:"Abort instead of committing if stop-and-copy exceeds \
                        this.")
-      $ domains_arg $ json_arg)
+      $ domains_arg)
 
 (* --- rpcacc --- *)
 
 let rpcacc_cmd =
-  let run smoke calls arg_bytes window domains json_out =
+  let run smoke calls arg_bytes window domains =
     let module RB = Unikernel.Rpcbench in
     let calls =
       match calls with Some c -> c | None -> if smoke then 384 else 2048
@@ -913,7 +779,7 @@ let rpcacc_cmd =
       "flushes" "avg-batch";
     (* Every cell is an independent simulation: run them across domains
        and print in job order, so stdout is byte-identical for any
-       --domains value (CI diffs it). *)
+       --domains value (a golden diffs it). *)
     let jobs =
       List.concat_map
         (fun profile -> List.map (fun mode -> (profile, mode)) RB.modes)
@@ -922,103 +788,50 @@ let rpcacc_cmd =
     let cells =
       Par.Pool.map ~domains
         (fun (profile, mode) ->
-          let t0 = Unix.gettimeofday () in
-          let r = RB.run ~calls ~arg_bytes ~window ~profile ~mode () in
-          let wall = Unix.gettimeofday () -. t0 in
-          (r, wall))
+          RB.run ~calls ~arg_bytes ~window ~profile ~mode ())
         jobs
     in
-    let by_profile =
-      List.map
-        (fun (name, _) ->
-          ( name,
-            List.filter (fun (r, _) -> r.RB.profile = name) cells ))
-        (RB.profiles ())
-    in
-    let profile_objs =
-      List.map
-        (fun (name, cells) ->
-          let software =
-            List.find (fun (r, _) -> r.RB.mode = RB.Software) cells
-            |> fun (r, _) -> r.RB.calls_per_sec
-          in
-          let mode_objs =
-            List.map
-              (fun ((r : RB.result), wall) ->
-                let speedup =
-                  if software > 0. then r.RB.calls_per_sec /. software else 0.
-                in
-                let flushes, avg_batch =
-                  match r.RB.doorbell with
-                  | Some d when d.Oncrpc.Doorbell.flushes > 0 ->
-                      ( d.Oncrpc.Doorbell.flushes,
-                        float_of_int d.Oncrpc.Doorbell.batched
-                        /. float_of_int d.Oncrpc.Doorbell.flushes )
-                  | _ -> (0, 0.)
-                in
-                let parse_hits, steered =
-                  match r.RB.rpcdev with
-                  | Some s ->
-                      (s.Tcpstack.Rpcdev.parse_hits, s.Tcpstack.Rpcdev.steered)
-                  | None -> (0, 0)
-                in
-                Printf.printf
-                  "%-12s %-22s %-42s %10.1f %7.2fx %10d %8d %8d %9.1f\n"
-                  r.RB.profile (RB.mode_name r.RB.mode)
-                  (offload_str r.RB.negotiated)
-                  (r.RB.calls_per_sec /. 1e3)
-                  speedup parse_hits steered flushes avg_batch;
-                j_obj
-                  [
-                    ("mode", j_str (RB.mode_name r.RB.mode));
-                    ("negotiated", j_str (offload_str r.RB.negotiated));
-                    ("calls_per_sec", j_float r.RB.calls_per_sec);
-                    ("speedup", j_float speedup);
-                    ("elapsed_us",
-                     j_float (Simnet.Time.to_float_us r.RB.elapsed));
-                    ("parse_hits", j_int parse_hits);
-                    ("steered", j_int steered);
-                    ("flushes", j_int flushes);
-                    ("avg_batch", j_float avg_batch);
-                    ("dup_hits", j_int r.RB.dup_hits);
-                    ("admission_rejects", j_int r.RB.admission_rejects);
-                    ("reply_digest",
-                     j_str (Printf.sprintf "%016Lx" r.RB.reply_digest));
-                    ("wall_s", j_float wall);
-                  ])
-              cells
-          in
-          let digests =
-            List.map (fun (r, _) -> r.RB.reply_digest) cells
-          in
-          let parity =
-            match digests with
-            | [] -> true
-            | d :: rest -> List.for_all (Int64.equal d) rest
-          in
-          Printf.printf "%-12s %-22s reply streams byte-identical: %s\n" name
-            "(digest parity)"
-            (if parity then "yes" else "NO — MODES DIVERGE");
-          j_obj
-            [
-              ("profile", j_str name);
-              ("digest_parity", if parity then "true" else "false");
-              ("modes", j_list mode_objs);
-            ])
-        by_profile
-    in
-    match json_out with
-    | None -> ()
-    | Some path ->
-        write_json path
-          (j_obj
-             [
-               ("bench", j_str "rpcacc");
-               ("calls", j_int calls);
-               ("arg_bytes", j_int arg_bytes);
-               ("window", j_int window);
-               ("profiles", j_list profile_objs);
-             ])
+    List.iter
+      (fun (name, _) ->
+        let cells = List.filter (fun r -> r.RB.profile = name) cells in
+        let software =
+          (List.find (fun r -> r.RB.mode = RB.Software) cells).RB.calls_per_sec
+        in
+        List.iter
+          (fun (r : RB.result) ->
+            let speedup =
+              if software > 0. then r.RB.calls_per_sec /. software else 0.
+            in
+            let flushes, avg_batch =
+              match r.RB.doorbell with
+              | Some d when d.Oncrpc.Doorbell.flushes > 0 ->
+                  ( d.Oncrpc.Doorbell.flushes,
+                    float_of_int d.Oncrpc.Doorbell.batched
+                    /. float_of_int d.Oncrpc.Doorbell.flushes )
+              | _ -> (0, 0.)
+            in
+            let parse_hits, steered =
+              match r.RB.rpcdev with
+              | Some s ->
+                  (s.Tcpstack.Rpcdev.parse_hits, s.Tcpstack.Rpcdev.steered)
+              | None -> (0, 0)
+            in
+            Printf.printf
+              "%-12s %-22s %-42s %10.1f %7.2fx %10d %8d %8d %9.1f\n"
+              r.RB.profile (RB.mode_name r.RB.mode)
+              (offload_str r.RB.negotiated)
+              (r.RB.calls_per_sec /. 1e3)
+              speedup parse_hits steered flushes avg_batch)
+          cells;
+        let parity =
+          match List.map (fun r -> r.RB.reply_digest) cells with
+          | [] -> true
+          | d :: rest -> List.for_all (Int64.equal d) rest
+        in
+        Printf.printf "%-12s %-22s reply streams byte-identical: %s\n" name
+          "(digest parity)"
+          (if parity then "yes" else "NO — MODES DIVERGE"))
+      (RB.profiles ())
   in
   Cmd.v
     (Cmd.info "rpcacc"
@@ -1038,12 +851,12 @@ let rpcacc_cmd =
       $ Arg.(value & opt int 32
              & info [ "window" ] ~docv:"N"
                  ~doc:"Pipeline window / doorbell batch size.")
-      $ domains_arg $ json_arg)
+      $ domains_arg)
 
 (* --- fleet: heterogeneous multi-GPU superoptimizer sweep --- *)
 
 let fleet_cmd =
-  let run smoke max_len batch domains json_out =
+  let run smoke max_len batch domains =
     let max_len = match max_len with Some l -> l | None -> if smoke then 4 else 6 in
     let batch = match batch with Some b -> b | None -> if smoke then 256 else 2048 in
     let specs =
@@ -1100,7 +913,7 @@ let fleet_cmd =
 
     (* Every (mix, policy) cell is an independent simulation; run the
        cells across domains and print in job order so stdout is
-       byte-identical for any --domains. Wall-clock goes only to JSON. *)
+       byte-identical for any --domains. *)
     let cells =
       List.concat_map
         (fun mix -> List.map (fun p -> (mix, p)) policies)
@@ -1109,7 +922,6 @@ let fleet_cmd =
     let results =
       Par.Pool.map ~domains
         (fun ((mix_name, devices), policy) ->
-          let t0 = Unix.gettimeofday () in
           let cluster = Fleet.Cluster.create ~policy devices in
           let findings =
             List.map
@@ -1126,12 +938,11 @@ let fleet_cmd =
               specs
           in
           let makespan = Fleet.Cluster.barrier cluster in
-          let wall = Unix.gettimeofday () -. t0 in
           ( mix_name, policy, findings, makespan,
             Fleet.Cluster.stats cluster,
             Fleet.Cluster.total_launches cluster,
             Fleet.Cluster.incompatible_launches cluster,
-            Fleet.Cluster.digest cluster, wall ))
+            Fleet.Cluster.digest cluster ))
         cells
     in
 
@@ -1139,12 +950,12 @@ let fleet_cmd =
        cell must find the same programs. *)
     let reference_findings =
       match results with
-      | (_, _, f, _, _, _, _, _, _) :: _ -> f
+      | (_, _, f, _, _, _, _, _) :: _ -> f
       | [] -> []
     in
     let parity =
       List.for_all
-        (fun (_, _, f, _, _, _, _, _, _) ->
+        (fun (_, _, f, _, _, _, _, _) ->
           List.for_all2
             (fun (_, a) (_, b) ->
               a.Apps.Superopt.program = b.Apps.Superopt.program)
@@ -1170,64 +981,35 @@ let fleet_cmd =
       reference_findings;
     print_newline ();
 
-    let cell_objs =
-      List.map
-        (fun (mix_name, policy, findings, makespan, stats, launches, incompat,
-              digest, wall) ->
-          let candidates =
-            List.fold_left
-              (fun acc (_, r) -> acc + r.Apps.Superopt.candidates)
-              0 findings
-          in
-          Printf.printf
-            "%-7s %-4s  makespan %8.3f ms  %6d launches  %8d candidates  \
-             incompat %d  digest %016Lx\n"
-            mix_name
-            (Fleet.Cluster.policy_name policy)
-            (Simnet.Time.to_float_ms makespan)
-            launches candidates incompat digest;
-          List.iter
-            (fun (s : Fleet.Cluster.device_stats) ->
-              Printf.printf
-                "        dev %d %-22s %6d launches  busy %8.3f ms  util %5.1f%%\n"
-                s.Fleet.Cluster.ds_id
-                s.Fleet.Cluster.ds_name s.Fleet.Cluster.ds_launches
-                (Simnet.Time.to_float_ms s.Fleet.Cluster.ds_busy)
-                (100. *. s.Fleet.Cluster.ds_utilization))
-            stats;
-          j_obj
-            [
-              ("mix", j_str mix_name);
-              ("policy", j_str (Fleet.Cluster.policy_name policy));
-              ("makespan_ms", j_float (Simnet.Time.to_float_ms makespan));
-              ("launches", j_int launches);
-              ("candidates", j_int candidates);
-              ("incompatible", j_int incompat);
-              ("digest", j_str (Printf.sprintf "%016Lx" digest));
-              ( "devices",
-                j_list
-                  (List.map
-                     (fun (s : Fleet.Cluster.device_stats) ->
-                       j_obj
-                         [
-                           ("id", j_int s.Fleet.Cluster.ds_id);
-                           ("name", j_str s.Fleet.Cluster.ds_name);
-                           ("launches", j_int s.Fleet.Cluster.ds_launches);
-                           ( "busy_ms",
-                             j_float
-                               (Simnet.Time.to_float_ms s.Fleet.Cluster.ds_busy) );
-                           ( "utilization",
-                             j_float s.Fleet.Cluster.ds_utilization );
-                         ])
-                     stats) );
-              ("wall_s", j_float wall);
-            ])
-        results
-    in
+    List.iter
+      (fun (mix_name, policy, findings, makespan, stats, launches, incompat,
+            digest) ->
+        let candidates =
+          List.fold_left
+            (fun acc (_, r) -> acc + r.Apps.Superopt.candidates)
+            0 findings
+        in
+        Printf.printf
+          "%-7s %-4s  makespan %8.3f ms  %6d launches  %8d candidates  \
+           incompat %d  digest %016Lx\n"
+          mix_name
+          (Fleet.Cluster.policy_name policy)
+          (Simnet.Time.to_float_ms makespan)
+          launches candidates incompat digest;
+        List.iter
+          (fun (s : Fleet.Cluster.device_stats) ->
+            Printf.printf
+              "        dev %d %-22s %6d launches  busy %8.3f ms  util %5.1f%%\n"
+              s.Fleet.Cluster.ds_id
+              s.Fleet.Cluster.ds_name s.Fleet.Cluster.ds_launches
+              (Simnet.Time.to_float_ms s.Fleet.Cluster.ds_busy)
+              (100. *. s.Fleet.Cluster.ds_utilization))
+          stats)
+      results;
     print_newline ();
     let makespan_of mix policy =
       List.find_map
-        (fun (m, p, _, makespan, _, _, _, _, _) ->
+        (fun (m, p, _, makespan, _, _, _, _) ->
           if m = mix && p = policy then Some makespan else None)
         results
     in
@@ -1366,20 +1148,7 @@ let fleet_cmd =
             | () -> Printf.printf "  set_device(-1): unexpectedly succeeded\n"
             | exception Cudasim.Error.Cuda_error e ->
                 Printf.printf "  set_device(-1): typed CUDA error (%s)\n"
-                  (Cudasim.Error.to_string e))));
-    (match json_out with
-    | None -> ()
-    | Some path ->
-        write_json path
-          (j_obj
-             [
-               ("bench", j_str "fleet");
-               ("max_len", j_int max_len);
-               ("batch", j_int batch);
-               ("specs", j_int (List.length specs));
-               ("parity", if parity then "true" else "false");
-               ("cells", j_list cell_objs);
-             ]))
+                  (Cudasim.Error.to_string e))))
   in
   Cmd.v
     (Cmd.info "fleet"
@@ -1398,7 +1167,7 @@ let fleet_cmd =
                  ~doc:"Longest program length to search.")
       $ Arg.(value & opt (some int) None
              & info [ "batch" ] ~docv:"N" ~doc:"Candidates per launch.")
-      $ domains_arg $ json_arg)
+      $ domains_arg)
 
 let main =
   Cmd.group

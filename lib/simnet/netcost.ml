@@ -6,6 +6,10 @@ type breakdown = {
   total : Time.t;
 }
 
+(* Every count here is an int: the polymorphic [Stdlib.max] would make
+   each stage cost a call into the runtime's generic compare. *)
+let max (a : int) b = if a >= b then a else b
+
 let ceil_div a b = (a + b - 1) / b
 
 (* Socket reads/writes move data in 64 KiB chunks (the size RPC-Lib and

@@ -1,9 +1,8 @@
 (** Online fair-share dispatch for the serving core.
 
-    Generalizes the offline {!Cricket.Sched} policies into an online
-    queue: work arrives over (virtual) time, and the dispatcher decides
-    which tenant's head-of-line item runs next. The policy type is shared
-    with the offline scheduler so benchmarks compare like for like.
+    Implements the {!Cricket.Sched} policies as an online queue: work
+    arrives over (virtual) time, and the dispatcher decides which
+    tenant's head-of-line item runs next.
 
     - [Fifo] — one global arrival-order queue; no isolation.
     - [Round_robin] — deficit round robin (DRR) across tenants. Each

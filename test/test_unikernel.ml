@@ -629,72 +629,98 @@ let test_futures_improve_unikernels () =
   check Alcotest.int "four variants" 4
     (List.length (Unikernel.Futures.variants Unikernel.Config.hermit))
 
-(* --- multi-tenant sharing (§5) --- *)
+(* --- multi-tenant sharing (§5) ---
 
-let tenant name priority steps =
-  {
-    Unikernel.Multitenant.name;
-    config = Unikernel.Config.hermit;
-    priority;
-    work =
-      List.init steps (fun _ client ->
-          let d = Cricket.Client.malloc client 4096 in
-          Cricket.Client.free client d);
-  }
+   Tenants share one server and GPU through Tenancy.Core (1 ns quantum,
+   unlimited admission), each with its own Hermit RPC channel dispatching
+   under its tenant identity; every step is one core item arriving at 0.
+   [share] returns the core's result and when each tenant's last step
+   finished. *)
 
-let finished report name =
-  (List.find
-     (fun t -> t.Unikernel.Multitenant.tenant = name)
-     report.Unikernel.Multitenant.tenants)
-    .Unikernel.Multitenant.finished_at
+let share ~policy tenants =
+  let engine = Simnet.Engine.create () in
+  let server =
+    Cricket.Server.create ~clock:(Cudasim.Context.engine_clock engine) ()
+  in
+  let spec (name, priority, _) = { Tenancy.Core.name; priority; caps = None } in
+  let core =
+    Tenancy.Core.create ~engine ~server ~policy ~quantum_ns:1
+      ~admission:Tenancy.Admission.unlimited
+      ~tenants:(Array.of_list (List.map spec tenants))
+      ()
+  in
+  let cfg = Unikernel.Config.hermit in
+  let finished_at = Array.make (List.length tenants) Time.zero in
+  let items i (_, _, steps) =
+    let channel =
+      Unikernel.Simchannel.create ~engine ~client:cfg.Unikernel.Config.profile
+        ~dispatch:(Tenancy.Core.dispatch_for core ~tenant:i) ()
+    in
+    let client =
+      Cricket.Client.create ~launch_extra_ns:cfg.Unikernel.Config.launch_extra_ns
+        ~charge:(Simnet.Engine.advance_ns engine)
+        ~transport:(Unikernel.Simchannel.transport channel)
+        ()
+    in
+    List.map
+      (fun step ->
+        let work () =
+          step client;
+          finished_at.(i) <- Simnet.Engine.now engine
+        in
+        { Tenancy.Core.tenant = i; arrival = Time.zero; work })
+      steps
+  in
+  (Tenancy.Core.run core (List.concat (List.mapi items tenants)), finished_at)
 
 let test_multitenant_policies () =
-  let specs = [ tenant "big" 5 30; tenant "small" 1 5 ] in
-  let fifo = Unikernel.Multitenant.run ~policy:Cricket.Sched.Fifo specs in
-  let rr = Unikernel.Multitenant.run ~policy:Cricket.Sched.Round_robin specs in
-  let prio = Unikernel.Multitenant.run ~policy:Cricket.Sched.Priority specs in
+  let step client =
+    Cricket.Client.free client (Cricket.Client.malloc client 4096)
+  in
+  let tenants =
+    [ ("big", 5, List.init 30 (fun _ -> step));
+      ("small", 1, List.init 5 (fun _ -> step)) ]
+  in
+  let fifo, fifo_at = share ~policy:Cricket.Sched.Fifo tenants in
+  let rr, rr_at = share ~policy:Cricket.Sched.Round_robin tenants in
+  let prio, prio_at = share ~policy:Cricket.Sched.Priority tenants in
   (* all work completes under every policy, same total *)
   List.iter
-    (fun r ->
-      check Alcotest.int "tenants" 2 (List.length r.Unikernel.Multitenant.tenants);
-      List.iter
-        (fun t ->
-          check Alcotest.bool "all steps ran" true
-            (t.Unikernel.Multitenant.steps > 0))
-        r.Unikernel.Multitenant.tenants)
+    (fun (r : Tenancy.Core.result) ->
+      check Alcotest.int "tenants" 2 (Array.length r.tenants);
+      Array.iter2
+        (fun (t : Tenancy.Core.tenant_result) steps ->
+          check Alcotest.int "all steps ran" steps t.completed;
+          check Alcotest.int "no step failed" 0 t.errors)
+        r.tenants [| 30; 5 |])
     [ fifo; rr; prio ];
   (* fifo makes "small" wait behind "big"; rr and priority do not *)
   check Alcotest.bool "rr helps small tenant" true
-    (Time.compare (finished rr "small") (finished fifo "small") < 0);
+    (Time.compare rr_at.(1) fifo_at.(1) < 0);
   check Alcotest.bool "priority helps small most" true
-    (Time.compare (finished prio "small") (finished rr "small") <= 0);
+    (Time.compare prio_at.(1) rr_at.(1) <= 0);
   (* makespan is policy-independent (work conserving) *)
-  check Alcotest.int64 "same makespan" fifo.Unikernel.Multitenant.makespan
-    rr.Unikernel.Multitenant.makespan
+  check Alcotest.int64 "same makespan" fifo.makespan rr.makespan
 
 let test_multitenant_isolation () =
   (* tenants get distinct allocations on the shared GPU; interleaving must
      not corrupt them *)
   let pattern i = Bytes.make 512 (Char.chr (0x30 + i)) in
   let results = Array.make 3 false in
-  let specs =
+  let tenants =
     List.init 3 (fun i ->
-        {
-          Unikernel.Multitenant.name = Printf.sprintf "t%d" i;
-          config = Unikernel.Config.hermit;
-          priority = 1;
-          work =
-            [
-              (fun client ->
-                let d = Cricket.Client.malloc client 512 in
-                Cricket.Client.memcpy_h2d client ~dst:d (pattern i);
-                let back = Cricket.Client.memcpy_d2h client ~src:d ~len:512 in
-                results.(i) <- Bytes.equal back (pattern i);
-                Cricket.Client.free client d);
-            ];
-        })
+        ( Printf.sprintf "t%d" i,
+          1,
+          [
+            (fun client ->
+              let d = Cricket.Client.malloc client 512 in
+              Cricket.Client.memcpy_h2d client ~dst:d (pattern i);
+              let back = Cricket.Client.memcpy_d2h client ~src:d ~len:512 in
+              results.(i) <- Bytes.equal back (pattern i);
+              Cricket.Client.free client d);
+          ] ))
   in
-  ignore (Unikernel.Multitenant.run ~policy:Cricket.Sched.Round_robin specs);
+  ignore (share ~policy:Cricket.Sched.Round_robin tenants);
   Array.iteri
     (fun i ok -> check Alcotest.bool (Printf.sprintf "tenant %d intact" i) true ok)
     results
