@@ -46,14 +46,11 @@ type result = {
   calls : int;
   arg_bytes : int;
   window : int;
-  elapsed : Time.t;
   calls_per_sec : float;
   negotiated : O.t;
   rpcdev : Tcpstack.Rpcdev.stats option;
   doorbell : Oncrpc.Doorbell.stats option;
   channel : Tcpchannel.stats;
-  dup_hits : int;
-  admission_rejects : int;
   reply_digest : int64;
 }
 
@@ -97,14 +94,12 @@ let run ?(calls = 2048) ?(arg_bytes = 64) ?(window = 32) ?obs
     Tenancy.Admission.create ~config:Tenancy.Admission.unlimited ~n_tenants:1
       ()
   in
-  let admission_rejects = ref 0 in
   (* the host dispatch path for device-parsed entries: admission gate on
      the steered tenant ident, then the header-skip fast path; rejections
      answer straight from the device-parsed xid *)
   let dispatch_parsed ~ident:_ (p : Tcpstack.Rpcdev.parsed) record =
     match Tenancy.Admission.offer admission ~tenant:0 with
     | Error reason ->
-        incr admission_rejects;
         let reject =
           match reason with
           | Tenancy.Admission.Over_quota -> `Over_quota
@@ -157,22 +152,18 @@ let run ?(calls = 2048) ?(arg_bytes = 64) ?(window = 32) ?obs
       incr received
     done
   done;
-  let elapsed = Time.sub (Engine.now engine) t0 in
-  let secs = Time.to_float_s elapsed in
+  let secs = Time.to_float_s (Time.sub (Engine.now engine) t0) in
   {
     profile = name;
     mode;
     calls;
     arg_bytes;
     window;
-    elapsed;
     calls_per_sec = (if secs > 0. then float_of_int calls /. secs else 0.);
     negotiated = Tcpchannel.negotiated_rpc ch;
     rpcdev = Tcpchannel.rpcdev_stats ch;
     doorbell = Tcpchannel.doorbell_stats ch;
     channel = Tcpchannel.stats ch;
-    dup_hits = Oncrpc.Server.dup_hits srv;
-    admission_rejects = !admission_rejects;
     reply_digest = !digest;
   }
 

@@ -25,14 +25,11 @@ type result = {
   calls : int;
   arg_bytes : int;
   window : int;
-  elapsed : Simnet.Time.t;
   calls_per_sec : float;  (** virtual-time throughput *)
   negotiated : Simnet.Offload.t;
   rpcdev : Tcpstack.Rpcdev.stats option;
   doorbell : Oncrpc.Doorbell.stats option;
   channel : Tcpchannel.stats;
-  dup_hits : int;
-  admission_rejects : int;
   reply_digest : int64;  (** FNV-1a over the reply byte stream *)
 }
 
