@@ -528,11 +528,17 @@ let tenants_cmd =
       if wall > 0. then float_of_int r.Tenancy.Loadgen.completed /. wall
       else 0.
     in
+    let name (r : Tenancy.Loadgen.report) =
+      Cricket.Sched.policy_to_string r.Tenancy.Loadgen.policy
+    in
+    let width =
+      List.fold_left (fun w (r, _) -> max w (String.length (name r))) 0 timed
+    in
     List.iter
-      (fun ((r : Tenancy.Loadgen.report), wall) ->
-        Printf.eprintf "wall: %-8s domains=%d %8.3f s %12.0f calls/s\n%!"
-          (Cricket.Sched.policy_to_string r.Tenancy.Loadgen.policy)
-          params.Tenancy.Loadgen.domains wall (throughput r wall))
+      (fun (r, wall) ->
+        Printf.eprintf "wall: %-*s domains=%d %8.3f s %12.0f calls/s\n%!"
+          width (name r) params.Tenancy.Loadgen.domains wall
+          (throughput r wall))
       timed
   in
   Cmd.v

@@ -37,15 +37,14 @@ type stats = {
   bytes_received : int;
 }
 
-(* A sent-but-unacknowledged segment, kept for retransmission. The payload
-   is a scatter-gather view aliasing the send ring's storage. *)
-type pending = {
-  seq : Seqnum.t;
-  payload : Xdr.Iovec.t;
-  plen : int;
-  syn : bool;
-  fin : bool;
-}
+(* The retransmit queue: sent-but-unacknowledged segments, seq-ordered
+   and oldest first, in parallel arrays used as a ring of [rq_len] slots
+   from [rq_head]. A payload is a scatter-gather view aliasing the send
+   ring's storage; a popped slot's payload is reset to [[]], so the ring
+   does not keep acknowledged data reachable. [rq_ctl] holds a segment's
+   SYN ([ctl_syn]) and FIN ([ctl_fin]) bits. *)
+let ctl_syn = 1
+let ctl_fin = 2
 
 type t = {
   engine : Engine.t;
@@ -68,7 +67,12 @@ type t = {
   mutable ooo : (Seqnum.t * Xdr.Iovec.t * int) list;
       (* out-of-order segments, sorted by seq *)
   mutable ooo_count : int;
-  inflight : pending Queue.t;  (* seq-ordered, oldest first *)
+  mutable rq_seq : Seqnum.t array;
+  mutable rq_payload : Xdr.Iovec.t array;
+  mutable rq_plen : int array;
+  mutable rq_ctl : int array;
+  mutable rq_head : int;
+  mutable rq_len : int;
   mutable fin_queued : bool;
   mutable fin_sent : bool;
   mutable tx : Frame.t -> unit;
@@ -106,7 +110,12 @@ let create ~engine ~name ~mss ~iss ~local_port ~remote_port
     recv_pos = 0;
     ooo = [];
     ooo_count = 0;
-    inflight = Queue.create ();
+    rq_seq = Array.make 16 0;
+    rq_payload = Array.make 16 [];
+    rq_plen = Array.make 16 0;
+    rq_ctl = Array.make 16 0;
+    rq_head = 0;
+    rq_len = 0;
     fin_queued = false;
     fin_sent = false;
     tx = (fun _ -> ());
@@ -169,15 +178,18 @@ let send_ack t = emit t ~payload:[] ~plen:0 ~seq:t.snd_nxt ~flags:ack_flags
 
 (* Every segment carries ACK except the initial SYN of an active open
    (which is also what a retransmission must reproduce). *)
-let pending_flags t (p : pending) =
-  if p.plen > 0 && not (p.syn || p.fin) then data_flags
+let pending_flags t ~plen ~ctl =
+  if plen > 0 && ctl = 0 then data_flags
   else
-    { Segment.syn = p.syn; fin = p.fin; rst = false;
-      psh = p.plen > 0;
-      ack = not (p.syn && t.state = Syn_sent) }
+    let syn = ctl land ctl_syn <> 0 in
+    { Segment.syn; fin = ctl land ctl_fin <> 0; rst = false; psh = plen > 0;
+      ack = not (syn && t.state = Syn_sent) }
 
-let transmit_pending t p =
-  emit t ~payload:p.payload ~plen:p.plen ~seq:p.seq ~flags:(pending_flags t p)
+(* Put the retransmit queue's slot [i] on the wire. *)
+let transmit_pending t i =
+  let plen = t.rq_plen.(i) in
+  emit t ~payload:t.rq_payload.(i) ~plen ~seq:t.rq_seq.(i)
+    ~flags:(pending_flags t ~plen ~ctl:t.rq_ctl.(i))
 
 let max_rto_backoff = 6 (* cap the timer at 64x its base value *)
 
@@ -194,7 +206,7 @@ let rec arm_rto t =
   Engine.schedule_after t.engine rto (fun () -> on_rto t generation)
 
 and on_rto t generation =
-  if generation = t.rto_generation && (not (Queue.is_empty t.inflight))
+  if generation = t.rto_generation && t.rq_len > 0
      && t.state <> Closed
   then begin
     t.retransmit_count <- t.retransmit_count + 1;
@@ -208,21 +220,55 @@ and on_rto t generation =
       t.dup_acks <- 0;
       t.retransmissions <- t.retransmissions + 1;
       Obs.Recorder.incr t.obs "tcp.retransmit";
-      transmit_pending t (Queue.peek t.inflight);
+      transmit_pending t t.rq_head;
       arm_rto t
     end
   end
 
-(* Sequence number just past a segment (SYN and FIN each take one). *)
-let seg_end (p : pending) =
-  Seqnum.add p.seq (p.plen + (if p.syn then 1 else 0) + if p.fin then 1 else 0)
+(* Sequence number just past the segment in slot [i] (SYN and FIN each
+   take one). *)
+let seg_end t i =
+  let ctl = t.rq_ctl.(i) in
+  Seqnum.add t.rq_seq.(i)
+    (t.rq_plen.(i)
+    + (if ctl land ctl_syn <> 0 then 1 else 0)
+    + if ctl land ctl_fin <> 0 then 1 else 0)
 
-(* Track a new sequence-space-consuming segment and put it on the wire. *)
-let send_pending t (p : pending) =
-  Queue.add p t.inflight;
-  t.snd_nxt <- seg_end p;
-  transmit_pending t p;
-  if Queue.length t.inflight = 1 then arm_rto t
+(* The ring's capacity is a power of two, so an index wraps by masking. *)
+let[@inline] rq_wrap t i = i land (Array.length t.rq_seq - 1)
+
+(* Double the retransmit queue's capacity, oldest segment first. *)
+let grow_rq t =
+  let cap = Array.length t.rq_seq in
+  let copy a fill =
+    Array.init (2 * cap) (fun k ->
+        if k < cap then a.((t.rq_head + k) land (cap - 1)) else fill)
+  in
+  t.rq_seq <- copy t.rq_seq 0;
+  t.rq_payload <- copy t.rq_payload [];
+  t.rq_plen <- copy t.rq_plen 0;
+  t.rq_ctl <- copy t.rq_ctl 0;
+  t.rq_head <- 0
+
+(* Track a new sequence-space-consuming segment, starting at snd_nxt, and
+   put it on the wire. *)
+let send_pending t ~payload ~plen ~ctl =
+  if t.rq_len = Array.length t.rq_seq then grow_rq t;
+  let i = rq_wrap t (t.rq_head + t.rq_len) in
+  t.rq_seq.(i) <- t.snd_nxt;
+  t.rq_payload.(i) <- payload;
+  t.rq_plen.(i) <- plen;
+  t.rq_ctl.(i) <- ctl;
+  t.rq_len <- t.rq_len + 1;
+  t.snd_nxt <- seg_end t i;
+  transmit_pending t i;
+  if t.rq_len = 1 then arm_rto t
+
+(* Pop the oldest segment of the retransmit queue. *)
+let pop_pending t =
+  t.rq_payload.(t.rq_head) <- [];
+  t.rq_head <- rq_wrap t (t.rq_head + 1);
+  t.rq_len <- t.rq_len - 1
 
 (* Segment whatever the window allows out of the send ring. [take] hands
    back aliased slice views, so cutting a segment is O(slices touched) —
@@ -236,16 +282,14 @@ let rec pump t =
       if buffered > 0 && window_left > 0 then begin
         let len = min (min t.tx_burst buffered) window_left in
         let payload = Txring.take t.send_buf len in
-        send_pending t
-          { seq = t.snd_nxt; payload; plen = len; syn = false; fin = false };
+        send_pending t ~payload ~plen:len ~ctl:0;
         pump t
       end
       else if
         buffered = 0 && t.fin_queued && (not t.fin_sent) && window_left > 0
       then begin
         t.fin_sent <- true;
-        send_pending t
-          { seq = t.snd_nxt; payload = []; plen = 0; syn = false; fin = true };
+        send_pending t ~payload:[] ~plen:0 ~ctl:ctl_fin;
         match t.state with
         | Established -> t.state <- Fin_wait_1
         | Close_wait -> t.state <- Last_ack
@@ -256,8 +300,7 @@ let rec pump t =
 let connect t =
   if t.state <> Closed then invalid_arg "Endpoint.connect: not closed";
   t.state <- Syn_sent;
-  send_pending t
-    { seq = t.snd_nxt; payload = []; plen = 0; syn = true; fin = false }
+  send_pending t ~payload:[] ~plen:0 ~ctl:ctl_syn
 
 let listen t =
   if t.state <> Closed then invalid_arg "Endpoint.listen: not closed";
@@ -326,13 +369,10 @@ let process_ack t (f : Frame.t) =
         (if t.cwnd < t.ssthresh then t.cwnd + t.mss (* slow start *)
          else t.cwnd + max 1 (t.mss * t.mss / t.cwnd));
     let fin_was_outstanding = t.fin_sent in
-    while
-      (not (Queue.is_empty t.inflight))
-      && Seqnum.le (seg_end (Queue.peek t.inflight)) t.snd_una
-    do
-      ignore (Queue.pop t.inflight)
+    while t.rq_len > 0 && Seqnum.le (seg_end t t.rq_head) t.snd_una do
+      pop_pending t
     done;
-    if Queue.is_empty t.inflight then t.rto_generation <- t.rto_generation + 1
+    if t.rq_len = 0 then t.rto_generation <- t.rto_generation + 1
     else arm_rto t;
     (* Did this ACK cover our FIN? Everything sent, the FIN included, is
        acknowledged exactly when snd_una has reached snd_nxt. *)
@@ -347,7 +387,7 @@ let process_ack t (f : Frame.t) =
   end
   else if
     f.Frame.ack = t.snd_una
-    && (not (Queue.is_empty t.inflight))
+    && t.rq_len > 0
     && f.Frame.payload_len = 0
     && (not f.Frame.flags.Segment.syn)
     && not f.Frame.flags.Segment.fin
@@ -362,7 +402,7 @@ let process_ack t (f : Frame.t) =
       t.retransmissions <- t.retransmissions + 1;
       Obs.Recorder.incr t.obs "tcp.fast_retransmit";
       Obs.Recorder.incr t.obs "tcp.retransmit";
-      transmit_pending t (Queue.peek t.inflight);
+      transmit_pending t t.rq_head;
       arm_rto t
     end
   end;
@@ -489,9 +529,7 @@ let on_frame t (f : Frame.t) =
           t.snd_wnd <- f.Frame.window;
           t.state <- Syn_received;
           (* SYN+ACK consumes a sequence number; tracked for retransmit *)
-          send_pending t
-            { seq = t.snd_nxt; payload = []; plen = 0; syn = true;
-              fin = false }
+          send_pending t ~payload:[] ~plen:0 ~ctl:ctl_syn
         end
     | Syn_sent ->
         if f.Frame.flags.Segment.syn && f.Frame.flags.Segment.ack

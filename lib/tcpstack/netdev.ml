@@ -68,7 +68,13 @@ type cursors = {
   mutable last_arrival : float;  (* FIFO floor for deliveries *)
 }
 
-(* One transmit direction: sender guest -> device -> wire -> receiver. *)
+(* One transmit direction: sender guest -> device -> wire -> receiver.
+   Rx units scheduled for delivery wait in [rxq], a ring of [rxq_len]
+   units from [rxq_head] whose capacity is a power of two, and [on_unit]
+   (built once) pops the oldest into the receiving endpoint. A direction's
+   arrival times strictly increase, so its delivery events fire in the
+   order they were scheduled. A popped slot is cleared, so the ring does
+   not keep delivered payloads reachable. *)
 type dir = {
   peer : Endpoint.t;
   snd : Hostprofile.t;
@@ -78,6 +84,10 @@ type dir = {
   cur : cursors;
   mutable kick_pending : int;  (* guest frames since last doorbell *)
   mutable irq_pending : int;  (* rx units since last interrupt *)
+  mutable rxq : Frame.t array;
+  mutable rxq_head : int;
+  mutable rxq_len : int;
+  on_unit : unit -> unit;
 }
 
 type t = {
@@ -113,6 +123,36 @@ let[@inline] now_ns t = Int64.to_float (Engine.now t.engine)
 (* [Float.max] for the cursors' values (never NaN), written here so that
    it is inlined and its float arguments stay unboxed. *)
 let[@inline] fmax (a : float) b = if a >= b then a else b
+
+(* --- the rx FIFO -------------------------------------------------------- *)
+
+(* What a free slot of the rx FIFO holds. Written out in full, so that it
+   is a static constant rather than a block the heap allocates at start. *)
+let no_frame =
+  { Frame.src_port = 0; dst_port = 0; seq = 0; ack = 0;
+    flags =
+      { Segment.syn = false; ack = false; fin = false; rst = false;
+        psh = false };
+    window = 0; payload = []; payload_len = 0 }
+
+let push_unit d u =
+  let cap = Array.length d.rxq in
+  if d.rxq_len = cap then begin
+    (* double the capacity, oldest unit first *)
+    d.rxq <-
+      Array.init (2 * cap) (fun k ->
+          if k < cap then d.rxq.((d.rxq_head + k) land (cap - 1)) else no_frame);
+    d.rxq_head <- 0
+  end;
+  d.rxq.((d.rxq_head + d.rxq_len) land (Array.length d.rxq - 1)) <- u;
+  d.rxq_len <- d.rxq_len + 1
+
+let pop_unit d =
+  let u = d.rxq.(d.rxq_head) in
+  d.rxq.(d.rxq_head) <- no_frame;
+  d.rxq_head <- (d.rxq_head + 1) land (Array.length d.rxq - 1);
+  d.rxq_len <- d.rxq_len - 1;
+  Endpoint.on_frame d.peer u
 
 (* --- sender side -------------------------------------------------------- *)
 
@@ -235,10 +275,10 @@ let deliver_unit t d ~done_at ~corrupt (u : Frame.t) =
   if ok then begin
     let arrival = fmax c.rx_free (c.last_arrival +. 1.0) in
     c.last_arrival <- arrival;
-    let peer = d.peer in
+    push_unit d u;
     Engine.schedule_at_ns t.engine
       (Int64.to_int (Int64.of_float (Float.round arrival)))
-      (fun () -> Endpoint.on_frame peer u)
+      d.on_unit
   end
 
 (* --- wire --------------------------------------------------------------- *)
@@ -345,10 +385,15 @@ let connect ~engine ~link ?fault ?(device = Offload.all) ~a:(ea, pa)
     effective (Offload.negotiate ~device ~guest:pb.Hostprofile.offloads)
   in
   let dir peer snd rcv feat_tx feat_rx =
-    { peer; snd; rcv; feat_tx; feat_rx;
-      cur =
-        { tx_free = 0.0; wire_free = 0.0; rx_free = 0.0; last_arrival = 0.0 };
-      kick_pending = 0; irq_pending = 0 }
+    let rec d =
+      { peer; snd; rcv; feat_tx; feat_rx;
+        cur =
+          { tx_free = 0.0; wire_free = 0.0; rx_free = 0.0;
+            last_arrival = 0.0 };
+        kick_pending = 0; irq_pending = 0; rxq = Array.make 16 no_frame;
+        rxq_head = 0; rxq_len = 0; on_unit = (fun () -> pop_unit d) }
+    in
+    d
   in
   let t =
     { engine; link; fault;

@@ -19,8 +19,11 @@ module EP = Tcpstack.Endpoint
    The client-side send performs exactly one staging copy
    ([Xdr.Iovec.concat]) before handing the record to the endpoint. It is
    not an oversight: the endpoint's retransmit queue aliases queued slices
-   until they are acknowledged, while the RPC encoder reuses its buffers as
-   soon as the call returns — the copy is the sk_buff boundary. Server
+   until they are acknowledged. The encoder's own buffers are not at risk
+   ([Xdr.Encode.flush] hands out fresh strings), but a bulk opaque is a
+   view of the caller's payload ([Xdr.Iovec.of_bytes]), and after a
+   one-way call returns the caller may write to that payload while the
+   queue still holds it — the copy is the sk_buff boundary. Server
    replies need no such copy: a reply is a fresh immutable string, framed
    as header slices plus views of it (a doorbell batch is the exception,
    see [reply_out]).
@@ -269,8 +272,9 @@ let create ~engine ~client ?fault ?device ?(rto = default_rto) ?rpc
   in
   let send buf off len = push (Bytes.sub_string buf off len) in
   (* the one staging copy: the retransmit queue will alias this string
-     until the server ACKs it, so it must not share the encoder's
-     reusable buffers *)
+     until the server ACKs it, so it must not alias the caller's payload:
+     a bulk opaque is a view of it, and the caller may write to it as soon
+     as a one-way call returns *)
   let sendv iov = push (Xdr.Iovec.concat iov) in
   let recv buf off len =
     if EP.recv_length client_ep = 0 then begin
