@@ -6,14 +6,6 @@ module Time = Simnet.Time
 
 let mib = 1048576.0
 
-(* Run an application in a configuration: numerics are verified once on a
-   small functional run, then the measured run replays the paper's
-   iteration counts with kernel execution disabled (timing-identical; see
-   DESIGN.md "Determinism"). *)
-let verified_measured (cfg : Unikernel.Config.t) ~verify_run ~measured_run =
-  ignore (Unikernel.Runner.run ~functional:true cfg verify_run);
-  Unikernel.Runner.run ~functional:false cfg measured_run
-
 let header title = Printf.printf "\n== %s ==\n%!" title
 
 let table1 () =
@@ -45,26 +37,34 @@ let app_row cfg (m : Unikernel.Runner.measurement) =
     mib_down = Float.of_int m.Unikernel.Runner.memcpy_down /. mib;
   }
 
+(* Run an application in every configuration: numerics are verified once
+   on a small functional run in the first configuration (they do not
+   depend on the configuration; the unikernel tests verify every one),
+   then the measured runs replay the paper's iteration counts with kernel
+   execution disabled (timing-identical; see DESIGN.md "Determinism"). *)
+let verified_rows ~verify_run ~measured_run =
+  ignore
+    (Unikernel.Runner.run ~functional:true (List.hd Unikernel.Config.all)
+       verify_run);
+  let rows =
+    List.map
+      (fun cfg ->
+        app_row cfg (Unikernel.Runner.run ~functional:false cfg measured_run))
+      Unikernel.Config.all
+  in
+  print_app_rows rows;
+  rows
+
 let fig5a ?(iterations = Apps.Matrix_mul.paper.Apps.Matrix_mul.iterations) () =
   header
     (Printf.sprintf "Figure 5a: matrixMul, %d iterations (10-run averages in \
                      the paper; deterministic here)" iterations);
   let params = { Apps.Matrix_mul.paper with Apps.Matrix_mul.iterations } in
-  let rows =
-    List.map
-      (fun cfg ->
-        let m =
-          verified_measured cfg
-            ~verify_run:
-              (Apps.Matrix_mul.run ~verify:true
-                 { params with Apps.Matrix_mul.iterations = 2 })
-            ~measured_run:(Apps.Matrix_mul.run ~verify:false params)
-        in
-        app_row cfg m)
-      Unikernel.Config.all
-  in
-  print_app_rows rows;
-  rows
+  verified_rows
+    ~verify_run:
+      (Apps.Matrix_mul.run ~verify:true
+         { params with Apps.Matrix_mul.iterations = 2 })
+    ~measured_run:(Apps.Matrix_mul.run ~verify:false params)
 
 let fig5b ?(iterations = Apps.Linear_solver.paper.Apps.Linear_solver.iterations)
     () =
@@ -73,40 +73,20 @@ let fig5b ?(iterations = Apps.Linear_solver.paper.Apps.Linear_solver.iterations)
        "Figure 5b: cuSolverDn_LinearSolver, LU 900x900, %d iterations"
        iterations);
   let params = { Apps.Linear_solver.paper with Apps.Linear_solver.iterations } in
-  let rows =
-    List.map
-      (fun cfg ->
-        let m =
-          verified_measured cfg
-            ~verify_run:
-              (Apps.Linear_solver.run ~verify:true
-                 { params with Apps.Linear_solver.iterations = 1 })
-            ~measured_run:(Apps.Linear_solver.run ~verify:false params)
-        in
-        app_row cfg m)
-      Unikernel.Config.all
-  in
-  print_app_rows rows;
-  rows
+  verified_rows
+    ~verify_run:
+      (Apps.Linear_solver.run ~verify:true
+         { params with Apps.Linear_solver.iterations = 1 })
+    ~measured_run:(Apps.Linear_solver.run ~verify:false params)
 
 let fig5c ?(iterations = Apps.Histogram.paper.Apps.Histogram.iterations) () =
   header (Printf.sprintf "Figure 5c: histogram, 64 MiB, %d iterations" iterations);
   let params = { Apps.Histogram.paper with Apps.Histogram.iterations } in
-  let rows =
-    List.map
-      (fun cfg ->
-        let m =
-          verified_measured cfg
-            ~verify_run:
-              (Apps.Histogram.run ~verify:true
-                 { params with Apps.Histogram.iterations = 2 })
-            ~measured_run:(Apps.Histogram.run ~verify:false params)
-        in
-        app_row cfg m)
-      Unikernel.Config.all
-  in
-  print_app_rows rows;
-  rows
+  verified_rows
+    ~verify_run:
+      (Apps.Histogram.run ~verify:true
+         { params with Apps.Histogram.iterations = 2 })
+    ~measured_run:(Apps.Histogram.run ~verify:false params)
 
 (* --- Figure 6: API-call micro-benchmarks --- *)
 

@@ -451,7 +451,11 @@ let trace_cmd =
     let server =
       Cricket.Server.create ~clock:(Cudasim.Context.engine_clock engine) ()
     in
-    Cricket.Trace.set_enabled (Cricket.Server.trace server) true;
+    let obs =
+      Obs.Recorder.create ~clock:(fun () -> Simnet.Engine.now engine) ()
+    in
+    Obs.Recorder.set_enabled obs true;
+    Cricket.Server.set_obs server obs;
     Cudasim.Context.set_functional (Cricket.Server.context server) false;
     let client = Cricket.Local.connect server in
     Apps.Matrix_mul.run ~verify:false
@@ -459,12 +463,17 @@ let trace_cmd =
       { Unikernel.Runner.client; engine; cfg = Unikernel.Config.rust_native;
         server };
     List.iter
-      (fun e -> Format.printf "%a@." Cricket.Trace.pp_entry e)
-      (Cricket.Trace.entries (Cricket.Server.trace server))
+      (fun (s : Obs.Recorder.span_info) ->
+        if s.layer = "dispatch" then
+          Format.printf "%a %s (%a)@." Simnet.Time.pp s.start_ns s.name
+            Simnet.Time.pp (Int64.sub s.stop_ns s.start_ns))
+      (Obs.Recorder.spans obs)
   in
   Cmd.v
     (Cmd.info "trace"
-       ~doc:"trace the RPC stream of a short matrixMul run (virtual              timestamps, per-call durations)")
+       ~doc:"trace the RPC stream of a short matrixMul run: one line per \
+             server dispatch span (virtual start, procedure and xid, \
+             duration)")
     Term.(
       const run
       $ Arg.(value & opt int 5 & info [ "n"; "iterations" ] ~docv:"N"))

@@ -16,12 +16,7 @@
     programs — hundreds of launches of thousands of simulated kernel
     threads each, which is what gives the fleet benchmark its load. *)
 
-val opcode_count : int
-val op_name : int -> string
 val program_to_string : int list -> string
-
-val run_program : int list -> int -> int
-(** Host-side reference interpreter: apply the program to one input byte. *)
 
 val table_of_program : int list -> bytes
 (** The 256-entry truth table a reference program induces — the spec. *)

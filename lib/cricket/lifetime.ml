@@ -68,14 +68,6 @@ let upload_async t stream data =
       Client.memcpy_h2d_async t.client ~dst:t.device_ptr
         ~stream:(Stream.handle stream) data)
 
-let fill_async t stream value =
-  ensure_live t;
-  same_client t stream "Lifetime.fill_async";
-  Stream.submit stream (fun () ->
-      ensure_live t;
-      Client.memset_async t.client ~ptr:t.device_ptr ~value ~len:t.length
-        ~stream:(Stream.handle stream))
-
 let download ?stream t =
   match stream with
   | None -> download_part t ~offset:0 ~len:t.length

@@ -44,7 +44,6 @@ val download : ?stream:Stream.t -> t -> bytes
     stream must belong to the same client ([Invalid_argument] otherwise). *)
 
 val upload_async : t -> Stream.t -> bytes -> unit
-val fill_async : t -> Stream.t -> int -> unit
 
 val download_part : t -> offset:int -> len:int -> bytes
 val fill : t -> int -> unit

@@ -30,13 +30,10 @@ val transport_of_dispatch : (string -> string) -> Oncrpc.Transport.t
     may hold makes the next read raise {!Oncrpc.Record.Oversized}, and
     everything written up to then is dropped. *)
 
-val transport_for : Server.t -> tenant:string -> Oncrpc.Transport.t
-(** Like {!transport}, but every record goes through
-    {!Server.dispatch_for} on behalf of [tenant] — admission, per-tenant
-    accounting and lease hooks apply. *)
-
 val connect : Server.t -> Client.t
 (** [Client.create] over {!transport}. *)
 
 val connect_for : Server.t -> tenant:string -> Client.t
-(** [Client.create] over {!transport_for}. *)
+(** Like {!connect}, but every record goes through
+    {!Server.dispatch_for} on behalf of [tenant] — admission, per-tenant
+    accounting and lease hooks apply. *)

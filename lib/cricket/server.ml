@@ -54,9 +54,6 @@ type t = {
   mutable inbound : inbound option;
   mutable adopt_lease : (tenant:string -> blob:string -> bool) option;
   mutable migrations_in : int;
-  trace : Trace.t;
-  mutable last_proc : int;
-  mutable last_arg_bytes : int;
 }
 
 (* The dispatch path is synchronous, so the tenant of the in-flight call
@@ -528,8 +525,7 @@ let create ?devices ?memory_capacity ?capacity_clamp ?(checkpoint_dir = ".")
       per_device = Array.make (Cudasim.Context.device_count ctx) 0;
       per_tenant = Hashtbl.create 64; current_tenant = None;
       tenant_hooks = None; inbound = None; adopt_lease = None;
-      migrations_in = 0;
-      trace = Trace.create (); last_proc = -1; last_arg_bytes = 0 }
+      migrations_in = 0 }
   in
   P.Server.register (implementation t) rpc;
   Oncrpc.Server.register rpc ~prog:P.program_number ~vers:P.version_number
@@ -541,10 +537,8 @@ let create ?devices ?memory_capacity ?capacity_clamp ?(checkpoint_dir = ".")
      was lost gets the recorded reply, so non-idempotent calls are safe to
      retry. *)
   Oncrpc.Server.set_dup_cache rpc;
-  Oncrpc.Server.set_observer rpc (fun ~prog:_ ~vers:_ ~proc ~arg_bytes ->
+  Oncrpc.Server.set_observer rpc (fun ~prog:_ ~vers:_ ~proc ~arg_bytes:_ ->
       t.calls <- t.calls + 1;
-      t.last_proc <- proc;
-      t.last_arg_bytes <- arg_bytes;
       t.per_proc <- bump t.per_proc proc;
       (* Attribute the call to the device selected when it arrived — the
          fleet report's per-device RPC traffic. *)
@@ -615,23 +609,8 @@ let proc_stats t =
 
 let rpc_server t = t.rpc
 let context t = t.ctx
-let trace t = t.trace
 
-let dispatch_ident ?ident t request =
-  if not (Trace.enabled t.trace) then Oncrpc.Server.dispatch ?ident t.rpc request
-  else begin
-    let clock = Cudasim.Context.clock t.ctx in
-    t.last_proc <- -1;
-    let t0 = clock.Cudasim.Context.now () in
-    let reply = Oncrpc.Server.dispatch ?ident t.rpc request in
-    if t.last_proc >= 0 then
-      Trace.record t.trace ~now:t0 ~proc:t.last_proc
-        ~proc_name:(proc_name t.last_proc) ~arg_bytes:t.last_arg_bytes
-        ~duration:(Simnet.Time.sub (clock.Cudasim.Context.now ()) t0);
-    reply
-  end
-
-let dispatch t request = dispatch_ident t request
+let dispatch t request = Oncrpc.Server.dispatch t.rpc request
 
 (* Denied reply for a request refused at admission: parse just the header
    (for the xid), answer with an auth rejection carrying the typed reason.
@@ -650,13 +629,8 @@ let denied_reply request (reason : reject) =
 
 let set_tenant_hooks t hooks = t.tenant_hooks <- Some hooks
 
-let clear_tenant_hooks t = t.tenant_hooks <- None
-
 let set_migration_adopt t f = t.adopt_lease <- Some f
 let migrations_in t = t.migrations_in
-
-let inbound_migration t =
-  match t.inbound with None -> None | Some i -> Some i.in_tenant
 
 let count_tenant t tenant =
   match Hashtbl.find t.per_tenant tenant with
@@ -683,8 +657,11 @@ let dispatch_for t ~tenant request =
   | Some reason -> (
       match denied_reply request reason with
       | Some reply -> reply
-      | None -> dispatch_ident ~ident:tenant t request)
-  | None -> as_tenant t ~tenant (dispatch_ident ~ident:tenant t) request
+      | None -> Oncrpc.Server.dispatch ~ident:tenant t.rpc request)
+  | None ->
+      as_tenant t ~tenant
+        (fun request -> Oncrpc.Server.dispatch ~ident:tenant t.rpc request)
+        request
 
 (* The device-steered fast path for tenant calls: same accounting and
    admission as {!dispatch_for}, but the header was already parsed by the

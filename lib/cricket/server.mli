@@ -77,7 +77,6 @@ type tenant_hooks = {
 }
 
 val set_tenant_hooks : t -> tenant_hooks -> unit
-val clear_tenant_hooks : t -> unit
 
 val dispatch_for : t -> tenant:string -> string -> string
 (** Like {!dispatch}, but on behalf of a named tenant: the admission hook
@@ -123,16 +122,10 @@ val set_migration_adopt : t -> (tenant:string -> blob:string -> bool) -> unit
     the tenant held no lease). Returning [false] refuses the commit: the
     half-copied state is wiped and the source keeps the session. *)
 
-val inbound_migration : t -> string option
-(** Tenant of the in-progress inbound migration, if any. *)
-
 val migrations_in : t -> int
 (** Sessions successfully adopted by this server. *)
 
 val calls_served : t -> int
-
-val trace : t -> Trace.t
-(** Call-trace ring (disabled by default; see {!Trace.set_enabled}). *)
 
 val proc_stats : t -> (string * int) list
 (** Per-procedure call counts, most-called first. Procedure names are

@@ -127,8 +127,6 @@ val launch_kernel_async : Context.t -> launch_config -> params:bytes -> unit
 val dispatch_ns : int
 (** Fixed server-side driver dispatch cost charged per API call. *)
 
-val memcpy_overhead_ns : int
-
 val charge : Context.t -> int -> unit
 (** Advance the virtual clock by a CPU cost in nanoseconds (shared with the
     cuBLAS/cuSOLVER layers). *)

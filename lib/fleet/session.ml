@@ -29,7 +29,6 @@ let connect ?(policy = Cluster.Cost_aware) client =
   { client; devs; policy; rr = 0 }
 
 let device_count t = Array.length t.devs
-let compute_capability t i = t.devs.(i).sd_cc
 
 type modul = { sm_handles : (int * int64) list (* device, module handle *) }
 type func = { sf_places : (int * Cricket.Client.func) list }

@@ -29,8 +29,6 @@ val connect : ?policy:Cluster.policy -> Cricket.Client.t -> t
 
 val device_count : t -> int
 
-val compute_capability : t -> int -> int * int
-
 type modul
 type func
 

@@ -75,7 +75,6 @@ let stream_destroy t handle =
   Hashtbl.remove t.streams handle
 
 let stream_valid t handle = Hashtbl.mem t.streams handle
-let stream_completion t handle = Stream.completion (stream_ref t handle)
 let stream_pending t handle = Stream.pending (stream_ref t handle)
 let stream_commands t handle = Stream.pending_commands (stream_ref t handle)
 
@@ -165,8 +164,6 @@ let event_create t =
 let event_destroy t handle =
   if not (Hashtbl.mem t.events handle) then raise Not_found;
   Hashtbl.remove t.events handle
-
-let event_valid t handle = Hashtbl.mem t.events handle
 
 let event_record t ~now ~event ~stream =
   let e = Hashtbl.find t.events event in

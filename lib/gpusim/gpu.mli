@@ -50,9 +50,6 @@ val stream_destroy : t -> int -> unit
 
 val stream_valid : t -> int -> bool
 
-val stream_completion : t -> int -> Time.t
-(** When this stream's queued work finishes. *)
-
 val stream_pending : t -> int -> int
 (** Commands enqueued on the stream and not yet retired by a
     synchronisation point — the current pipeline depth. *)
@@ -61,7 +58,8 @@ val stream_commands : t -> int -> Stream.command list
 (** The pending commands, oldest first. *)
 
 val stream_synchronize : t -> now:Time.t -> int -> Time.t
-(** Time at which the host resumes: [max now (stream_completion)].
+(** Time at which the host resumes: [now], or later when the stream's
+    queued work finishes then.
     Retires the stream's finished commands. *)
 
 val stream_wait_event : t -> stream:int -> event:int -> unit
@@ -113,7 +111,6 @@ val synchronize : t -> now:Time.t -> Time.t
 
 val event_create : t -> int
 val event_destroy : t -> int -> unit
-val event_valid : t -> int -> bool
 
 val event_record : t -> now:Time.t -> event:int -> stream:int -> unit
 (** The event fires when the stream's currently-queued work completes. *)

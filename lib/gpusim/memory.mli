@@ -37,9 +37,6 @@ val is_allocated : t -> int -> bool
 val allocation_size : t -> int -> int
 (** Size of the allocation starting exactly at this pointer. *)
 
-val find_allocation : t -> int -> (int * int) option
-(** [(base, size)] of the allocation containing an address, if any. *)
-
 val used_bytes : t -> int
 val free_bytes : t -> int
 val total_bytes : t -> int
@@ -160,7 +157,6 @@ val restore : string -> t
     {!snapshot} reconstructs the arena with transfer cost bounded by the
     write rate, not the arena size. *)
 
-val page_size : int
 val set_tracking : t -> bool -> unit
 val tracking : t -> bool
 val clear_dirty : t -> unit

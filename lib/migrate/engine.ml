@@ -28,8 +28,6 @@ type config = {
 let default = { max_rounds = 8; stop_bytes = 64 * 1024; pause_budget = Time.ms 5 }
 
 type round = {
-  index : int;
-  dirty_pages : int;
   delta_bytes : int;
   full_bytes : int;
 }
@@ -99,7 +97,7 @@ let migrate ~src ~leases ~dst ~tenant ?(config = default)
         Obs.Recorder.incr obs ~by:delta_bytes "migrate.bytes";
         Obs.Recorder.observe obs "migrate.dirty_pages" (Int64.of_int dirty_pages);
         rounds :=
-          { index = i; dirty_pages; delta_bytes; full_bytes } :: !rounds;
+          { delta_bytes; full_bytes } :: !rounds;
         if delta_bytes <= config.stop_bytes || i >= config.max_rounds then begin
           (* stop-and-copy: the source stops serving until commit/abort *)
           let p0 = now () in

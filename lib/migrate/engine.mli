@@ -33,8 +33,6 @@ val default : config
 (** 8 rounds, 64 KiB stop threshold, 5 ms pause budget. *)
 
 type round = {
-  index : int;  (** 1-based delta round number *)
-  dirty_pages : int;  (** pages dirtied since the previous round *)
   delta_bytes : int;  (** bytes actually shipped *)
   full_bytes : int;  (** what a full checkpoint would have shipped *)
 }

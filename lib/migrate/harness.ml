@@ -30,7 +30,6 @@ type outcome =
 
 type audit = {
   lease_present : bool;
-  lease_mem_used : int;
   ledger_entries : int;
   ledger_live : bool;
   arena_used : int;
@@ -39,11 +38,9 @@ type audit = {
 type report = {
   params : params;
   outcome : outcome;
-  served_before : int;
   served_during : int;
   served_after : int;
   digest : string;
-  expected : string;
   digest_ok : bool;
   elapsed : Time.t;
   src_audit : audit;
@@ -92,8 +89,6 @@ let audit_server leases server =
       (match lease with
       | Some l -> l.Tenancy.Lease.state = Tenancy.Lease.Active
       | None -> false);
-    lease_mem_used =
-      (match lease with Some l -> l.Tenancy.Lease.mem_used | None -> 0);
     ledger_entries = List.length allocs;
     ledger_live;
     arena_used = !arena_used;
@@ -205,7 +200,6 @@ let run ?obs (p : params) =
     run_batch !next;
     incr next
   done;
-  let served_before = !next in
   let served_during = ref 0 in
   let serve _round =
     if !next < p.batches then begin
@@ -237,11 +231,9 @@ let run ?obs (p : params) =
   {
     params = p;
     outcome;
-    served_before;
     served_during = !served_during;
     served_after = !served_after;
     digest;
-    expected;
     digest_ok = String.equal digest expected;
     elapsed = Time.sub (now ()) t0;
     src_audit = audit_server src_leases src;

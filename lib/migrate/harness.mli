@@ -38,7 +38,6 @@ type outcome =
 
 type audit = {
   lease_present : bool;  (** active lease for the tenant in this registry *)
-  lease_mem_used : int;
   ledger_entries : int;  (** live allocations the lease accounts for *)
   ledger_live : bool;
       (** every ledger pointer is actually allocated in this server's
@@ -49,12 +48,11 @@ type audit = {
 type report = {
   params : params;
   outcome : outcome;
-  served_before : int;
   served_during : int;  (** batches served from pre-copy [serve] callbacks *)
   served_after : int;  (** batches served after commit (dst) or abort (src) *)
   digest : string;  (** device buffer read back at the end *)
-  expected : string;  (** client-side mirror of every write *)
   digest_ok : bool;
+      (** [digest] matches a client-side mirror of every write *)
   elapsed : Time.t;  (** virtual time, session start to final read-back *)
   src_audit : audit;
   dst_audit : audit;

@@ -33,9 +33,6 @@ let sum_ns t = t.sum
 let max_ns t = t.max
 let min_ns t = if t.count = 0 then 0L else t.min
 
-let mean_ns t =
-  if t.count = 0 then 0.0 else Int64.to_float t.sum /. float_of_int t.count
-
 (* Upper bound of bucket [i]: 0 for bucket 0, else 2^i - 1. *)
 let bucket_upper i =
   if i = 0 then 0L

@@ -22,8 +22,6 @@ val max_ns : t -> int64
 val min_ns : t -> int64
 (** 0 when empty. *)
 
-val mean_ns : t -> float
-
 val quantile : t -> float -> int64
 (** [quantile t q] for [q] in [0, 1]: an upper bound of the bucket holding
     the rank-[ceil (q * count)] value, clamped to the exact [max_ns] (and

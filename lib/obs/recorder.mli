@@ -12,11 +12,10 @@
     {b Cost contract.} Recording is off by default. Every event entry
     point ({!span_begin}, {!span_end}, {!span_event}, {!incr}, {!observe})
     checks [enabled] first and returns immediately when off — at most one
-    branch per event, like [Cricket.Trace]. Instrumentation sites that
-    would need to {e compute} an argument (build a name, format a string)
-    must guard on {!enabled} themselves so the disabled path stays free of
-    allocation. {!null} is a shared recorder that can never be enabled,
-    for use as a default. *)
+    branch per event. Instrumentation sites that would need to {e compute}
+    an argument (build a name, format a string) must guard on {!enabled}
+    themselves so the disabled path stays free of allocation. {!null} is a
+    shared recorder that can never be enabled, for use as a default. *)
 
 type t
 

@@ -7,9 +7,6 @@
 
 type flavor = Auth_none | Auth_sys | Auth_short | Auth_other of int
 
-val flavor_code : flavor -> int
-val flavor_of_code : int -> flavor
-
 type t = { flavor : flavor; body : bytes }
 (** An [opaque_auth]: flavor discriminant plus up to 400 bytes of body. *)
 

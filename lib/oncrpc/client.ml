@@ -39,7 +39,6 @@ type stats = {
   calls : int;
   bytes_sent : int;
   bytes_received : int;
-  wire_bytes_sent : int;
   wire_bytes_received : int;
   retries : int;
   timeouts : int;
@@ -51,7 +50,6 @@ type counters = {
   mutable n_calls : int;
   mutable n_bytes_sent : int;
   mutable n_bytes_received : int;
-  mutable n_wire_bytes_sent : int;
   mutable n_wire_bytes_received : int;
   mutable n_retries : int;
   mutable n_timeouts : int;
@@ -93,8 +91,8 @@ let create ?(cred = Auth.none) ?(fragment_size = Record.default_fragment_size)
     next_xid = Atomic.make (Int32.to_int first_xid);
     counters =
       { n_calls = 0; n_bytes_sent = 0; n_bytes_received = 0;
-        n_wire_bytes_sent = 0; n_wire_bytes_received = 0; n_retries = 0;
-        n_timeouts = 0; n_reconnects = 0 };
+        n_wire_bytes_received = 0; n_retries = 0; n_timeouts = 0;
+        n_reconnects = 0 };
     retry;
     now = (fun () -> 0L);
     sleep = (fun _ -> ());
@@ -239,9 +237,7 @@ let count_sent t ~framed ~views =
   in
   c.n_calls <- c.n_calls + 1;
   c.n_bytes_sent <-
-    c.n_bytes_sent + len - Message.call_header_length ~cred:t.cred;
-  c.n_wire_bytes_sent <-
-    c.n_wire_bytes_sent + wire_length ~fragment_size:t.fragment_size len
+    c.n_bytes_sent + len - Message.call_header_length ~cred:t.cred
 
 let rpc_span t ~xid =
   if Obs.Recorder.enabled t.obs then
@@ -474,22 +470,10 @@ let stats t =
     calls = c.n_calls;
     bytes_sent = c.n_bytes_sent;
     bytes_received = c.n_bytes_received;
-    wire_bytes_sent = c.n_wire_bytes_sent;
     wire_bytes_received = c.n_wire_bytes_received;
     retries = c.n_retries;
     timeouts = c.n_timeouts;
     reconnects = c.n_reconnects;
   }
-
-let reset_stats t =
-  let c = t.counters in
-  c.n_calls <- 0;
-  c.n_bytes_sent <- 0;
-  c.n_bytes_received <- 0;
-  c.n_wire_bytes_sent <- 0;
-  c.n_wire_bytes_received <- 0;
-  c.n_retries <- 0;
-  c.n_timeouts <- 0;
-  c.n_reconnects <- 0
 
 let close t = t.transport.Transport.close ()

@@ -64,8 +64,7 @@ type stats = {
   calls : int;
   bytes_sent : int;  (** argument payload bytes (excl. RPC/record headers) *)
   bytes_received : int;  (** result payload bytes *)
-  wire_bytes_sent : int;  (** full records incl. headers and fragmentation *)
-  wire_bytes_received : int;
+  wire_bytes_received : int;  (** full records incl. headers and fragmentation *)
   retries : int;  (** retransmissions (not counted in [calls]) *)
   timeouts : int;  (** attempts that ended in {!Transport.Timeout} *)
   reconnects : int;  (** successful reconnections after a lost connection *)
@@ -172,5 +171,4 @@ val call_oneway : t -> proc:int -> (Xdr.Encode.t -> unit) -> unit
     with {!Transport.Closed} is resent after reconnection. *)
 
 val stats : t -> stats
-val reset_stats : t -> unit
 val close : t -> unit

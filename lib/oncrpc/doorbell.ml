@@ -155,7 +155,6 @@ let wrap ?(policy = default_policy) ?schedule inner =
 let transport t = t.transport
 let flush t = flush_as t Explicit
 let pending_records t = t.records
-let pending_bytes t = t.len
 
 let stats t : stats =
   { flushes = t.flushes; flush_records = t.flush_records;

@@ -48,7 +48,6 @@ val flush : t -> unit
 (** Ring the doorbell now (no-op on an empty batch). *)
 
 val pending_records : t -> int
-val pending_bytes : t -> int
 val stats : t -> stats
 
 val set_obs : t -> Obs.Recorder.t -> unit

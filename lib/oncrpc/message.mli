@@ -20,9 +20,6 @@ type auth_stat =
   | Auth_invalidresp
   | Auth_failed
 
-val auth_stat_code : auth_stat -> int
-val auth_stat_of_code : int -> auth_stat
-
 type call = {
   prog : int;
   vers : int;

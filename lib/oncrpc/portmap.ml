@@ -12,7 +12,6 @@ end
 type mapping = { prog : int; vers : int; prot : int; port : int }
 
 let prot_tcp = 6
-let prot_udp = 17
 
 type t = { mutable mappings : mapping list }
 

@@ -17,16 +17,12 @@ module Proc : sig
   val set : int
   val unset : int
   val getport : int
-  val dump : int
 end
 
 type mapping = { prog : int; vers : int; prot : int; port : int }
 
 val prot_tcp : int
 (** IPPROTO_TCP = 6. *)
-
-val prot_udp : int
-(** IPPROTO_UDP = 17. *)
 
 type t
 (** The registry. *)
@@ -39,8 +35,6 @@ val set : t -> mapping -> bool
 val unset : t -> prog:int -> vers:int -> bool
 val getport : t -> prog:int -> vers:int -> prot:int -> int
 (** 0 when unregistered, per the protocol. *)
-
-val dump : t -> mapping list
 
 val attach : t -> Server.t -> unit
 (** Register the portmapper service on an RPC server. *)

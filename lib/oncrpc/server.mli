@@ -42,8 +42,6 @@ val set_oneway : t -> prog:int -> vers:int -> int list -> unit
     credentials — still reply, because the server cannot know the caller
     meant a one-way procedure. *)
 
-val is_oneway : t -> prog:int -> vers:int -> proc:int -> bool
-
 val set_auth_check : t -> (Auth.t -> Message.auth_stat option) -> unit
 (** Install a credential check; returning [Some stat] denies the call. *)
 

@@ -76,13 +76,3 @@ let decl_name = function
   | String (n, _)
   | Optional (_, n) ->
       Some n
-
-let pp_base_type ppf = function
-  | Int -> Format.pp_print_string ppf "int"
-  | Uint -> Format.pp_print_string ppf "unsigned int"
-  | Hyper -> Format.pp_print_string ppf "hyper"
-  | Uhyper -> Format.pp_print_string ppf "unsigned hyper"
-  | Float -> Format.pp_print_string ppf "float"
-  | Double -> Format.pp_print_string ppf "double"
-  | Bool -> Format.pp_print_string ppf "bool"
-  | Named_type s -> Format.pp_print_string ppf s

@@ -77,5 +77,3 @@ type spec = definition list
 
 val decl_name : decl -> string option
 (** The declared identifier, if any ([Void] has none). *)
-
-val pp_base_type : Format.formatter -> base_type -> unit

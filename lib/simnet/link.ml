@@ -10,10 +10,6 @@ let ethernet_100g =
   { name = "100GbE (IPoIB, MTU 9000)"; bandwidth_gbps = 100.0;
     latency_ns = 12_500; mtu = 9000; header_bytes = 66 }
 
-let ethernet_10g =
-  { name = "10GbE (MTU 1500)"; bandwidth_gbps = 10.0; latency_ns = 10_000;
-    mtu = 1500; header_bytes = 66 }
-
 (* TCP payload per on-wire packet: MTU minus IP (20) and TCP (32 with
    timestamps) headers. *)
 let mss t = t.mtu - 52

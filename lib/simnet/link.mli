@@ -16,9 +16,6 @@ type t = {
 val ethernet_100g : t
 (** The paper's interconnect: 100 Gbit/s, MTU 9000, ~5 µs one-way. *)
 
-val ethernet_10g : t
-(** A slower cluster fabric, for sensitivity studies. *)
-
 val mss : t -> int
 (** TCP maximum segment size — the payload bytes carried per on-wire
     packet ([mtu] minus IP and TCP headers). *)

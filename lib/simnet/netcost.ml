@@ -1,8 +1,5 @@
 type breakdown = {
   packets : int;
-  sender_cpu_ns : float;
-  wire_ns : float;
-  receiver_cpu_ns : float;
   total : Time.t;
 }
 
@@ -82,8 +79,7 @@ let one_way ~sender ~receiver ~link n =
   let s = sender_cpu sender ~packets n in
   let w = wire_ns ~link ~packets n in
   let r = receiver_cpu receiver ~packets n in
-  { packets; sender_cpu_ns = s; wire_ns = w; receiver_cpu_ns = r;
-    total = Time.of_float_ns (pipelined ~link ~packets s w r) }
+  { packets; total = Time.of_float_ns (pipelined ~link ~packets s w r) }
 
 (* [one_way]'s total without the breakdown: the stages stay unboxed floats
    and the result is rounded as [Time.of_float_ns] rounds it. *)

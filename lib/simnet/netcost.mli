@@ -22,9 +22,6 @@
 
 type breakdown = {
   packets : int;  (** on-wire TCP segments *)
-  sender_cpu_ns : float;  (** total sender-side CPU time *)
-  wire_ns : float;  (** total serialization time (excl. latency) *)
-  receiver_cpu_ns : float;  (** total receiver-side CPU time *)
   total : Time.t;  (** pipelined end-to-end one-way time *)
 }
 

@@ -18,9 +18,6 @@ val sum_bytewise : ?initial:int -> bytes -> int -> int -> int
     checksum microbenchmark and for property-testing fold-equivalence
     against {!sum}. *)
 
-val sum_string : ?initial:int -> string -> int -> int -> int
-(** {!sum} over a string (no copy). *)
-
 val sum_iovec : ?initial:int -> Xdr.Iovec.t -> int
 (** {!sum} over a scattered payload, with 16-bit word pairing carried
     across slice boundaries — equivalent to summing the flattened bytes,

@@ -6,7 +6,6 @@ type t = {
   engine : Engine.t;
   link : Simnet.Link.t;
   fault : Fault.t option;
-  mutable transmitted : int;
   mutable delivered : int;
   (* last scheduled delivery per direction: the wire is FIFO, so a short
      segment must not overtake a long one sent before it *)
@@ -20,11 +19,10 @@ let ip_b = 0x0a000002l
 
 let connect ~engine ~link ?fault a b =
   let t =
-    { engine; link; fault; transmitted = 0; delivered = 0;
+    { engine; link; fault; delivered = 0;
       last_delivery_ab = Time.zero; last_delivery_ba = Time.zero }
   in
   let wire ~src_ip ~dst_ip peer seg =
-    t.transmitted <- t.transmitted + 1;
     let decision =
       match t.fault with
       | None -> Fault.Pass
@@ -85,6 +83,5 @@ let connect ~engine ~link ?fault a b =
   Endpoint.set_tx b (fun seg -> wire ~src_ip:ip_b ~dst_ip:ip_a a seg);
   t
 
-let transmitted t = t.transmitted
 let delivered t = t.delivered
 let fault_stats t = Option.map Fault.stats t.fault

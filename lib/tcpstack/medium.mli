@@ -26,9 +26,6 @@ val connect :
     stalled queue — reordering is not modelled. Partition windows apply at
     the segment's transmission instant. *)
 
-val transmitted : t -> int
-(** Total segments handed to the wire (including dropped/corrupted). *)
-
 val delivered : t -> int
 
 val fault_stats : t -> Simnet.Fault.stats option

@@ -47,7 +47,12 @@ type stats = {
   payload_bytes : int;
 }
 
+(* Wire segments coalesced into one rx unit, at most (as in
+   {!Simnet.Netcost}'s GRO term). *)
 let gro_limit = 8
+
+(* Super-segment ceiling under TSO, rounded down to a whole number of wire
+   MSS when applied. *)
 let tso_burst_bytes = 65_536
 
 (* virtio dependency clamps: segmentation offload requires the device to
@@ -414,7 +419,6 @@ let connect ~engine ~link ?fault ?(device = Offload.all) ~a:(ea, pa)
   t
 
 let negotiated_a t = t.ab.feat_tx
-let negotiated_b t = t.ba.feat_tx
 
 let stats t =
   { guest_tx_frames = t.guest_tx_frames; wire_segments = t.wire_segments;

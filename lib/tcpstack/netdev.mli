@@ -33,14 +33,6 @@ type stats = {
 
 type t
 
-val gro_limit : int
-(** Wire segments coalesced into one rx unit, at most (8, as in
-    {!Simnet.Netcost}'s GRO term). *)
-
-val tso_burst_bytes : int
-(** Super-segment ceiling under TSO (64 KiB, rounded down to a whole
-    number of wire MSS when applied). *)
-
 val effective : Simnet.Offload.t -> Simnet.Offload.t
 (** Dependency clamps: TSO requires tx checksum offload, GRO requires rx
     checksum offload. *)
@@ -60,8 +52,7 @@ val connect :
     negotiates independently from its profile's [offloads]. *)
 
 val negotiated_a : t -> Simnet.Offload.t
-val negotiated_b : t -> Simnet.Offload.t
-(** Effective (negotiated and clamped) feature set per guest. *)
+(** Effective (negotiated and clamped) feature set of guest [a]. *)
 
 val set_obs : t -> Obs.Recorder.t -> unit
 (** Attach an observability recorder: staging flattens bump

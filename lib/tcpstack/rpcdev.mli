@@ -40,8 +40,6 @@ type costs = {
   hw_steer_ns : int;  (** device queue steering *)
 }
 
-val default_costs : costs
-
 type entry = {
   record : string;
   ident : string;  (** tenant identity the call was steered under *)

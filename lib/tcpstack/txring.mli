@@ -17,11 +17,9 @@ val length : t -> int
 val push_bytes : t -> bytes -> unit
 (** Enqueue a copy of [b] (the caller may reuse [b] afterwards). *)
 
-val push_slice : t -> Xdr.Iovec.slice -> unit
-(** Enqueue a view; the caller must not mutate the underlying storage
-    while it is queued or in flight (the {!Xdr.Iovec} contract). *)
-
 val push_iovec : t -> Xdr.Iovec.t -> unit
+(** Enqueue views; the caller must not mutate the underlying storage
+    while it is queued or in flight (the {!Xdr.Iovec} contract). *)
 
 val take : t -> int -> Xdr.Iovec.t
 (** [take t n] removes and returns the front [n] bytes as slices sharing

@@ -84,9 +84,6 @@ let complete t ~tenant =
   t.per_tenant.(tenant) <- t.per_tenant.(tenant) - 1;
   t.total <- t.total - 1
 
-let inflight t = t.total
-let tenant_inflight t i = t.per_tenant.(i)
-
 let stats t =
   {
     admitted = t.admitted;

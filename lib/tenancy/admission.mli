@@ -50,9 +50,6 @@ val offer : t -> tenant:int -> (unit, reject_reason) result
 val complete : t -> tenant:int -> unit
 (** An admitted item finished (or was abandoned); frees its window slot. *)
 
-val inflight : t -> int
-val tenant_inflight : t -> int -> int
-
 type stats = {
   admitted : int;
   rejected_quota : int;

@@ -44,7 +44,6 @@ type result = {
   completed : int;
   rejected : int;
   admission : Admission.stats;
-  lease : Lease.stats;
   timeline : event array;  (** every decision in (ev_time, ev_seq) order *)
 }
 
@@ -254,6 +253,5 @@ let run t items =
     completed;
     rejected;
     admission = Admission.stats admission;
-    lease = Lease.stats t.leases;
     timeline = Array.of_list (List.rev !events);
   }

@@ -69,7 +69,6 @@ type result = {
   completed : int;
   rejected : int;
   admission : Admission.stats;
-  lease : Lease.stats;
   timeline : event array;  (** every decision, in (ev_time, ev_seq) order *)
 }
 

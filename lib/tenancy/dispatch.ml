@@ -123,10 +123,4 @@ let charge t ~tenant ~cost_ns =
 
 let pending t = t.pending
 
-let tenant_pending t i =
-  match t.policy with
-  | Cricket.Sched.Fifo ->
-      Queue.fold (fun acc (tn, _) -> if tn = i then acc + 1 else acc) 0 t.fifo
-  | _ -> Queue.length t.queues.(i)
-
 let rotations t = t.rotations

@@ -52,7 +52,6 @@ val charge : 'a t -> tenant:int -> cost_ns:int -> unit
 val pending : 'a t -> int
 (** Items currently queued. *)
 
-val tenant_pending : 'a t -> int -> int
 val rotations : 'a t -> int
 (** DRR ring rotations performed (quantum exhaustions) — a cheap proxy
     for scheduling overhead in benchmarks. *)

@@ -29,9 +29,7 @@ type ledger = {
 }
 
 type stats = {
-  granted : int;
   expiries : int;
-  revocations : int;
   reclaimed_bytes : int;
   reclaimed_streams : int;
   denied_mallocs : int;
@@ -43,15 +41,12 @@ type t = {
   now : unit -> Time.t;
   ctx : unit -> Cudasim.Context.t;
   table : (string, lease * ledger) Hashtbl.t;
-  mutable granted : int;
   mutable expiries : int;
-  mutable revocations : int;
   mutable reclaimed_bytes : int;
   mutable reclaimed_streams : int;
   mutable denied_mallocs : int;
   mutable denied_streams : int;
   mutable expired_denials : int;
-  mutable migrated_out : int;
   mutable adopted : int;
 }
 
@@ -60,15 +55,12 @@ let create ~now ~ctx () =
     now;
     ctx;
     table = Hashtbl.create 64;
-    granted = 0;
     expiries = 0;
-    revocations = 0;
     reclaimed_bytes = 0;
     reclaimed_streams = 0;
     denied_mallocs = 0;
     denied_streams = 0;
     expired_denials = 0;
-    migrated_out = 0;
     adopted = 0;
   }
 
@@ -118,7 +110,6 @@ let expire t entry =
 let revoke_entry t entry =
   let lease, _ = entry in
   lease.state <- Revoked;
-  t.revocations <- t.revocations + 1;
   reclaim t entry
 
 let grant t ~tenant caps =
@@ -143,7 +134,6 @@ let grant t ~tenant caps =
     { allocs = Hashtbl.create 16; stream_handles = Hashtbl.create 8 }
   in
   Hashtbl.replace t.table tenant (lease, ledger);
-  t.granted <- t.granted + 1;
   lease
 
 let check t ~tenant =
@@ -177,28 +167,6 @@ let renew t ~tenant =
             lease.renewals <- lease.renewals + 1;
             Ok lease.expires_at
           end)
-
-let revoke t ~tenant =
-  match Hashtbl.find_opt t.table tenant with
-  | Some ((lease, _) as entry) when lease.state = Active ->
-      revoke_entry t entry
-  | _ -> ()
-
-let expire_due t =
-  let now = t.now () in
-  let due =
-    Hashtbl.fold
-      (fun _ ((lease, _) as entry) acc ->
-        if lease.state = Active && Int64.compare now lease.expires_at > 0
-        then entry :: acc
-        else acc)
-      t.table []
-  in
-  (* Deterministic order: reclaim in tenant-name order. *)
-  let due =
-    List.sort (fun (a, _) (b, _) -> compare a.tenant b.tenant) due
-  in
-  List.iter (expire t) due
 
 (* {1 Server hooks} *)
 
@@ -277,9 +245,7 @@ let install t server = Cricket.Server.set_tenant_hooks server (hooks t)
 
 let stats t : stats =
   {
-    granted = t.granted;
     expiries = t.expiries;
-    revocations = t.revocations;
     reclaimed_bytes = t.reclaimed_bytes;
     reclaimed_streams = t.reclaimed_streams;
     denied_mallocs = t.denied_mallocs;
@@ -392,8 +358,5 @@ let complete_handoff t ~tenant =
   | None -> ()
   | Some entry ->
       reclaim t entry;
-      Hashtbl.remove t.table tenant;
-      t.migrated_out <- t.migrated_out + 1
-
-let migrated_out t = t.migrated_out
+      Hashtbl.remove t.table tenant
 let adopted t = t.adopted

@@ -3,10 +3,11 @@
     A lease entitles one tenant to a bounded slice of the GPU node: a cap
     on live device memory bytes, a cap on concurrent CUDA streams, and a
     virtual-time TTL. Leases are granted, renewed and checked against the
-    simulation clock; when one expires (or is revoked) every device
-    allocation and stream the tenant still holds is reclaimed through the
-    server's CUDA context, so the arena returns to its pre-tenant
-    baseline and the memory becomes available to other tenants.
+    simulation clock; when one expires (or a re-grant revokes it) every
+    device allocation and stream the tenant still holds is reclaimed
+    through the server's CUDA context, so the arena returns to its
+    pre-tenant baseline and the memory becomes available to other
+    tenants.
 
     The registry also owns the per-tenant resource accounting that backs
     {!Cricket.Server.tenant_hooks}: {!install} wires a registry into a
@@ -63,14 +64,6 @@ val check : t -> tenant:string -> (lease, [ `Unknown_tenant | `Expired | `Revoke
 (** Validity check, performed per dispatched call. Lazily transitions an
     overdue [Active] lease to [Expired], reclaiming its resources. *)
 
-val revoke : t -> tenant:string -> unit
-(** Immediate administrative expiry + reclaim. Unknown tenants ignored. *)
-
-val expire_due : t -> unit
-(** Sweep: expire (and reclaim) every overdue lease now. {!check} does
-    this lazily per tenant; the sweep is for idle tenants that stop
-    calling. *)
-
 (** {1 Server wiring} *)
 
 val install : t -> Cricket.Server.t -> unit
@@ -85,9 +78,7 @@ val hooks : t -> Cricket.Server.tenant_hooks
 (** {1 Statistics} *)
 
 type stats = {
-  granted : int;
   expiries : int;
-  revocations : int;
   reclaimed_bytes : int;  (** device bytes freed by expiry/revocation *)
   reclaimed_streams : int;
   denied_mallocs : int;  (** allocations refused by the memory cap *)
@@ -129,9 +120,6 @@ val complete_handoff : t -> tenant:string -> unit
 (** Source side, after a committed migration: reclaim the source copies of
     the tenant's device resources and drop the lease. Unknown tenants are
     ignored. *)
-
-val migrated_out : t -> int
-(** Sessions handed off to another server. *)
 
 val adopted : t -> int
 (** Sessions adopted from another server. *)

@@ -67,8 +67,7 @@ type report = {
   errors : int;
   makespan_ms : float;
   latency : percentiles;  (** aggregate sojourn over the merged timeline *)
-  tenant_p99_min_us : float;  (** spread of per-tenant p99 sojourn *)
-  tenant_p99_med_us : float;
+  tenant_p99_med_us : float;  (** spread of per-tenant p99 sojourn *)
   tenant_p99_max_us : float;
   jain : float;
   events : int;  (** merged timeline length (served + shed) *)
@@ -306,7 +305,6 @@ let run_policy (params : params) policy =
     errors;
     makespan_ms = Time.to_float_ms makespan;
     latency = { p50_us = q aggregate 0.5; p99_us = q aggregate 0.99 };
-    tenant_p99_min_us = (match per_p99 with [] -> 0.0 | x :: _ -> x);
     tenant_p99_med_us = nth_frac per_p99 0.5;
     tenant_p99_max_us = nth_frac per_p99 1.0;
     jain = Core.jain_index busy;

@@ -67,8 +67,7 @@ type report = {
   errors : int;
   makespan_ms : float;
   latency : percentiles;  (** aggregate sojourn over the merged timeline *)
-  tenant_p99_min_us : float;  (** spread of per-tenant p99 sojourn *)
-  tenant_p99_med_us : float;
+  tenant_p99_med_us : float;  (** spread of per-tenant p99 sojourn *)
   tenant_p99_max_us : float;
   jain : float;
   events : int;  (** merged timeline length (served + shed) *)

@@ -85,14 +85,12 @@ let hermit_profile =
     per_packet_tx_ns = 2_500;
     per_packet_rx_ns = 7_500;
     interrupt_ns = 3_750;
-    (* smoltcp's driver shim implements the framing and doorbell halves of
-       the RPC engine (they sit on the tx/rx ring it already owns) but not
-       header parse/steering descriptors. *)
+    (* The paper's RustyHermit checksum offloads. smoltcp's driver shim
+       implements the framing and doorbell halves of the RPC engine (they
+       sit on the tx/rx ring it already owns) but not header
+       parse/steering descriptors. *)
     offloads =
-      { O.tso = false; tx_checksum = true; rx_checksum = true;
-        scatter_gather = false; mrg_rxbuf = true; gro = false;
-        rpc_framing = true; rpc_parse = false; rpc_steer = false;
-        rpc_doorbell = true };
+      { O.checksum_only with rpc_framing = true; rpc_doorbell = true };
   }
 
 (* Unikraft with lwIP: a thin syscall shim remains, and checksum offload

@@ -32,9 +32,6 @@ val upload :
 (** One bulk upload on a fresh engine. Raises [Failure] if the transfer
     stalls (event queue dry before delivery). *)
 
-val figure7_configs : unit -> (string * Simnet.Hostprofile.t) list
-(** native + every hypervisor-hosted configuration in {!Config.all}. *)
-
 val ablation :
   ?server:Simnet.Hostprofile.t ->
   ?link:Simnet.Link.t ->
@@ -42,7 +39,8 @@ val ablation :
   bytes:int ->
   unit ->
   result list
-(** {!upload} for each of {!figure7_configs}. *)
+(** {!upload} for native and every hypervisor-hosted configuration in
+    {!Config.all}. *)
 
 val relative : baseline:result -> result list -> (result * float) list
 (** Pair each result with its bandwidth as a fraction of [baseline]'s. *)

@@ -38,9 +38,6 @@ val length : t -> int
 val iter : (slice -> unit) -> t -> unit
 (** Apply to each non-empty slice in order. *)
 
-val blit_to_bytes : t -> bytes -> int -> unit
-(** Copy all slices contiguously into [dst] starting at [dst_off]. *)
-
 val concat : t -> string
 (** Flatten into a fresh string (the one copy, when a caller needs
     contiguous bytes). *)

@@ -26,7 +26,6 @@ let error_to_string = function
   | Invalid_utf8 -> "string is not valid UTF-8"
   | Negative_size n -> Printf.sprintf "negative size %d" n
 
-let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
 let fail e = raise (Error e)
 
 let padding_of n =

@@ -28,9 +28,6 @@ exception Error of error
 val error_to_string : error -> string
 (** Human-readable rendering of an {!error}. *)
 
-val pp_error : Format.formatter -> error -> unit
-(** Pretty-printer for {!error}, suitable for [Fmt]/[Alcotest]. *)
-
 val fail : error -> 'a
 (** [fail e] raises {!Error}[ e]. *)
 

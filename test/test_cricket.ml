@@ -357,62 +357,45 @@ let test_proc_stats () =
 
 let test_trace () =
   let engine, server, client = make_pair () in
-  ignore engine;
-  let trace = Cricket.Server.trace server in
+  let obs =
+    Obs.Recorder.create ~clock:(fun () -> Simnet.Engine.now engine) ()
+  in
+  Cricket.Server.set_obs server obs;
+  let dispatch_spans () =
+    List.filter
+      (fun (s : Obs.Recorder.span_info) -> s.layer = "dispatch")
+      (Obs.Recorder.spans obs)
+  in
   (* off by default: nothing recorded *)
   ignore (C.get_device_count client);
-  check Alcotest.int "disabled: empty" 0 (Cricket.Trace.recorded trace);
-  Cricket.Trace.set_enabled trace true;
+  check Alcotest.int "disabled: empty" 0 (List.length (dispatch_spans ()));
+  Obs.Recorder.set_enabled obs true;
   ignore (C.get_device_count client);
   let p = C.malloc client 4096 in
   C.memcpy_h2d client ~dst:p (Bytes.create 4096);
   C.free client p;
-  let entries = Cricket.Trace.entries trace in
-  check Alcotest.int "four calls traced" 4 (List.length entries);
-  let names = List.map (fun e -> e.Cricket.Trace.proc_name) entries in
+  let spans = dispatch_spans () in
+  check Alcotest.int "four calls traced" 4 (List.length spans);
+  (* span names are "<procedure> xid=<n>" *)
+  let names =
+    List.map
+      (fun (s : Obs.Recorder.span_info) ->
+        List.hd (String.split_on_char ' ' s.name))
+      spans
+  in
   check (Alcotest.list Alcotest.string) "names in order"
     [ "rpc_cudaGetDeviceCount"; "rpc_cudaMalloc"; "rpc_cudaMemcpyHtoD";
       "rpc_cudaFree" ]
     names;
-  (* timestamps are monotone; the memcpy carries its payload size *)
   let rec monotone = function
-    | a :: (b :: _ as rest) ->
-        Time.compare a.Cricket.Trace.at b.Cricket.Trace.at <= 0
-        && monotone rest
+    | (a : Obs.Recorder.span_info) :: (b :: _ as rest) ->
+        Time.compare a.start_ns b.start_ns <= 0 && monotone rest
     | _ -> true
   in
-  check Alcotest.bool "monotone timestamps" true (monotone entries);
-  let memcpy = List.nth entries 2 in
-  check Alcotest.bool "arg bytes include payload" true
-    (memcpy.Cricket.Trace.arg_bytes >= 4096);
+  check Alcotest.bool "monotone timestamps" true (monotone spans);
+  let memcpy = List.nth spans 2 in
   check Alcotest.bool "dispatch had a duration" true
-    (Time.compare memcpy.Cricket.Trace.duration Time.zero > 0);
-  (* ring bounding *)
-  let small = Cricket.Trace.create ~capacity:3 () in
-  Cricket.Trace.set_enabled small true;
-  for i = 1 to 10 do
-    Cricket.Trace.record small ~now:(Time.us i) ~proc:i ~proc_name:"p"
-      ~arg_bytes:0 ~duration:Time.zero
-  done;
-  check Alcotest.int "recorded total" 10 (Cricket.Trace.recorded small);
-  let kept = Cricket.Trace.entries small in
-  check Alcotest.int "ring keeps capacity" 3 (List.length kept);
-  check Alcotest.int "oldest kept is #7" 7
-    (List.hd kept).Cricket.Trace.seq;
-  Cricket.Trace.clear small;
-  (* clear drops the buffered entries but keeps the lifetime total, so
-     [recorded] never lies about how many calls were traced *)
-  check Alcotest.int "cleared: entries gone" 0
-    (List.length (Cricket.Trace.entries small));
-  check Alcotest.int "cleared: lifetime total survives" 10
-    (Cricket.Trace.recorded small);
-  (* and seq keeps counting where it left off rather than restarting *)
-  Cricket.Trace.record small ~now:(Time.us 11) ~proc:11 ~proc_name:"p"
-    ~arg_bytes:0 ~duration:Time.zero;
-  (match Cricket.Trace.entries small with
-  | [ e ] -> check Alcotest.int "post-clear seq continues" 10 e.Cricket.Trace.seq
-  | l -> Alcotest.failf "expected one entry, got %d" (List.length l));
-  check Alcotest.int "post-clear total" 11 (Cricket.Trace.recorded small)
+    (Time.compare memcpy.stop_ns memcpy.start_ns > 0)
 
 (* --- lifetime tracking --- *)
 
@@ -1217,6 +1200,39 @@ let test_simchannel_round_trip_allocations () =
     true
     (h2d + d2h <= 4)
 
+(* --- cuModule from a compressed cubin file --- *)
+
+(* The paper's Cricket extension: load a module from a (compressed) cubin
+   file and reach its globals by name, with the init bytes the image
+   carries. *)
+let test_module_file_globals () =
+  let _, _, client = make_pair () in
+  let init = Bytes.init 24 (fun i -> Char.chr ((i * 7) + 1)) in
+  let image =
+    { (Cubin.Image.of_registry [ Gpusim.Kernels.fill_name ]) with
+      Cubin.Image.globals =
+        [ { Cubin.Image.name = "table"; size = 24; init = Some init } ] }
+  in
+  let cubin = Cubin.Image.build ~compress:true image in
+  check Alcotest.bool "compressed cubin" true (Cubin.Image.is_compressed cubin);
+  let path = Filename.temp_file "cricket-module" ".cubin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc cubin);
+      let modul = C.module_load_file client path in
+      let ptr, size = C.get_global client ~modul ~name:"table" in
+      check Alcotest.int "global size from the image" 24 size;
+      check Alcotest.string "global holds its init bytes"
+        (Bytes.to_string init)
+        (Bytes.to_string (C.memcpy_d2h client ~src:ptr ~len:size));
+      let fresh = Bytes.init size (fun i -> Char.chr (255 - i)) in
+      C.memcpy_h2d client ~dst:ptr fresh;
+      check Alcotest.string "h2d then d2h round-trips" (Bytes.to_string fresh)
+        (Bytes.to_string (C.memcpy_d2h client ~src:ptr ~len:size));
+      expect_cuda_error Cudasim.Error.Not_found (fun () ->
+          C.get_global client ~modul ~name:"missing"))
+
 let suite =
   [
     Alcotest.test_case "device forwarding" `Quick test_device_forwarding;
@@ -1265,4 +1281,6 @@ let suite =
         test_local_round_trip_allocations;
       Alcotest.test_case "simchannel payload copies" `Quick
         test_simchannel_round_trip_allocations;
+      Alcotest.test_case "cuModule globals from a cubin file" `Quick
+        test_module_file_globals;
     ]

@@ -43,6 +43,8 @@ let test_unikernel_offload_gaps () =
     ((not hermit.Simnet.Offload.gro) && not unikraft.Simnet.Offload.gro);
   check Alcotest.bool "hermit csum offload" true hermit.Simnet.Offload.tx_checksum;
   check Alcotest.bool "hermit mrg_rxbuf" true hermit.Simnet.Offload.mrg_rxbuf;
+  check Alcotest.bool "hermit's non-RPC offloads are checksum_only" true
+    (Simnet.Offload.rpc_none hermit = Simnet.Offload.checksum_only);
   check Alcotest.bool "unikraft lacks csum offload" false
     unikraft.Simnet.Offload.tx_checksum;
   check Alcotest.bool "vm has every classic offload" true
