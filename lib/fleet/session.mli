@@ -17,7 +17,7 @@
     server's virtual clock, so it balances estimated work instead of
     finish times.
 
-    Connect through {!Cricket.Local.transport_for} (or any tenant-routed
+    Connect through {!Cricket.Local.connect_for} (or any tenant-routed
     transport) and the session's traffic lands in per-tenant accounting
     and lease hooks; {!Cricket.Server.device_calls} shows the per-device
     RPC spread this steering produces. *)
