@@ -27,8 +27,5 @@ type result = {
   digest : string;  (** MD5 of the final accumulator (bit-exactness) *)
 }
 
-val run : ?params:params -> mode -> Unikernel.Runner.env -> result
-(** Run inside an existing simulated host (setup excluded from timing). *)
-
 val measure : ?params:params -> mode -> Unikernel.Config.t -> result
 (** Fresh engine + server + client per call, so modes don't share clocks. *)

@@ -96,8 +96,6 @@ let create ?(launch_extra_ns = 0) ?(charge = fun _ -> ()) ?fragment_size
 
 let close t = Oncrpc.Client.close t.rpc
 let rpc t = t.rpc
-let doorbell_stats t = Option.map Oncrpc.Doorbell.stats t.doorbell
-let doorbell_flush t = Option.iter Oncrpc.Doorbell.flush t.doorbell
 
 let set_obs t obs =
   Oncrpc.Client.set_obs ~proc_name:Server.proc_name t.rpc obs;

@@ -52,11 +52,6 @@ val rpc : t -> Oncrpc.Client.t
 (** The underlying RPC client (retry/timeout/reconnect counters live in
     its {!Oncrpc.Client.stats}). *)
 
-val doorbell_stats : t -> Oncrpc.Doorbell.stats option
-
-val doorbell_flush : t -> unit
-(** Ring the doorbell now (no-op without a doorbell). *)
-
 val set_obs : t -> Obs.Recorder.t -> unit
 (** Attach an observability recorder to the client shim: every forwarded
     CUDA call opens a ["shim"]-layer span named by its RPCL procedure,

@@ -24,7 +24,6 @@ let ptr t =
   ensure_live t;
   t.device_ptr
 
-let size t = t.length
 let is_live t = t.live
 
 let free t =

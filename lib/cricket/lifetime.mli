@@ -19,7 +19,6 @@ val alloc : Client.t -> int -> t
 val ptr : t -> int64
 (** The raw device pointer; raises {!Use_after_free} once freed. *)
 
-val size : t -> int
 val is_live : t -> bool
 
 val free : t -> unit

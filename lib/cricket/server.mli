@@ -35,8 +35,9 @@ val respawn : t -> t
 
 val dup_hits : t -> int
 (** Calls answered from the at-most-once duplicate-request cache (always
-    enabled on Cricket servers): client retransmissions whose original
-    execution survived. *)
+    enabled on Cricket servers, for every procedure but the idempotent
+    [cudaMemcpyDtoH], which runs again instead): client retransmissions
+    whose original execution survived. *)
 
 val rpc_server : t -> Oncrpc.Server.t
 (** The underlying RPC server, for attaching transports or a portmapper. *)

@@ -6,8 +6,6 @@ type t =
 
 exception Unsupported of { strategy : t; reason : string }
 
-let default = Rpc_arguments
-
 let to_string = function
   | Rpc_arguments -> "rpc-arguments"
   | Parallel_tcp n -> Printf.sprintf "parallel-tcp(%d)" n

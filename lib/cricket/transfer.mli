@@ -18,7 +18,6 @@ type t =
 
 exception Unsupported of { strategy : t; reason : string }
 
-val default : t
 val to_string : t -> string
 
 val supported_by_unikernel : t -> bool

@@ -65,8 +65,6 @@ val set_async_error : t -> Error.t -> unit
 val take_async_error : t -> Error.t option
 (** Return and clear the latched error. *)
 
-val fresh_handle : t -> int
-
 (** {1 Module / function tables} *)
 
 val add_module : t -> data:string -> image:Cubin.Image.t -> int

@@ -42,8 +42,6 @@ let to_string = function
   | Launch_failure -> "cudaErrorLaunchFailure"
   | Unknown -> "cudaErrorUnknown"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 exception Cuda_error of t
 
 let () =

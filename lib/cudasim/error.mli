@@ -19,8 +19,6 @@ val of_code : int -> t
 (** Unknown codes map to {!Unknown}. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-
 exception Cuda_error of t
 (** Raised by the client-side API wrappers on a non-[Success] result. *)
 

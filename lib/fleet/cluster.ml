@@ -31,7 +31,6 @@ type t = {
   mutable now : Time.t;
   mutable rr : int;
   mutable incompatible : int;
-  mutable obs : Obs.Recorder.t;
 }
 
 let create ?(policy = Cost_aware) devices =
@@ -61,7 +60,6 @@ let create ?(policy = Cost_aware) devices =
     now = Time.zero;
     rr = 0;
     incompatible = 0;
-    obs = Obs.Recorder.null;
   }
 
 let policy t = t.policy
@@ -69,10 +67,6 @@ let device_count t = Array.length t.devs
 let now t = t.now
 let device t i = t.devs.(i).device
 let gpu t i = t.devs.(i).gpu
-
-let set_obs t obs =
-  t.obs <- obs;
-  Array.iter (fun d -> Gpusim.Gpu.set_obs d.gpu obs) t.devs
 
 (* --- modules --- *)
 
@@ -210,10 +204,6 @@ let launch t f mk =
           d.busy_until <- finish;
           d.launches <- d.launches + 1;
           record_event d finish;
-          if Obs.Recorder.enabled t.obs then
-            Obs.Recorder.incr t.obs
-              (Obs.Recorder.tenant_label "fleet.launch"
-                 ~tenant:(Printf.sprintf "%d:%s" d.id d.device.Gpusim.Device.name));
           Ok (d.id, finish))
 
 let barrier t =

@@ -59,10 +59,6 @@ val gpu : t -> int -> Gpusim.Gpu.t
     launches must go through {!launch} so compatibility routing and
     accounting apply. *)
 
-val set_obs : t -> Obs.Recorder.t -> unit
-(** Per-device launch counters ([fleet.launch{tenant=<dev>}]) plus the
-    GPUs' own span instrumentation. *)
-
 (** {1 Modules and functions} *)
 
 type modul

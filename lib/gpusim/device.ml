@@ -70,8 +70,3 @@ let effective_flops t precision =
     match precision with `F32 -> t.fp32_tflops | `F64 -> t.fp64_tflops
   in
   peak *. 1e12 *. t.efficiency
-
-let pp ppf t =
-  Format.fprintf ppf "%s (%d SMs @ %d kHz, %Ld B, CC %d.%d)" t.name
-    t.multi_processor_count t.clock_rate_khz t.total_global_mem
-    t.compute_major t.compute_minor

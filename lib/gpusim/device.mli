@@ -32,5 +32,3 @@ val gpu_node : t list
 
 val effective_flops : t -> [ `F32 | `F64 ] -> float
 (** Sustained FLOP/s after derating. *)
-
-val pp : Format.formatter -> t -> unit

@@ -33,7 +33,6 @@ let registry : (string, t) Hashtbl.t = Hashtbl.create 32
 
 let register k = Hashtbl.replace registry k.name k
 let find name = Hashtbl.find_opt registry name
-let names () = Hashtbl.fold (fun name _ acc -> name :: acc) registry []
 
 (* --- argument helpers --- *)
 

@@ -48,8 +48,6 @@ val register : t -> unit
     name). *)
 
 val find : string -> t option
-val names : unit -> string list
-
 (** {1 Built-in kernels (registered at module init)} *)
 
 val matrix_mul_name : string

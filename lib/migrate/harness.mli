@@ -61,8 +61,5 @@ type report = {
   fault_stats : Simnet.Fault.stats option;
 }
 
-val tenant : string
-(** The tenant name the harness grants and migrates. *)
-
 val run : ?obs:Obs.Recorder.t -> params -> report
 (** Deterministic: equal params give byte-identical reports. *)

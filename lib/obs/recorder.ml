@@ -202,13 +202,6 @@ let histogram t name =
   Mutex.unlock t.tables_lock;
   h
 
-let histograms t =
-  Mutex.lock t.tables_lock;
-  let snapshot =
-    Hashtbl.fold (fun name h acc -> (name, h) :: acc) t.histograms []
-  in
-  Mutex.unlock t.tables_lock;
-  List.sort (fun (a, _) (b, _) -> compare a b) snapshot
 
 let info (sp : span) : span_info =
   { id = sp.id; parent = sp.sp_parent; name = sp.sp_name;

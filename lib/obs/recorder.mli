@@ -106,9 +106,6 @@ val observe : t -> string -> int64 -> unit
     use. *)
 
 val histogram : t -> string -> Histogram.t option
-val histograms : t -> (string * Histogram.t) list
-(** Sorted by name. *)
-
 (** {1 Inspection} *)
 
 val spans : t -> span_info list

@@ -125,7 +125,6 @@ let set_reconnect t f = t.reconnect <- Some f
 let set_on_reconnect t f = t.on_reconnect <- f
 let set_give_up t f = t.give_up <- f
 let set_transport t transport = t.transport <- transport
-let transport t = t.transport
 
 let wire_length ~fragment_size payload =
   let fragments = max 1 ((payload + fragment_size - 1) / fragment_size) in

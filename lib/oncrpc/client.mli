@@ -13,9 +13,9 @@
     through the [sleep] hook ({!set_clock}), so under the simulated network
     they advance virtual time and runs stay bit-reproducible.
     Retransmissions reuse the original xid: paired with
-    {!Server.set_dup_cache} this yields {e at-most-once} execution, the
-    property that makes retrying non-idempotent calls such as [cudaMalloc]
-    safe. A lost connection is re-established through the {!set_reconnect}
+    {!Server.set_dup_cache} this yields {e at-most-once} execution for
+    every procedure not registered idempotent, the property that makes
+    retrying non-idempotent calls such as [cudaMalloc] safe. A lost connection is re-established through the {!set_reconnect}
     hook; {!set_on_reconnect} lets a session layer (e.g.
     [Cricket.Client]'s recovery protocol) restore server state before the
     failed call is retransmitted.
@@ -131,7 +131,6 @@ val set_give_up : t -> (exn -> exn) -> unit
     session layer substitute its own sticky error. Default: identity. *)
 
 val set_transport : t -> Transport.t -> unit
-val transport : t -> Transport.t
 
 (** {1 Calls} *)
 

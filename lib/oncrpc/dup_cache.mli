@@ -9,12 +9,13 @@
     store fills the slot after the newest in place. Every entry lives at
     most [capacity] stores, evicted FIFO by insertion order, as a
     [Hashtbl] plus [Queue] of keys would evict. Large replies (at least
-    {!Xdr.Encode.zero_copy_threshold} bytes, such as bulk downloads) are
-    also bounded by bytes: while they hold more than [max_bytes] between
-    them, the oldest of them go, but never the entry just stored. Small
-    replies never count against that bound, so no download, however
-    large, can push out the reply of another ident's non-idempotent call
-    (allocation, free, launch) before its [capacity] stores are up. Every
+    {!Xdr.Encode.zero_copy_threshold} bytes, such as stream-ordered
+    downloads) are also bounded by bytes: while they hold more than
+    [max_bytes] between them, the oldest of them go, but never the entry
+    just stored. Small replies never count against that bound, so no
+    download, however large, can push out the reply of another ident's
+    non-idempotent call (allocation, free, launch) before its [capacity]
+    stores are up. Every
     operation takes the cache's mutex, so one cache can serve calls from
     several domains. *)
 
@@ -22,8 +23,9 @@ type t
 
 val default_max_bytes : int
 (** The large-reply bytes a server's cache keeps: 128 MiB. Of a run of
-    64 MiB downloads, whose replies are a few bytes over 64 MiB each, it
-    keeps the newest. *)
+    64 MiB [cudaMemcpyDtoHAsync] downloads, whose replies are a few bytes
+    over 64 MiB each, it keeps the newest. ([cudaMemcpyDtoH] is
+    registered idempotent, so its replies are never stored.) *)
 
 val create : capacity:int -> max_bytes:int -> t
 (** Raises [Invalid_argument] if [capacity < 1] or [max_bytes < 0]. *)

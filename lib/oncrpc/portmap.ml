@@ -1,8 +1,8 @@
 let program = 100000
 let version = 2
 
+(* Procedure numbers; NULL (0) is the server's default procedure. *)
 module Proc = struct
-  let null = 0
   let set = 1
   let unset = 2
   let getport = 3

@@ -11,14 +11,6 @@ val program : int
 val version : int
 (** 2. *)
 
-(** Procedure numbers. *)
-module Proc : sig
-  val null : int
-  val set : int
-  val unset : int
-  val getport : int
-end
-
 type mapping = { prog : int; vers : int; prot : int; port : int }
 
 val prot_tcp : int

@@ -4,9 +4,10 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type handler = Xdr.Decode.t -> Xdr.Encode.t -> unit
 
-(* A registered procedure and whether it is one-way: dispatch reads both
-   from one lookup keyed by the procedure number alone. *)
-type procedure = { handler : handler; mutable oneway : bool }
+(* A registered procedure, whether it is one-way and whether it is
+   idempotent: dispatch reads all three from one lookup keyed by the
+   procedure number alone. *)
+type procedure = { handler : handler; mutable oneway : bool; idempotent : bool }
 
 type service = { vers : int; procedures : (int, procedure) Hashtbl.t }
 
@@ -66,10 +67,13 @@ let set_obs ?proc_name t obs =
   | Some f -> t.obs_proc_name <- f
   | None -> ()
 
-let set_dup_cache ?(capacity = 4096) t =
-  if capacity < 1 then invalid_arg "Server.set_dup_cache";
+let dup_cache_capacity = 4096
+
+let set_dup_cache t =
   t.dup_cache <-
-    Some (Dup_cache.create ~capacity ~max_bytes:Dup_cache.default_max_bytes)
+    Some
+      (Dup_cache.create ~capacity:dup_cache_capacity
+         ~max_bytes:Dup_cache.default_max_bytes)
 
 let dup_hits t =
   match t.dup_cache with None -> 0 | Some c -> Dup_cache.hits c
@@ -82,7 +86,7 @@ let rec find_service vers = function
 
 let is_oneway t ~prog ~vers ~proc = Hashtbl.mem t.oneway (prog, vers, proc)
 
-let register t ~prog ~vers procedures =
+let register ?(idempotent = false) t ~prog ~vers procedures =
   let services =
     match Hashtbl.find_opt t.programs prog with
     | Some l -> l
@@ -99,12 +103,13 @@ let register t ~prog ~vers procedures =
         services := s :: !services;
         s
   in
-  let add proc handler =
+  let add ~idempotent proc handler =
     Hashtbl.replace service.procedures proc
-      { handler; oneway = is_oneway t ~prog ~vers ~proc }
+      { handler; oneway = is_oneway t ~prog ~vers ~proc; idempotent }
   in
-  if not (Hashtbl.mem service.procedures 0) then add 0 null_procedure;
-  List.iter (fun (proc, h) -> add proc h) procedures
+  if not (Hashtbl.mem service.procedures 0) then
+    add ~idempotent:false 0 null_procedure;
+  List.iter (fun (proc, h) -> add ~idempotent proc h) procedures
 
 let set_oneway t ~prog ~vers procs =
   List.iter
@@ -179,28 +184,44 @@ let run_procedure t dec ~xid ~proc p =
   Xdr.Encode.give_back replies enc;
   reply
 
-let dispatch_call t dec ~xid ~prog ~vers ~proc ~cred =
+(* A call's procedure is found before the cache, the span and the auth
+   check see the call: the lookups are pure, so finding it first changes
+   no reply and no order of effects. A call to no procedure raises
+   [Unresolved] with the error it is answered with. *)
+exception Unresolved of Message.accept_stat
+
+let find_procedure t ~prog ~vers ~proc =
+  match Hashtbl.find t.programs prog with
+  | exception Not_found -> raise_notrace (Unresolved Message.Prog_unavail)
+  | services -> (
+      match find_service vers !services with
+      | exception Not_found ->
+          let low, high = version_range !services in
+          raise_notrace (Unresolved (Message.Prog_mismatch { low; high }))
+      | service -> (
+          match Hashtbl.find service.procedures proc with
+          | exception Not_found ->
+              raise_notrace (Unresolved Message.Proc_unavail)
+          | p -> p))
+
+(* The two answers of a call whose credentials pass, passed to the
+   wrappers below as [answer] with its argument: run the procedure found,
+   or reply with the error of a call to none. *)
+let run_found t dec ~xid ~prog ~vers ~proc p =
+  t.observer ~prog ~vers ~proc ~arg_bytes:(Xdr.Decode.remaining dec);
+  run_procedure t dec ~xid ~proc p
+
+let reply_unresolved _ _ ~xid ~prog:_ ~vers:_ ~proc:_ stat =
+  error_reply ~xid stat
+
+let dispatch_call t dec ~xid ~prog ~vers ~proc ~cred answer x =
   match t.auth_check cred with
   | Some stat ->
       encode_reply
         (Message.reply_denied ~xid:(Int32.of_int xid) (Message.Auth_error stat))
-  | None -> (
-      match Hashtbl.find t.programs prog with
-      | exception Not_found -> error_reply ~xid Message.Prog_unavail
-      | services -> (
-          match find_service vers !services with
-          | exception Not_found ->
-              let low, high = version_range !services in
-              error_reply ~xid (Message.Prog_mismatch { low; high })
-          | service -> (
-              match Hashtbl.find service.procedures proc with
-              | exception Not_found -> error_reply ~xid Message.Proc_unavail
-              | p ->
-                  t.observer ~prog ~vers ~proc
-                    ~arg_bytes:(Xdr.Decode.remaining dec);
-                  run_procedure t dec ~xid ~proc p)))
+  | None -> answer t dec ~xid ~prog ~vers ~proc x
 
-let dispatch_spanned t dec ~xid ~prog ~vers ~proc ~cred =
+let dispatch_spanned t dec ~xid ~prog ~vers ~proc ~cred answer x =
   if Obs.Recorder.enabled t.obs then begin
     let sp =
       Obs.Recorder.span_begin t.obs ~layer:"dispatch"
@@ -208,7 +229,7 @@ let dispatch_spanned t dec ~xid ~prog ~vers ~proc ~cred =
            (t.obs_proc_name ~prog ~vers ~proc)
            (Int32.of_int xid))
     in
-    match dispatch_call t dec ~xid ~prog ~vers ~proc ~cred with
+    match dispatch_call t dec ~xid ~prog ~vers ~proc ~cred answer x with
     | reply ->
         Obs.Recorder.span_end t.obs sp;
         reply
@@ -216,14 +237,13 @@ let dispatch_spanned t dec ~xid ~prog ~vers ~proc ~cred =
         Obs.Recorder.span_end t.obs sp;
         raise e
   end
-  else dispatch_call t dec ~xid ~prog ~vers ~proc ~cred
+  else dispatch_call t dec ~xid ~prog ~vers ~proc ~cred answer x
 
-(* The common tail of both dispatch paths: at-most-once cache around the
-   dispatch-layer span around {!dispatch_call}. [""] is the (absent) reply
-   of a one-way call. *)
-let dispatch_cached ident t dec ~xid ~prog ~vers ~proc ~cred =
+(* The at-most-once cache around the dispatch-layer span around
+   {!dispatch_call}. [""] is the (absent) reply of a one-way call. *)
+let dispatch_cached ident t dec ~xid ~prog ~vers ~proc ~cred answer x =
   match t.dup_cache with
-  | None -> dispatch_spanned t dec ~xid ~prog ~vers ~proc ~cred
+  | None -> dispatch_spanned t dec ~xid ~prog ~vers ~proc ~cred answer x
   | Some cache -> (
       match Dup_cache.lookup cache ~ident ~xid ~prog ~vers ~proc with
       | Some reply ->
@@ -235,9 +255,23 @@ let dispatch_cached ident t dec ~xid ~prog ~vers ~proc ~cred =
                 t.name (Int32.of_int xid) proc);
           reply
       | None ->
-          let reply = dispatch_spanned t dec ~xid ~prog ~vers ~proc ~cred in
+          let reply =
+            dispatch_spanned t dec ~xid ~prog ~vers ~proc ~cred answer x
+          in
           Dup_cache.store cache ~ident ~xid ~prog ~vers ~proc reply;
           reply)
+
+(* The common tail of both dispatch paths. An idempotent procedure runs
+   again on a retransmission, so its calls bypass the cache: their reply
+   is garbage once sent instead of pinned until evicted. *)
+let dispatch_resolved ident t dec ~xid ~prog ~vers ~proc ~cred =
+  match find_procedure t ~prog ~vers ~proc with
+  | p when p.idempotent ->
+      dispatch_spanned t dec ~xid ~prog ~vers ~proc ~cred run_found p
+  | p -> dispatch_cached ident t dec ~xid ~prog ~vers ~proc ~cred run_found p
+  | exception Unresolved stat ->
+      dispatch_cached ident t dec ~xid ~prog ~vers ~proc ~cred
+        reply_unresolved stat
 
 let unparseable e =
   Protocol_error (Unparseable_request (Xdr.Types.error_to_string e))
@@ -283,7 +317,7 @@ let dispatch_raw ident t request =
   let proc = field Xdr.Decode.uint dec in
   let cred = auth_field t dec in
   ignore (auth_field t dec : Auth.t);
-  dispatch_cached ident t dec ~xid ~prog ~vers ~proc ~cred
+  dispatch_resolved ident t dec ~xid ~prog ~vers ~proc ~cred
 
 let dispatch_opt ?(ident = "") t request =
   match dispatch_raw ident t request with "" -> None | reply -> Some reply
@@ -304,7 +338,7 @@ let dispatch_preparsed ?(ident = "") t ~xid ~prog ~vers ~proc ~body_off request 
               (Printf.sprintf "preparsed body offset %d out of bounds"
                  body_off)));
     match
-      dispatch_cached ident t (args_at request body_off)
+      dispatch_resolved ident t (args_at request body_off)
         ~xid:(Int32.to_int xid land 0xffffffff)
         ~prog ~vers ~proc ~cred:Auth.none
     with

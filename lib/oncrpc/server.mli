@@ -30,9 +30,14 @@ type t
 
 val create : ?name:string -> unit -> t
 
-val register : t -> prog:int -> vers:int -> (int * handler) list -> unit
+val register :
+  ?idempotent:bool -> t -> prog:int -> vers:int -> (int * handler) list ->
+  unit
 (** Register (or extend) a service. Later registrations of the same
-    procedure replace earlier ones. *)
+    procedure replace earlier ones. [idempotent] (default [false]) marks
+    the procedures of this call as safe to run again on a retransmission:
+    their calls bypass the duplicate-request cache (see {!set_dup_cache}).
+    The NULL procedure a first registration adds is never idempotent. *)
 
 val set_oneway : t -> prog:int -> vers:int -> int list -> unit
 (** Mark procedures of a service as one-way ("batched", RFC 5531 §8):
@@ -45,33 +50,35 @@ val set_oneway : t -> prog:int -> vers:int -> int list -> unit
 val set_auth_check : t -> (Auth.t -> Message.auth_stat option) -> unit
 (** Install a credential check; returning [Some stat] denies the call. *)
 
-val set_dup_cache : ?capacity:int -> t -> unit
-(** Enable the at-most-once duplicate-request cache. Every dispatched call
-    records its reply under [(ident, xid, prog, vers, proc)] — the
-    caller's connection/tenant identity (see {!dispatch_opt}) plus the RFC
-    1831 duplicate key; a retransmission of the same call — the client
-    reuses the xid, see {!Client.call} — gets the recorded reply back
-    without re-executing the handler. This is what makes retrying
-    non-idempotent procedures (allocation, launch, free) safe when a reply
-    record is lost, and keying by identity means two tenants reusing the
-    same xid space can never collide into each other's cached replies. For
-    cached one-way calls the duplicate is swallowed entirely.
+val set_dup_cache : t -> unit
+(** Enable the at-most-once duplicate-request cache for every procedure
+    not registered idempotent (see {!register}). Each such call records
+    its reply under [(ident, xid, prog, vers, proc)] — the caller's
+    connection/tenant identity (see {!dispatch_opt}) plus the RFC 1831
+    duplicate key; a retransmission of the same call — the client reuses
+    the xid, see {!Client.call} — gets the recorded reply back without
+    re-executing the handler. This is what makes retrying non-idempotent
+    procedures (allocation, launch, free) safe when a reply record is
+    lost, and keying by identity means two tenants reusing the same xid
+    space can never collide into each other's cached replies. For cached
+    one-way calls the duplicate is swallowed entirely. Calls to an
+    idempotent procedure are neither looked up nor stored: a
+    retransmission runs the handler again, as Linux nfsd serves READ
+    without its reply cache, and the reply is garbage once sent.
 
-    The cache is a {!Dup_cache}: a ring of [capacity] slots (default 4096)
-    over int and string arrays, found through a chained hash whose links
-    are slot numbers. A lookup hashes the ident and walks a chain of at
-    most about one slot; a store fills a slot in place. Neither allocates,
-    so a call pays no per-entry boxes and nothing of the cache is promoted
-    to the major heap but the reply strings themselves. Those are bounded
-    too: replies of 1 KiB and up hold at most
-    {!Dup_cache.default_max_bytes} (128 MiB) between them, or the newest
-    alone when it is larger, so a run of 64 MiB downloads holds one of
-    them instead of up to [capacity]. Both bounds evict in the order calls
-    were first stored: a live retransmission always targets a recent xid,
-    so evicting old entries is safe. Smaller replies are bounded by
-    [capacity] alone, so a download never costs another ident's
-    cudaMalloc or cudaFree its cached reply before [capacity] later
-    calls. *)
+    The cache is a {!Dup_cache}: a ring of 4096 slots over int and string
+    arrays, found through a chained hash whose links are slot numbers. A
+    lookup hashes the ident and walks a chain of at most about one slot; a
+    store fills a slot in place. Neither allocates, so a call pays no
+    per-entry boxes and nothing of the cache is promoted to the major heap
+    but the reply strings themselves. Those are bounded too: replies of
+    1 KiB and up hold at most {!Dup_cache.default_max_bytes} (128 MiB)
+    between them, or the newest alone when it is larger. Both bounds evict
+    in the order calls were first stored: a live retransmission always
+    targets a recent xid, so evicting old entries is safe. Smaller replies
+    are bounded by the 4096 slots alone, so a large reply never costs
+    another ident's cudaMalloc or cudaFree its cached reply before 4096
+    later calls. *)
 
 val dup_hits : t -> int
 (** Number of calls answered from the duplicate-request cache. *)

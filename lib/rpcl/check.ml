@@ -16,10 +16,6 @@ type env = {
 
 let spec env = env.spec
 
-let consts env =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) env.consts []
-  |> List.sort compare
-
 let resolve env = function
   | Ast.Lit n -> n
   | Ast.Named name -> (

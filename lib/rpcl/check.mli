@@ -18,8 +18,6 @@ val check : Ast.spec -> env
 (** Raises {!Semantic_error} on the first violated rule. *)
 
 val spec : env -> Ast.spec
-val consts : env -> (string * int64) list
-(** All named integer constants, including enum items. *)
 
 val resolve : env -> Ast.value -> int64
 (** Resolve a literal or named constant. *)

@@ -38,8 +38,3 @@ let bare_metal_linux =
   }
 
 let with_offloads t offloads = { t with offloads }
-
-let pp ppf t =
-  Format.fprintf ppf "%s%s %a" t.name
-    (if t.virtualized then " (virtualized)" else "")
-    Offload.pp t.offloads

@@ -36,5 +36,3 @@ val bare_metal_linux : t
 
 val with_offloads : t -> Offload.t -> t
 (** Same host, different negotiated feature set (for ablations). *)
-
-val pp : Format.formatter -> t -> unit

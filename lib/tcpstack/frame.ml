@@ -46,11 +46,6 @@ let to_segment t =
     payload = Bytes.unsafe_of_string (Xdr.Iovec.concat t.payload);
   }
 
-let seq_length t =
-  t.payload_len
-  + (if t.flags.Segment.syn then 1 else 0)
-  + if t.flags.Segment.fin then 1 else 0
-
 (* The bytes [pos, pos+len) of [iov] as slices sharing its storage, found
    in one walk; a slice wholly inside the range is reused as it is. *)
 let rec range (iov : Xdr.Iovec.t) pos len =

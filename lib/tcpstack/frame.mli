@@ -25,9 +25,6 @@ val to_segment : t -> Segment.t
 (** Materialize the payload into a flat buffer (the one copy the
     byte-wire path pays per transmission). *)
 
-val seq_length : t -> int
-(** Payload length plus one for SYN and one for FIN. *)
-
 val sub : t -> int -> int -> t
 (** [sub t pos len] is the payload range [pos, pos+len) as its own frame:
     sequence number advanced by [pos], payload aliased, SYN kept only at

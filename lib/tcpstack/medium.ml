@@ -6,7 +6,6 @@ type t = {
   engine : Engine.t;
   link : Simnet.Link.t;
   fault : Fault.t option;
-  mutable delivered : int;
   (* last scheduled delivery per direction: the wire is FIFO, so a short
      segment must not overtake a long one sent before it *)
   mutable last_delivery_ab : Time.t;
@@ -19,8 +18,7 @@ let ip_b = 0x0a000002l
 
 let connect ~engine ~link ?fault a b =
   let t =
-    { engine; link; fault; delivered = 0;
-      last_delivery_ab = Time.zero; last_delivery_ba = Time.zero }
+    { engine; link; fault; last_delivery_ab = Time.zero; last_delivery_ba = Time.zero }
   in
   let wire ~src_ip ~dst_ip peer seg =
     let decision =
@@ -71,9 +69,7 @@ let connect ~engine ~link ?fault a b =
           in
           Engine.schedule_at t.engine arrival (fun () ->
               match Segment.decode ~src_ip ~dst_ip bytes with
-              | Ok seg ->
-                  t.delivered <- t.delivered + 1;
-                  Endpoint.on_segment peer seg
+              | Ok seg -> Endpoint.on_segment peer seg
               | Error _ -> (* dropped by checksum verification *) ())
         in
         deliver ();
@@ -82,6 +78,3 @@ let connect ~engine ~link ?fault a b =
   Endpoint.set_tx a (fun seg -> wire ~src_ip:ip_a ~dst_ip:ip_b b seg);
   Endpoint.set_tx b (fun seg -> wire ~src_ip:ip_b ~dst_ip:ip_a a seg);
   t
-
-let delivered t = t.delivered
-let fault_stats t = Option.map Fault.stats t.fault

@@ -25,8 +25,3 @@ val connect :
     a delayed segment also delays everything sent behind it, like a
     stalled queue — reordering is not modelled. Partition windows apply at
     the segment's transmission instant. *)
-
-val delivered : t -> int
-
-val fault_stats : t -> Simnet.Fault.stats option
-(** Live fault counters, when a plan is installed. *)

@@ -428,10 +428,3 @@ let stats t =
     fcs_drops = t.fcs_drops; payload_bytes = t.payload_bytes }
 
 let fault_stats t = Option.map Fault.stats t.fault
-
-let pp_stats ppf (s : stats) =
-  Format.fprintf ppf
-    "@[<h>frames=%d wire=%d tso=%d rx_units=%d gro_merged=%d sw_csum=%dB \
-     staging=%d csum_drops=%d fcs_drops=%d@]"
-    s.guest_tx_frames s.wire_segments s.tso_frames s.rx_units s.gro_merged
-    s.sw_checksum_bytes s.staging_copies s.csum_drops s.fcs_drops

@@ -62,4 +62,3 @@ val set_obs : t -> Obs.Recorder.t -> unit
 
 val stats : t -> stats
 val fault_stats : t -> Simnet.Fault.stats option
-val pp_stats : Format.formatter -> stats -> unit

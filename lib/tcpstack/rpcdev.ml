@@ -219,7 +219,6 @@ let create ~engine ~profile ~features ?(costs = default_costs)
 
 let set_obs t obs = t.obs <- obs
 let set_ident t ident = t.ident <- ident
-let negotiated t = t.features
 
 let stats t : stats =
   { records = t.records; hw_records = t.hw_records;

@@ -104,5 +104,4 @@ val drain_iter : t -> (entry -> unit) -> unit
 val pending : t -> int
 val set_ident : t -> string -> unit
 val set_obs : t -> Obs.Recorder.t -> unit
-val negotiated : t -> Simnet.Offload.t
 val stats : t -> stats

@@ -109,14 +109,3 @@ let decode ~src_ip ~dst_ip b =
           }
     end
   end
-
-let pp ppf t =
-  let f = t.flags in
-  Format.fprintf ppf "%d->%d seq=%d ack=%d%s%s%s%s%s win=%d len=%d" t.src_port
-    t.dst_port t.seq t.ack
-    (if f.syn then " SYN" else "")
-    (if f.ack then " ACK" else "")
-    (if f.fin then " FIN" else "")
-    (if f.rst then " RST" else "")
-    (if f.psh then " PSH" else "")
-    t.window (Bytes.length t.payload)

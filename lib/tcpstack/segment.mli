@@ -27,5 +27,3 @@ val encode : src_ip:int32 -> dst_ip:int32 -> t -> bytes
 
 val decode : src_ip:int32 -> dst_ip:int32 -> bytes -> (t, string) result
 (** Parse and verify the checksum; [Error] on truncation or corruption. *)
-
-val pp : Format.formatter -> t -> unit

@@ -56,8 +56,3 @@ let take t n =
   if n < 0 || n > t.length then invalid_arg "Txring.take";
   t.length <- t.length - n;
   take_front t n
-
-let clear t =
-  Queue.clear t.q;
-  t.head_off <- 0;
-  t.length <- 0

@@ -25,5 +25,3 @@ val take : t -> int -> Xdr.Iovec.t
 (** [take t n] removes and returns the front [n] bytes as slices sharing
     the queued storage. Raises [Invalid_argument] if fewer than [n] bytes
     are queued. *)
-
-val clear : t -> unit

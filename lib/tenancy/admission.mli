@@ -21,8 +21,6 @@
 
 type reject_reason = Over_quota | Overloaded | Lease_expired
 
-val reject_to_string : reject_reason -> string
-
 exception Rejected of reject_reason
 (** Raised to a tenant whose work was refused (by the serving core, not by
     this module — {!offer} returns the reason). *)

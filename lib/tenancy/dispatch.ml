@@ -17,7 +17,6 @@ type 'a t = {
   rings : ring array;  (* one per priority class, most urgent first *)
   fifo : (int * 'a) Queue.t;  (* Fifo policy only *)
   mutable in_service : int;  (* tenant handed out by [next], -1 if none *)
-  mutable pending : int;
   mutable rotations : int;
 }
 
@@ -56,12 +55,10 @@ let create ~policy ?(quantum_ns = default_quantum_ns) ~tenants ~priorities ()
     rings = Array.map (fun _ -> { order = Queue.create () }) classes;
     fifo = Queue.create ();
     in_service = -1;
-    pending = 0;
     rotations = 0;
   }
 
 let enqueue t ~tenant item =
-  t.pending <- t.pending + 1;
   match t.policy with
   | Cricket.Sched.Fifo -> Queue.add (tenant, item) t.fifo
   | Cricket.Sched.Round_robin | Cricket.Sched.Priority ->
@@ -80,7 +77,6 @@ let next t =
       match Queue.take_opt t.fifo with
       | None -> None
       | Some (tenant, item) ->
-          t.pending <- t.pending - 1;
           t.in_service <- tenant;
           Some (tenant, item))
   | Cricket.Sched.Round_robin | Cricket.Sched.Priority ->
@@ -94,7 +90,6 @@ let next t =
       | Some ring ->
           let tenant = Queue.peek ring.order in
           let item = Queue.take t.queues.(tenant) in
-          t.pending <- t.pending - 1;
           t.in_service <- tenant;
           Some (tenant, item))
 
@@ -120,7 +115,5 @@ let charge t ~tenant ~cost_ns =
         t.deficit.(tenant) <- t.deficit.(tenant) + t.quantum;
         t.rotations <- t.rotations + 1
       end
-
-let pending t = t.pending
 
 let rotations t = t.rotations

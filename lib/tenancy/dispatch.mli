@@ -49,9 +49,6 @@ val charge : 'a t -> tenant:int -> cost_ns:int -> unit
 (** Post-charge the cost of the item just served (DRR accounting; a
     no-op under [Fifo]). *)
 
-val pending : 'a t -> int
-(** Items currently queued. *)
-
 val rotations : 'a t -> int
 (** DRR ring rotations performed (quantum exhaustions) — a cheap proxy
     for scheduling overhead in benchmarks. *)

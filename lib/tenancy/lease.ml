@@ -47,7 +47,6 @@ type t = {
   mutable denied_mallocs : int;
   mutable denied_streams : int;
   mutable expired_denials : int;
-  mutable adopted : int;
 }
 
 let create ~now ~ctx () =
@@ -61,7 +60,6 @@ let create ~now ~ctx () =
     denied_mallocs = 0;
     denied_streams = 0;
     expired_denials = 0;
-    adopted = 0;
   }
 
 let find t tenant =
@@ -346,7 +344,6 @@ let adopt t blob =
           Hashtbl.replace ledger.stream_handles (dev, handle) ())
         p.p_streams;
       Hashtbl.replace t.table p.p_tenant (lease, ledger);
-      t.adopted <- t.adopted + 1;
       Ok lease
 
 (* After a committed migration the source must forget the session without
@@ -359,4 +356,3 @@ let complete_handoff t ~tenant =
   | Some entry ->
       reclaim t entry;
       Hashtbl.remove t.table tenant
-let adopted t = t.adopted

@@ -71,10 +71,6 @@ val install : t -> Cricket.Server.t -> unit
     lease validity, allocation/stream calls are capped and accounted.
     Tenants without a lease are admitted uncapped (grant to enforce). *)
 
-val hooks : t -> Cricket.Server.tenant_hooks
-(** The hooks {!install} uses, exposed so a serving core can wrap them
-    (e.g. to add queue-level admission on top of lease validity). *)
-
 (** {1 Statistics} *)
 
 type stats = {
@@ -120,6 +116,3 @@ val complete_handoff : t -> tenant:string -> unit
 (** Source side, after a committed migration: reclaim the source copies of
     the tenant's device resources and drop the lease. Unknown tenants are
     ignored. *)
-
-val adopted : t -> int
-(** Sessions adopted from another server. *)

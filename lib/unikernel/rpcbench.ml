@@ -177,11 +177,3 @@ let profiles () =
     ("rustyhermit", Config.hermit.Config.profile);
     ("unikraft", Config.unikraft.Config.profile);
   ]
-
-let sweep ?calls ?arg_bytes ?window () =
-  List.concat_map
-    (fun profile ->
-      List.map
-        (fun mode -> run ?calls ?arg_bytes ?window ~profile ~mode ())
-        modes)
-    (profiles ())

@@ -49,7 +49,3 @@ val modes : mode list
 
 val profiles : unit -> (string * Simnet.Hostprofile.t) list
 (** The four distinct client stacks (C/Rust native share a profile). *)
-
-val sweep :
-  ?calls:int -> ?arg_bytes:int -> ?window:int -> unit -> result list
-(** Every profile × mode, profiles outer, modes inner. *)

@@ -333,7 +333,6 @@ let stats t =
 let negotiated_rpc t = t.negotiated_rpc
 let rpcdev_stats t = Option.map Tcpstack.Rpcdev.stats t.rpcdev
 let doorbell_stats t = Option.map Oncrpc.Doorbell.stats t.doorbell
-let doorbell_flush t = Option.iter Oncrpc.Doorbell.flush t.doorbell
 let netdev_stats t = Tcpstack.Netdev.stats t.netdev
 let negotiated_client t = Tcpstack.Netdev.negotiated_a t.netdev
 let endpoint_stats t = (EP.stats t.client_ep, EP.stats t.server_ep)

@@ -88,6 +88,3 @@ val negotiated_rpc : t -> Simnet.Offload.t
 
 val rpcdev_stats : t -> Tcpstack.Rpcdev.stats option
 val doorbell_stats : t -> Oncrpc.Doorbell.stats option
-
-val doorbell_flush : t -> unit
-(** Ring the client doorbell now (no-op without a negotiated doorbell). *)

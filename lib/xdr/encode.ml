@@ -139,7 +139,6 @@ let bool t b = int32 t (if b then 1l else 0l)
 let float32 t f = int32 t (Int32.bits_of_float f)
 let float64 t f = int64 t (Int64.bits_of_float f)
 let enum t v = int t v
-let void (_ : t) = ()
 
 let pad t n =
   for _ = 1 to Types.padding_of n do
@@ -180,14 +179,6 @@ let opaque_fill t len write =
     write b 0;
     Buffer.add_bytes t.buf b
   end;
-  pad t len
-
-let opaque_slice ?max t s =
-  let len = s.Iovec.len in
-  check_max ?max len;
-  uint t len;
-  if len >= zero_copy_threshold then add_slice t s
-  else Buffer.add_substring t.buf s.Iovec.base s.Iovec.off len;
   pad t len
 
 let string ?max t s =

@@ -105,9 +105,6 @@ val float64 : t -> float -> unit
 val enum : t -> int -> unit
 (** Enums are encoded exactly like signed ints. *)
 
-val void : t -> unit
-(** Encodes nothing; exists so generated code can treat [void] uniformly. *)
-
 (** {1 Opaque data and strings} *)
 
 val opaque_fixed : t -> bytes -> unit
@@ -129,11 +126,6 @@ val opaque_fill : t -> int -> (bytes -> int -> unit) -> unit
     {!to_bytes} lays the message out, straight into its result, so the
     payload is copied once; until then {!to_iovec} raises
     [Invalid_argument]. A shorter opaque is written at once. *)
-
-val opaque_slice : ?max:int -> t -> Iovec.slice -> unit
-(** Variable-length opaque from an existing slice — the zero-copy relay
-    path, e.g. forwarding a decoded payload view without materialising
-    it. *)
 
 val string : ?max:int -> t -> string -> unit
 (** XDR string: identical wire format to variable-length opaque. *)

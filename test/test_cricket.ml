@@ -1233,6 +1233,104 @@ let test_module_file_globals () =
       expect_cuda_error Cudasim.Error.Not_found (fun () ->
           C.get_global client ~modul ~name:"missing"))
 
+(* --- downloads outside the at-most-once cache --- *)
+
+(* cudaMemcpyDtoH is registered idempotent: once its reply is read, the
+   server keeps nothing of it. *)
+let test_download_reply_not_retained () =
+  let _, server, client = make_pair () in
+  let len = 4 lsl 20 in
+  let src = C.malloc client len in
+  ignore (C.memcpy_d2h client ~src ~len : bytes);
+  Gc.full_major ();
+  let bytes = Obj.reachable_words (Obj.repr server) * (Sys.word_size / 8) in
+  check Alcotest.bool
+    (Printf.sprintf "server reaches %d bytes after a 4 MiB download" bytes)
+    true
+    (bytes < 1 lsl 20)
+
+(* A lost download reply is served by running the copy again: the client
+   gets the right bytes, no reply comes from the cache, and the server
+   counts both executions. Records 0-3 are the malloc and the upload,
+   record 4 the download's request and record 5 its reply. *)
+let test_lost_download_runs_again () =
+  let engine = Simnet.Engine.create () in
+  let server =
+    Cricket.Server.create ~memory_capacity:(1 lsl 26)
+      ~clock:(Cudasim.Context.engine_clock engine) ()
+  in
+  let fault = Simnet.Fault.make { Simnet.Fault.none with drop_nth = [ 5 ] } in
+  let channel =
+    Unikernel.Simchannel.create ~engine ~fault
+      ~client:Unikernel.Config.hermit.Unikernel.Config.profile
+      ~dispatch:(Cricket.Server.dispatch server) ()
+  in
+  let client = C.create ~transport:(Unikernel.Simchannel.transport channel) () in
+  Oncrpc.Client.set_retry (C.rpc client) (Some Oncrpc.Client.default_retry);
+  let len = 100_000 in
+  let payload = Apps.Workload.xorshift_bytes ~seed:9 len in
+  let src = C.malloc client len in
+  C.memcpy_h2d client ~dst:src payload;
+  let back = C.memcpy_d2h client ~src ~len in
+  check Alcotest.bool "download intact" true (Bytes.equal back payload);
+  check Alcotest.int "one reply dropped" 1
+    (Simnet.Fault.stats fault).Simnet.Fault.dropped;
+  check Alcotest.int "one retransmission" 1
+    (Oncrpc.Client.stats (C.rpc client)).Oncrpc.Client.retries;
+  check Alcotest.int "no dup hit" 0 (Cricket.Server.dup_hits server);
+  check Alcotest.int "malloc, upload and two downloads served" 4
+    (Cricket.Server.calls_served server)
+
+(* cudaMemcpyDtoHAsync consumes the sticky error, so it stays cached: a
+   retransmission replays the error instead of running again into a
+   success. *)
+let test_async_download_replays_error () =
+  let _, server, _ = make_pair () in
+  let ctx = Cricket.Server.context server in
+  let src = Result.get_ok (Cudasim.Api.malloc ctx 4096L) in
+  Cudasim.Context.set_async_error ctx Cudasim.Error.Invalid_value;
+  let request =
+    call_record ~xid:77 ~proc:Rpc.Client.proc_rpc_cudaMemcpyDtoHAsync
+      (fun enc ->
+        d2h_args ~src ~len:4096L enc;
+        Xdr.Encode.uint64 enc 0L)
+  in
+  let error_of reply =
+    let dec = Xdr.Decode.of_string reply in
+    ignore (Oncrpc.Message.decode dec : Oncrpc.Message.t);
+    (Proto.xdr_decode_mem_result dec).Proto.err
+  in
+  let first = Cricket.Server.dispatch server request in
+  check Alcotest.int "the sticky error"
+    (Cudasim.Error.code Cudasim.Error.Invalid_value)
+    (error_of first);
+  let again = Cricket.Server.dispatch server request in
+  check Alcotest.string "retransmission replays the cached error" first again;
+  check Alcotest.int "answered from the cache" 1
+    (Cricket.Server.dup_hits server);
+  let fresh =
+    call_record ~xid:78 ~proc:Rpc.Client.proc_rpc_cudaMemcpyDtoHAsync
+      (fun enc ->
+        d2h_args ~src ~len:4096L enc;
+        Xdr.Encode.uint64 enc 0L)
+  in
+  check Alcotest.int "a new call finds the error consumed" 0
+    (error_of (Cricket.Server.dispatch server fresh))
+
+(* cudaDeviceReset over RPC: the device's allocations go, so its memory
+   is free again and an old pointer no longer reads. *)
+let test_device_reset_over_rpc () =
+  let _, _, client = make_pair () in
+  let free_before, total = C.mem_get_info client in
+  let ptr = C.malloc client (1 lsl 20) in
+  check Alcotest.bool "allocation took memory" true
+    (fst (C.mem_get_info client) < free_before);
+  C.device_reset client;
+  check Alcotest.(pair int64 int64) "memory free again" (free_before, total)
+    (C.mem_get_info client);
+  expect_cuda_error Cudasim.Error.Invalid_value (fun () ->
+      C.memcpy_d2h client ~src:ptr ~len:16)
+
 let suite =
   [
     Alcotest.test_case "device forwarding" `Quick test_device_forwarding;
@@ -1283,4 +1381,12 @@ let suite =
         test_simchannel_round_trip_allocations;
       Alcotest.test_case "cuModule globals from a cubin file" `Quick
         test_module_file_globals;
+      Alcotest.test_case "download reply not retained" `Quick
+        test_download_reply_not_retained;
+      Alcotest.test_case "lost download reply runs again" `Quick
+        test_lost_download_runs_again;
+      Alcotest.test_case "async download replays its cached error" `Quick
+        test_async_download_replays_error;
+      Alcotest.test_case "device reset over RPC" `Quick
+        test_device_reset_over_rpc;
     ]

@@ -1134,6 +1134,60 @@ let prop_read_through_matches_decode =
           (let r, _, _ = got in r) result;
       true)
 
+(* --- idempotent procedures bypass the at-most-once cache --- *)
+
+let test_idempotent_bypasses_dup_cache () =
+  let server = Oncrpc.Server.create () in
+  Oncrpc.Server.set_dup_cache server;
+  let runs = Array.make 4 0 in
+  let counted proc =
+    ( proc,
+      fun dec enc ->
+        runs.(proc) <- runs.(proc) + 1;
+        E.int enc (D.int dec * proc) )
+  in
+  Oncrpc.Server.register server ~prog:300002 ~vers:1
+    [ counted 1; counted 3 ];
+  Oncrpc.Server.register ~idempotent:true server ~prog:300002 ~vers:1
+    [ counted 2 ];
+  Oncrpc.Server.set_oneway server ~prog:300002 ~vers:1 [ 3 ];
+  let request ~xid proc =
+    let enc = E.create () in
+    Oncrpc.Message.encode enc
+      (Oncrpc.Message.call ~xid ~prog:300002 ~vers:1 ~proc ());
+    E.int enc 7;
+    E.to_string enc
+  in
+  (* an idempotent call runs again on its retransmission, through either
+     dispatch path, and answers the same bytes without a cache hit *)
+  let idem = request ~xid:41l 2 in
+  let r1 = Oncrpc.Server.dispatch server idem in
+  let r2 = Oncrpc.Server.dispatch server idem in
+  let r3 =
+    Oncrpc.Server.dispatch_preparsed server ~xid:41l ~prog:300002 ~vers:1
+      ~proc:2 ~body_off:(String.length idem - 4) idem
+  in
+  check Alcotest.int "idempotent handler ran on every copy" 3 runs.(2);
+  check Alcotest.string "same bytes again" r1 r2;
+  check Alcotest.(option string) "same bytes preparsed" (Some r1) r3;
+  check Alcotest.int "no dup hit" 0 (Oncrpc.Server.dup_hits server);
+  (* a non-idempotent procedure of the same service still replays *)
+  let plain = request ~xid:42l 1 in
+  let p1 = Oncrpc.Server.dispatch server plain in
+  let p2 = Oncrpc.Server.dispatch server plain in
+  check Alcotest.int "non-idempotent handler ran once" 1 runs.(1);
+  check Alcotest.string "replayed byte-identically" p1 p2;
+  check Alcotest.int "replay counted" 1 (Oncrpc.Server.dup_hits server);
+  (* a one-way duplicate is swallowed, as before *)
+  let oneway = request ~xid:43l 3 in
+  check Alcotest.(option string) "one-way: no reply" None
+    (Oncrpc.Server.dispatch_opt server oneway);
+  check Alcotest.(option string) "one-way duplicate: no reply" None
+    (Oncrpc.Server.dispatch_opt server oneway);
+  check Alcotest.int "one-way handler ran once" 1 runs.(3);
+  check Alcotest.int "one-way duplicate counted" 2
+    (Oncrpc.Server.dup_hits server)
+
 let suite =
   [
     Alcotest.test_case "fragment header roundtrip" `Quick test_header_roundtrip;
@@ -1192,3 +1246,5 @@ let suite =
       Alcotest.test_case "loopback read allocation is linear" `Quick
         test_loopback_read_linear ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_read_through_matches_decode ]
+  @ [ Alcotest.test_case "idempotent procedures bypass the dup cache" `Quick
+        test_idempotent_bypasses_dup_cache ]

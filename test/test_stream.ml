@@ -380,6 +380,14 @@ let test_pipeline_depth_speedup () =
     true
     (t16 *. 2.0 <= t1)
 
+(* An event keeps the handle it was created under, however often it is
+   re-recorded. *)
+let test_event_keeps_its_handle () =
+  let e = Gpusim.Event.create ~id:9 in
+  Gpusim.Event.record e (Time.ms 1);
+  Gpusim.Event.record e (Time.ms 3);
+  check Alcotest.int "id" 9 (Gpusim.Event.id e)
+
 let suite =
   [
     Alcotest.test_case "stream FIFO timing" `Quick test_stream_fifo_timing;
@@ -405,4 +413,6 @@ let suite =
       test_pipeline_depth_speedup;
     Alcotest.test_case "unsynced launch stream stays bounded" `Quick
       test_unsynced_stream_bounded;
+    Alcotest.test_case "event keeps its handle" `Quick
+      test_event_keeps_its_handle;
   ]
